@@ -82,6 +82,7 @@ from .quantum import (
     QuantumChannel,
     apply_channel,
     apply_channel_to_slot,
+    apply_channel_to_slot_batch,
     apply_product_channel,
     basis_state,
     bit_flip_channel,

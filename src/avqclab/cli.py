@@ -22,7 +22,7 @@ from .codes import (
     evaluate_code,
     random_code_reduction,
 )
-from .config import DEFAULT_GRID_STEP, ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_FEAS, worker_count
+from .config import DEFAULT_GRID_STEP, ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_FEAS
 from .correlation import binary_reduction, cr_extractable
 from .errors import BudgetExceeded, SchemaError, ValidationError
 from .serialize import (
@@ -240,7 +240,7 @@ def _cmd_simulate(args) -> dict:
     avqc = from_document(doc["avqc"], path=f"{origin}.avqc")
     code = from_document(doc["code"], path=f"{origin}.code")
     budget = args.budget if args.budget is not None else EXHAUSTIVE_BUDGET
-    run.config.update({"budget": budget, "mode": args.mode, "workers": worker_count()})
+    run.config.update({"budget": budget, "mode": args.mode})
     report = evaluate_code(avqc, code, budget=budget, mode=args.mode)
     return run.result(
         "error_report",
@@ -332,9 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="write the result document here")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--tol", type=float, default=None)
         cmd.add_argument("--budget", type=int, default=None)
         if name == "symcheck":
+            cmd.add_argument("--tol", type=float, default=None)
             cmd.add_argument("--probes", help="probe_set JSON document")
             cmd.add_argument("--l", type=int, default=1, help="block length")
         if name == "capacity":

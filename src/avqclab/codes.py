@@ -29,14 +29,14 @@ from .quantum import (
     Povm,
     PureState,
     QuantumChannel,
-    apply_channel_to_slot,
+    apply_channel_to_slot_batch,
     compose_channels,
     hermitize,
     maximally_mixed,
     min_eigenvalue,
     tensor_channel,
 )
-from .util import parallel_map
+from .util import content_key
 
 __all__ = [
     "DeterministicCode",
@@ -268,86 +268,226 @@ def projective_decoder(codewords: Sequence[PureState], absorb: int = 0) -> Povm:
     return Povm(tuple(elements))
 
 
-def _apply_factors_raw(factors: Sequence[QuantumChannel], mat: np.ndarray) -> np.ndarray:
-    dims = [ch.dim_in for ch in factors]
-    out = mat
-    for slot, ch in enumerate(factors):
-        out = apply_channel_to_slot(ch, out, slot, dims)
-        dims[slot] = ch.dim_out
-    return out
+# Bytes of channel images that exhaustive scoring may hold at once, on top of
+# the code's own matrices.
+_STACK_BYTES = 1 << 28
 
 
-def _det_success(factors, code: DeterministicCode) -> np.ndarray:
-    succ = np.empty(code.message_count)
-    for i, rho in enumerate(code.encoder):
-        out = _apply_factors_raw(factors, np.asarray(rho.matrix))
-        succ[i] = float(np.einsum("ij,ji->", code.decoder.elements[i], out).real)
-    return succ
+class _ImageTree:
+    """Images of a stack of roots under every word of states on some slots.
+
+    Image ``r * |S|^len(slots) + w`` is root ``r`` under the w-th word in
+    ``itertools.product`` order, the channel of the word's k-th letter acting
+    on slot ``slots[k]`` (through its adjoint with ``adjoint``). Words that
+    share their leading letters share that work.
+    """
+
+    def __init__(self, roots, channels, slots, dims, adjoint):
+        self.roots = roots
+        self.channels = channels
+        self.slots = slots
+        self.adjoint = adjoint
+        d_to = channels[0].dim_in if adjoint else channels[0].dim_out
+        self.dims = [list(dims)]
+        for slot in slots:
+            self.dims.append(self.dims[-1][:slot] + [d_to] + self.dims[-1][slot + 1 :])
+        self.node_bytes = max(16 * math.prod(d) ** 2 for d in self.dims)
+
+    def cost(self, nodes: int, depth: int) -> float:
+        """Bytes to expand ``nodes`` nodes at ``depth`` breadth-first to the leaves.
+
+        The last level dominates: the leaves, their parents and the kernel's
+        two temporaries per parent.
+        """
+        fanout = len(self.channels)
+        leaves = nodes * fanout ** (len(self.slots) - depth) * self.node_bytes
+        return (1.0 + 3.0 / fanout) * leaves
+
+    def path_bytes(self) -> int:
+        """Bytes a walk with no spare room holds: a node per level, two temporaries."""
+        return (len(self.slots) + 2) * self.node_bytes
+
+    def _expand(self, nodes, depth, channels):
+        n_out = math.prod(self.dims[depth + 1])
+        children = np.empty((len(nodes), len(channels), n_out, n_out), dtype=complex)
+        for s, ch in enumerate(channels):
+            apply_channel_to_slot_batch(
+                ch, nodes, self.slots[depth], self.dims[depth], self.adjoint,
+                out=children[:, s],
+            )
+        return children.reshape(-1, n_out, n_out)
+
+    def walk(self, spare: float):
+        """Yield ``(start, images)`` in consecutive chunks, in order.
+
+        A batch of nodes is expanded breadth-first when its whole subtree
+        costs at most ``spare`` bytes; otherwise it is walked node by node
+        and child by child, each level holding one node.
+        """
+        fanout = len(self.channels)
+
+        def walk(nodes, start, depth, spare):
+            if depth == len(self.slots) or self.cost(len(nodes), depth) <= spare:
+                for level in range(depth, len(self.slots)):
+                    nodes = self._expand(nodes, level, self.channels)
+                    start *= fanout
+                yield start, nodes
+                return
+            for k in range(len(nodes)):
+                for s, ch in enumerate(self.channels):
+                    child = self._expand(nodes[k : k + 1], depth, [ch])
+                    yield from walk(
+                        child, (start + k) * fanout + s, depth + 1, spare - child.nbytes
+                    )
+
+        return walk(self.roots, 0, 0, spare)
+
+
+def _success_table(avqc: Avqc, l: int, states, elements) -> np.ndarray:
+    """tr(D_i N_seq(rho_i)) for every message i and every state sequence.
+
+    ``states[i]`` is the input matrix for message i and ``elements[i]`` the
+    Hermitian operator it is traced against. The result has shape
+    (|S|^l, M), sequences in ``itertools.product`` order.
+
+    Meet in the middle at h = l // 2: each state is pushed forward under
+    every prefix of the first h slots, each element is pulled back under the
+    adjoint of every suffix of the last l - h slots, and
+    tr(D (A⊗B)(rho)) = tr((id⊗B†)(D) (A⊗id)(rho)) makes each message's
+    table one GEMM over the flattened images. Both images are Hermitian, so
+    the trace is the real part of P @ Q^H, which one real GEMM over their
+    interleaved real and imaginary parts gives directly.
+
+    The images held at once stay within ``_STACK_BYTES``. Suffix images are
+    kept when they fit in half of it; otherwise they are recomputed for
+    each chunk of prefix images, one node per tree level, and the prefix
+    chunks get the rest of the room.
+    """
+    h = l // 2
+    channels = [avqc.channels[s] for s in avqc.states]
+    table = np.empty((len(channels) ** h, len(channels) ** (l - h), len(states)))
+    for i, (rho, op) in enumerate(zip(states, elements)):
+        prefixes = _ImageTree(
+            np.asarray(rho)[None], channels, range(h), [avqc.dim_in] * l, False
+        )
+        suffixes = _ImageTree(
+            np.asarray(op)[None], channels, range(h, l), [avqc.dim_out] * l, True
+        )
+        if suffixes.cost(1, 0) <= _STACK_BYTES / 2:
+            kept = list(suffixes.walk(_STACK_BYTES / 2))
+            room = _STACK_BYTES - sum(images.nbytes for _, images in kept)
+        else:
+            kept = None
+            room = _STACK_BYTES - suffixes.path_bytes()
+        for p0, pre in prefixes.walk(room):
+            pre = pre.reshape(len(pre), -1).view(float)
+            for q0, suf in kept if kept is not None else suffixes.walk(0):
+                suf = suf.reshape(len(suf), -1).view(float)
+                table[p0 : p0 + len(pre), q0 : q0 + len(suf), i] = pre @ suf.T
+    return table.reshape(-1, len(states))
+
+
+def _det_term(code: DeterministicCode) -> tuple:
+    """Encoder states and decoder elements of a deterministic code, by message."""
+    return [rho.matrix for rho in code.encoder], list(code.decoder.elements)
+
+
+def _group_source_mass(code):
+    """Source mass of each distinct (encoder, decoder) pair of a correlated code.
+
+    Encoders and decoders are told apart by ``content_key``, so equal
+    objects read back from separate JSON entries fall into one pair.
+    Returns ``(encs, decs, pair_weight)``: the encoders and decoders that
+    carry mass by key, and the summed p^n(x, y) of each key pair.
+    """
+    x_seqs = code.source.x_sequences(code.n)
+    y_seqs = code.source.y_sequences(code.n)
+    table = code.source.joint_power(code.n, budget=PAIR_ENUM_BUDGET)
+    dec_keys = [content_key(code.decoders[y]) for y in y_seqs]
+    encs: dict = {}
+    decs: dict = {}
+    weight: dict = {}
+    for xi, x in enumerate(x_seqs):
+        enc = code.encoders[x]
+        enc_key = content_key(enc)
+        for yi, y in enumerate(y_seqs):
+            mass = table[xi, yi]
+            if mass == 0.0:
+                continue
+            encs.setdefault(enc_key, enc)
+            decs.setdefault(dec_keys[yi], code.decoders[y])
+            key = (enc_key, dec_keys[yi])
+            weight[key] = weight.get(key, 0.0) + float(mass)
+    return encs, decs, weight
 
 
 class _CorrelatedEvaluator:
-    """Groups the source mass by distinct (encoder, decoder) object pairs."""
+    """Groups the source mass by distinct (encoder, decoder) pairs."""
 
     def __init__(self, code: CorrelatedCode):
         self.code = code
-        x_seqs = code.source.x_sequences(code.n)
-        y_seqs = code.source.y_sequences(code.n)
-        table = code.source.joint_power(code.n, budget=PAIR_ENUM_BUDGET)
-        self.encs: dict = {}
-        self.decs: dict = {}
-        weight: dict = {}
-        for xi, x in enumerate(x_seqs):
-            enc = code.encoders[x]
-            self.encs.setdefault(id(enc), enc)
-            for yi, y in enumerate(y_seqs):
-                mass = table[xi, yi]
-                if mass == 0.0:
-                    continue
-                dec = code.decoders[y]
-                self.decs.setdefault(id(dec), dec)
-                key = (id(enc), id(dec))
-                weight[key] = weight.get(key, 0.0) + float(mass)
-        self.pair_weight = weight
+        self.encs, self.decs, self.pair_weight = _group_source_mass(code)
 
-    def per_message(self, factors) -> np.ndarray:
-        outs: dict = {}
-        succ = np.zeros(self.code.message_count)
-        for (eid, did), mass in self.pair_weight.items():
-            if eid not in outs:
-                enc = self.encs[eid]
-                outs[eid] = [
-                    _apply_factors_raw(factors, np.asarray(rho.matrix)) for rho in enc
-                ]
-            povm = self.decs[did]
-            for i in range(self.code.message_count):
-                succ[i] += mass * float(
-                    np.einsum("ij,ji->", povm.elements[i], outs[eid][i]).real
-                )
-        return succ
+    def terms(self) -> list:
+        """``(states, elements)`` terms whose traces sum to the per-message success.
+
+        Traces are linear in the decoder, so each distinct encoder is scored
+        once, against the source-weighted sum of the decoders it meets.
+        """
+        mixed: dict = {}
+        for (enc_key, dec_key), weight in self.pair_weight.items():
+            part = [weight * op for op in self.decs[dec_key].elements]
+            if enc_key in mixed:
+                part = [a + b for a, b in zip(mixed[enc_key], part)]
+            mixed[enc_key] = part
+        return [
+            ([rho.matrix for rho in self.encs[key]], ops) for key, ops in mixed.items()
+        ]
+
+
+def _scoring_terms(code) -> list:
+    """``(weight, states, elements)`` terms; their weighted traces sum to the success."""
+    if isinstance(code, DeterministicCode):
+        return [(1.0, *_det_term(code))]
+    if isinstance(code, RandomCode):
+        return [
+            (float(w), *_det_term(det))
+            for w, det in zip(code.weights, code.support)
+            if w != 0.0
+        ]
+    if isinstance(code, CorrelatedCode):
+        return [(1.0, *term) for term in _CorrelatedEvaluator(code).terms()]
+    raise ValidationError(f"evaluate_code: unsupported code type {type(code).__name__}")
+
+
+def _exhaustive_table(avqc: Avqc, l: int, code) -> np.ndarray:
+    """Per-message success at every sequence, shape (|S|^l, M), product order."""
+    table = 0.0
+    for weight, states, elements in _scoring_terms(code):
+        table = table + weight * _success_table(avqc, l, states, elements)
+    return table
 
 
 def _per_message_fn(avqc: Avqc, code):
-    """Returns seq -> per-message success vector for any message-code kind."""
-    if isinstance(code, DeterministicCode):
-        def fn(seq):
-            return _det_success([avqc.channels[s] for s in seq], code)
-        return fn
-    if isinstance(code, RandomCode):
-        def fn(seq):
-            factors = [avqc.channels[s] for s in seq]
-            acc = np.zeros(code.message_count)
-            for w, det in zip(code.weights, code.support):
-                if w == 0.0:
-                    continue
-                acc += w * _det_success(factors, det)
-            return acc
-        return fn
-    if isinstance(code, CorrelatedCode):
-        inner = _CorrelatedEvaluator(code)
-        def fn(seq):
-            return inner.per_message([avqc.channels[s] for s in seq])
-        return fn
-    raise ValidationError(f"evaluate_code: unsupported code type {type(code).__name__}")
+    """Returns seq -> per-message success vector, all messages as one stack."""
+    terms = []
+    for weight, states, elements in _scoring_terms(code):
+        flat = np.stack(elements).reshape(len(elements), -1).conj()
+        terms.append((weight, np.stack(states), flat))
+
+    def fn(seq):
+        acc = 0.0
+        for weight, states, elements in terms:
+            dims = [avqc.dim_in] * len(seq)
+            for slot, s in enumerate(seq):
+                ch = avqc.channels[s]
+                states = apply_channel_to_slot_batch(ch, states, slot, dims)
+                dims[slot] = avqc.dim_out
+            traces = np.einsum("ix,ix->i", states.reshape(len(elements), -1), elements)
+            acc = acc + weight * traces.real
+        return acc
+
+    return fn
 
 
 def _check_code_dims(avqc: Avqc, l: int, input_dim: int, output_dim: int) -> None:
@@ -405,9 +545,10 @@ def evaluate_code(
     """Search the adversary's per-use state choices against a message code.
 
     With at most ``budget`` sequences (or ``mode="exhaustive"``) every
-    sequence is scored and the optima are exact. Otherwise a greedy
-    coordinate descent on the average success runs from each constant
-    sequence, and the report bounds the adversary's damage from below.
+    sequence is scored, all at once by ``_success_table``, and the optima
+    are exact. Otherwise a greedy coordinate descent on the average success
+    runs from each constant sequence, and the report bounds the adversary's
+    damage from below.
     """
     l, d_in, d_out = _code_shape(code)
     _check_code_dims(avqc, l, d_in, d_out)
@@ -420,18 +561,17 @@ def evaluate_code(
         raise BudgetExceeded(
             f"evaluate_code: {count} sequences exceed the enumeration budget"
         )
-    vector_fn = _per_message_fn(avqc, code)
-
-    scores: dict = {}
     if mode == "exhaustive":
-        seqs = list(itertools.product(avqc.states, repeat=l))
-        scores = dict(zip(seqs, parallel_map(vector_fn, seqs)))
+        seqs = itertools.product(avqc.states, repeat=l)
+        scores = zip(seqs, _exhaustive_table(avqc, l, code))
     else:
-        _greedy_search(avqc.states, l, scores, vector_fn)
+        cache: dict = {}
+        _greedy_search(avqc.states, l, cache, _per_message_fn(avqc, code))
+        scores = cache.items()
 
     worst_seq, worst_avg = None, np.inf
     worst_maxerr = 0.0
-    for seq, vec in scores.items():
+    for seq, vec in scores:
         avg = float(vec.mean())
         if avg < worst_avg - 1e-15:
             worst_avg, worst_seq = avg, seq
@@ -460,31 +600,15 @@ def evaluate_entanglement_code(
     for dec in code.decoders.values():
         if dec.dim_in != avqc.dim_out**code.l:
             raise DimensionMismatch("decoder input does not match the channel block")
-    x_seqs = code.source.x_sequences(code.n)
-    y_seqs = code.source.y_sequences(code.n)
-    table = code.source.joint_power(code.n, budget=PAIR_ENUM_BUDGET)
-    pair_weight: dict = {}
-    encs: dict = {}
-    decs: dict = {}
-    for xi, x in enumerate(x_seqs):
-        enc = code.encoders[x]
-        encs.setdefault(id(enc), enc)
-        for yi, y in enumerate(y_seqs):
-            mass = table[xi, yi]
-            if mass == 0.0:
-                continue
-            dec = code.decoders[y]
-            decs.setdefault(id(dec), dec)
-            key = (id(enc), id(dec))
-            pair_weight[key] = pair_weight.get(key, 0.0) + float(mass)
+    encs, decs, pair_weight = _group_source_mass(code)
     mixed = maximally_mixed(code.code_dim)
 
     worst_seq, worst_fid = None, np.inf
     for seq in itertools.product(avqc.states, repeat=code.l):
         block = tensor_channel([avqc.channels[s] for s in seq])
         fid = 0.0
-        for (eid, did), mass in pair_weight.items():
-            channel = compose_channels(decs[did], block, encs[eid])
+        for (enc_key, dec_key), mass in pair_weight.items():
+            channel = compose_channels(decs[dec_key], block, encs[enc_key])
             fid += mass * entanglement_fidelity(mixed, channel)
         if fid < worst_fid - 1e-15:
             worst_fid, worst_seq = fid, seq
@@ -574,12 +698,10 @@ def random_code_reduction(
         raise BudgetExceeded(
             f"random_code_reduction: {count} sequences exceed budget {budget}"
         )
-    seqs = list(itertools.product(avqc.states, repeat=l))
     # success[j, seq_index, i] for each support code j
-    success = np.empty((len(code.support), len(seqs), code.message_count))
-    for j, det in enumerate(code.support):
-        for si, seq in enumerate(seqs):
-            success[j, si] = _det_success([avqc.channels[s] for s in seq], det)
+    success = np.stack(
+        [_success_table(avqc, l, *_det_term(det)) for det in code.support]
+    )
     mixed = np.einsum("j,jsi->si", code.weights, success)
     eps_l = 1.0 - float(mixed.min())
     if eps <= 2.0 * eps_l:

@@ -8,8 +8,6 @@ scale everything here is meant for.
 
 from __future__ import annotations
 
-import os
-
 # Validation tolerances for constructed objects.
 TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
@@ -46,14 +44,3 @@ KRAUS_ENTRY_BUDGET = 2**22
 # Default simplex grid step for the minimax capacity search.
 DEFAULT_GRID_STEP = 1.0 / 64.0
 
-
-def worker_count() -> int:
-    """Number of worker threads to use, capped by ``AVQCLAB_THREADS``."""
-    cap = os.environ.get("AVQCLAB_THREADS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            workers = 1
-    return max(1, workers)

@@ -36,6 +36,7 @@ __all__ = [
     "Povm",
     "apply_channel",
     "apply_channel_to_slot",
+    "apply_channel_to_slot_batch",
     "apply_product_channel",
     "tensor_channel",
     "compose_channels",
@@ -292,6 +293,57 @@ def apply_channel_to_slot(
     out = np.einsum("kxy,aybczd,kwz->axbcwd", ch.stacked, six, ch.stacked.conj())
     new_total = left * d_out * right
     return out.reshape(new_total, new_total)
+
+
+def apply_channel_to_slot_batch(
+    ch: QuantumChannel,
+    mats: np.ndarray,
+    slot: int,
+    dims: Sequence[int],
+    adjoint: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply ``ch``, or its adjoint, to one tensor factor of a stack of matrices.
+
+    ``mats`` has shape (M, N, N) with N = prod(dims). The channel acts
+    through its transfer matrix sum_k K_k ⊗ conj(K_k): the slot's row and
+    column indices are moved to the front and contracted with it in one
+    GEMM, so the cost does not grow with the Kraus count. The slot
+    dimension changes from ``ch.dim_in`` to ``ch.dim_out``; with ``adjoint``
+    the map is X -> sum_k K_k† X K_k and the slot goes from ``ch.dim_out`` to
+    ``ch.dim_in``. The result is written into ``out`` when given, an
+    (M, N', N') complex array whose last two axes are C-contiguous.
+    """
+    dims = list(dims)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise DimensionMismatch(
+            f"apply_channel_to_slot_batch: expected an (M, N, N) stack, not {mats.shape}"
+        )
+    if mats.shape[1] != math.prod(dims):
+        raise DimensionMismatch("apply_channel_to_slot_batch: dims do not match the stack")
+    kraus = ch.stacked.conj().transpose(0, 2, 1) if adjoint else ch.stacked
+    _, d_out, d_in = kraus.shape
+    if dims[slot] != d_in:
+        raise DimensionMismatch(
+            f"apply_channel_to_slot_batch: slot dim {dims[slot]} vs map input {d_in}"
+        )
+    count = mats.shape[0]
+    left = math.prod(dims[:slot])
+    right = math.prod(dims[slot + 1 :])
+    new_total = left * d_out * right
+    shape = (count, new_total, new_total)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.strides[1:] != (16 * new_total, 16):
+        raise DimensionMismatch("apply_channel_to_slot_batch: unusable output array")
+    transfer = np.einsum("kxy,kwz->xwyz", kraus, kraus.conj())
+    front = mats.reshape(count, left, d_in, right, left, d_in, right)
+    front = front.transpose(2, 5, 0, 1, 3, 4, 6).reshape(d_in * d_in, -1)
+    image = transfer.reshape(d_out * d_out, d_in * d_in) @ front
+    image = image.reshape(d_out, d_out, count, left, right, left, right)
+    seven = out.reshape(count, left, d_out, right, left, d_out, right)
+    seven[...] = image.transpose(2, 3, 0, 4, 5, 1, 6)
+    return out
 
 
 def apply_product_channel(

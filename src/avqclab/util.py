@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import hashlib
 
-from .config import worker_count
-
-# below this many items the thread pool costs more than it saves
-_PARALLEL_MIN = 512
+import numpy as np
 
 
-def parallel_map(fn, items):
-    """Ordered map over ``items`` with the worker cap from AVQCLAB_THREADS.
+def content_key(obj) -> bytes:
+    """Digest of the arrays that make up an encoder or a decoder.
 
-    Results come back in input order, so downstream reductions are
-    independent of scheduling; small batches run as a plain loop.
+    Accepts a POVM (its elements), a channel (its Kraus operators) or a
+    sequence of states, so that equal objects read back from separate JSON
+    entries share a key even though they are distinct Python objects.
     """
-    items = list(items)
-    if worker_count() <= 1 or len(items) < _PARALLEL_MIN:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(fn, items))
+    arrays = getattr(obj, "elements", None)
+    if arrays is None:
+        arrays = getattr(obj, "kraus", None)
+    if arrays is None:
+        arrays = [rho.matrix for rho in obj]
+    digest = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.digest()

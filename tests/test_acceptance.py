@@ -24,7 +24,6 @@ from avqclab import (
     PureState,
     RandomCode,
     apply_channel,
-    apply_channel_to_slot,
     basis_state,
     bit_flip_channel,
     check_symmetrizable,
@@ -49,7 +48,14 @@ from avqclab import (
     witsenhausen_binarize,
 )
 
-from helpers import random_avqc, random_channel, random_density, random_povm, rng_for
+from helpers import (
+    per_message_success,
+    random_avqc,
+    random_channel,
+    random_density,
+    random_povm,
+    rng_for,
+)
 
 
 def report(number, text):
@@ -64,23 +70,6 @@ def constant_pair(rng):
             1: constant_channel(random_density(rng, 2)),
         },
     )
-
-
-def per_message_success(avqc, code, seq):
-    if isinstance(code, DeterministicCode):
-        code = RandomCode((code,), np.array([1.0]))
-    total = np.zeros(code.message_count)
-    for w, det in zip(code.weights, code.support):
-        for i, rho in enumerate(det.encoder):
-            dims = [avqc.dim_in] * det.l
-            mat = np.asarray(rho.matrix)
-            for slot, s in enumerate(seq):
-                mat = apply_channel_to_slot(avqc.channels[s], mat, slot, dims)
-                dims[slot] = avqc.channels[s].dim_out
-            total[i] += w * float(
-                np.einsum("ij,ji->", det.decoder.elements[i], mat).real
-            )
-    return total
 
 
 def test_criterion_01_symmetrizability_verdicts_match_grid_oracle():

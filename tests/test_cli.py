@@ -154,6 +154,13 @@ class TestCapacity:
         assert doc["grid_step"] == pytest.approx(1.0 / 16.0)
         assert doc["manifest"]["config"]["grid_steps"] == 16
 
+    def test_tol_is_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "cq.json", swap_avcqc_doc())
+        with pytest.raises(SystemExit) as exc:
+            run(["capacity", "--input", path, "--tol", "0.5"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestCr:
     def test_block_diagonal_source(self, tmp_path, capsys):
@@ -214,6 +221,13 @@ class TestSimulate:
         doc = json.loads(captured.out)
         assert doc["method"] == "greedy"
         assert doc["manifest"]["config"]["mode"] == "greedy"
+
+    def test_config_does_not_depend_on_the_machine(self, tmp_path, capsys):
+        path = self.envelope(tmp_path)
+        code, captured = run_json(capsys, ["simulate", "--input", path])
+        assert code == 0
+        config = json.loads(captured.out)["manifest"]["config"]
+        assert config == {"budget": 4096, "mode": "auto"}
 
     def test_missing_envelope_fields(self, tmp_path, capsys):
         path = write(

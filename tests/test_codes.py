@@ -18,7 +18,6 @@ from avqclab import (
     PureState,
     RandomCode,
     ValidationError,
-    apply_channel_to_slot,
     basis_state,
     bit_flip_channel,
     completely_depolarizing_channel,
@@ -40,7 +39,7 @@ from avqclab import (
     unitary_channel,
 )
 
-from helpers import random_avqc, random_density, random_povm, rng_for
+from helpers import per_message_success, random_avqc, random_density, random_povm, rng_for
 
 COMP_WORDS = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
 COMP_POVM = computational_povm(2)
@@ -61,24 +60,6 @@ def computational_code(l=1):
 def useless_code():
     half = (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2)
     return DeterministicCode(1, COMP_WORDS, Povm(half))
-
-
-def per_message_success(avqc, code, seq):
-    """Direct oracle: tr of each decoder element against its channel image."""
-    if isinstance(code, DeterministicCode):
-        code = RandomCode((code,), np.array([1.0]))
-    total = np.zeros(code.message_count)
-    for w, det in zip(code.weights, code.support):
-        for i, rho in enumerate(det.encoder):
-            dims = [avqc.dim_in] * det.l
-            mat = np.asarray(rho.matrix)
-            for slot, s in enumerate(seq):
-                mat = apply_channel_to_slot(avqc.channels[s], mat, slot, dims)
-                dims[slot] = avqc.channels[s].dim_out
-            total[i] += w * float(
-                np.einsum("ij,ji->", det.decoder.elements[i], mat).real
-            )
-    return total
 
 
 class TestProjectiveDecoder:

@@ -27,7 +27,12 @@ from avqclab import (
     tensor_states,
     unitary_channel,
 )
-from avqclab.quantum import PAULI_Z, apply_channel_to_slot, constant_channel
+from avqclab.quantum import (
+    PAULI_Z,
+    apply_channel_to_slot,
+    apply_channel_to_slot_batch,
+    constant_channel,
+)
 
 from helpers import random_channel, random_density, random_povm, random_pure, rng_for
 
@@ -248,6 +253,46 @@ class TestSlotApplication:
         explicit = apply_channel(tensor_channel(chs), rho)
         slotwise = apply_product_channel(chs, rho)
         assert np.allclose(explicit.matrix, slotwise.matrix, atol=1e-10)
+
+    def test_batch_matches_single_slot_application(self):
+        rng = rng_for(11)
+        ch = random_channel(rng, 2, kraus_count=3, dim_out=3)
+        dims = [3, 2, 2]
+        stack = np.stack([random_density(rng, 12).matrix for _ in range(3)])
+        for slot in (1, 2):
+            out_dims = list(dims)
+            out_dims[slot] = 3
+            batch = apply_channel_to_slot_batch(ch, stack, slot, dims)
+            assert batch.shape == (3, 18, 18)
+            for mat, got in zip(stack, batch):
+                assert np.max(np.abs(got - apply_channel_to_slot(ch, mat, slot, dims))) < 1e-14
+
+    def test_adjoint_is_the_trace_dual(self):
+        rng = rng_for(12)
+        ch = random_channel(rng, 2, dim_out=3)
+        rho = random_density(rng, 4).matrix
+        povm = random_povm(rng, 6, 2)
+        image = apply_channel_to_slot_batch(ch, rho[None], 1, [2, 2])[0]
+        pulled = apply_channel_to_slot_batch(
+            ch, np.stack(povm.elements), 1, [2, 3], adjoint=True
+        )
+        assert pulled.shape == (2, 4, 4)
+        for op, back in zip(povm.elements, pulled):
+            assert np.trace(op @ image) == pytest.approx(np.trace(back @ rho), abs=1e-14)
+        # the adjoint of a trace-preserving map is unital
+        ones = apply_channel_to_slot_batch(ch, np.eye(6)[None], 1, [2, 3], adjoint=True)
+        assert np.allclose(ones[0], np.eye(4), atol=1e-14)
+
+    def test_batch_dimension_checks(self):
+        ch = random_channel(rng_for(13), 2, dim_out=3)
+        with pytest.raises(DimensionMismatch):
+            apply_channel_to_slot_batch(ch, np.eye(4), 0, [2, 2])
+        with pytest.raises(DimensionMismatch):
+            apply_channel_to_slot_batch(ch, np.eye(4)[None], 0, [2, 3])
+        with pytest.raises(DimensionMismatch):
+            apply_channel_to_slot_batch(ch, np.eye(6)[None], 1, [2, 3])
+        with pytest.raises(DimensionMismatch):
+            apply_channel_to_slot_batch(ch, np.eye(4)[None], 1, [2, 2], adjoint=True)
 
 
 class TestComposeAndConstructors:

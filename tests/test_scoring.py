@@ -1,0 +1,172 @@
+"""Exhaustive and greedy scoring against the slot-by-slot oracle."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import avqclab.codes as codes
+from avqclab import (
+    Avqc,
+    BipartiteSource,
+    CorrelatedCode,
+    DensityMatrix,
+    DeterministicCode,
+    Povm,
+    QuantumChannel,
+    RandomCode,
+    compose_two_phase,
+    dumps_document,
+    evaluate_code,
+    from_document,
+    loads_document,
+    to_document,
+)
+
+from helpers import (
+    per_message_success,
+    random_channel,
+    random_density,
+    random_povm,
+    random_prob_vector,
+    rng_for,
+)
+
+
+def random_det(rng, l, dim_in, dim_out, messages):
+    words = tuple(random_density(rng, dim_in**l) for _ in range(messages))
+    return DeterministicCode(l, words, random_povm(rng, dim_out**l, messages))
+
+
+def copied(obj):
+    """An equal object that shares no array with ``obj``."""
+    if isinstance(obj, Povm):
+        return Povm(tuple(np.array(op) for op in obj.elements))
+    return tuple(DensityMatrix(np.array(rho.matrix)) for rho in obj)
+
+
+def random_correlated(rng, l, dim_out, messages):
+    """Two distinct encoders and decoders spread over the observations as copies."""
+    r = max(1, (l + 1) // 2)
+    n = l // r
+    joint = random_prob_vector(rng, 4).reshape(2, 2)
+    if rng.random() < 0.5:
+        joint[0, 1] = 0.0
+        joint /= joint.sum()
+    source = BipartiteSource((0, 1), (0, 1), joint)
+    pool = [random_det(rng, l, 2, dim_out, messages) for _ in range(2)]
+    encoders = {x: copied(pool[x[0]].encoder) for x in itertools.product((0, 1), repeat=n)}
+    decoders = {y: copied(pool[y[-1]].decoder) for y in itertools.product((0, 1), repeat=n)}
+    return CorrelatedCode(l, r, source, encoders, decoders)
+
+
+def build(seed, kind, l, n_states, dim_out, messages):
+    rng = rng_for(seed)
+    labels = tuple(f"s{i}" for i in range(n_states))
+    avqc = Avqc(labels, {s: random_channel(rng, 2, dim_out=dim_out) for s in labels})
+    if kind == "deterministic":
+        code = random_det(rng, l, 2, dim_out, messages)
+    elif kind == "random":
+        support = tuple(random_det(rng, l, 2, dim_out, messages) for _ in range(3))
+        code = RandomCode(support, random_prob_vector(rng, 3))
+    else:
+        code = random_correlated(rng, l, dim_out, messages)
+    return avqc, code
+
+
+def oracle_table(avqc, code, l):
+    seqs = list(itertools.product(avqc.states, repeat=l))
+    return seqs, np.array([per_message_success(avqc, code, seq) for seq in seqs])
+
+
+def assert_report_matches(report, seqs, table):
+    avgs = table.mean(axis=1)
+    assert report.avg_success_worst == pytest.approx(avgs.min(), abs=1e-12)
+    assert report.max_error_worst == pytest.approx(1.0 - table.min(), abs=1e-12)
+    first = seqs.index(report.worst_state_seq)
+    assert avgs[first] <= avgs.min() + 1e-12
+    assert np.all(avgs[:first] >= avgs[first] - 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["deterministic", "random", "correlated"]),
+    l=st.integers(1, 4),
+    n_states=st.integers(1, 3),
+    dim_out=st.sampled_from([2, 3]),
+    messages=st.integers(1, 3),
+)
+def test_split_scoring_matches_slot_by_slot_oracle(
+    seed, kind, l, n_states, dim_out, messages
+):
+    avqc, code = build(seed, kind, l, n_states, dim_out, messages)
+    seqs, expect = oracle_table(avqc, code, l)
+    table = codes._exhaustive_table(avqc, l, code)
+    assert table.shape == expect.shape
+    assert np.max(np.abs(table - expect)) <= 1e-12
+    score = codes._per_message_fn(avqc, code)
+    for index in {0, len(seqs) // 2, len(seqs) - 1}:
+        assert np.max(np.abs(score(seqs[index]) - expect[index])) <= 1e-12
+    assert_report_matches(evaluate_code(avqc, code, mode="exhaustive"), seqs, expect)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "random", "correlated"])
+def test_chunked_walk_matches_one_batch(kind, monkeypatch):
+    avqc, code = build(5, kind, 4, 3, 3, 2)
+    whole = codes._exhaustive_table(avqc, 4, code)
+    # room for a single 36-dim image: every subtree is walked node by node
+    # and the suffix images are recomputed for each prefix chunk
+    monkeypatch.setattr(codes, "_STACK_BYTES", 16 * 36 * 36)
+    chunked = codes._exhaustive_table(avqc, 4, code)
+    assert np.max(np.abs(chunked - whole)) <= 1e-12
+    seqs, expect = oracle_table(avqc, code, 4)
+    assert np.max(np.abs(chunked - expect)) <= 1e-12
+
+
+def test_identical_members_report_the_first_worst_sequence():
+    rng = rng_for(11)
+    channel = random_channel(rng, 2)
+    twin = QuantumChannel(tuple(np.array(op) for op in channel.kraus))
+    code = random_det(rng, 3, 2, 2, 2)
+    report = evaluate_code(Avqc(("a", "b"), {"a": channel, "b": twin}), code)
+    assert report.worst_state_seq == ("a", "a", "a")
+
+
+def test_duplicated_member_never_displaces_an_earlier_tie():
+    rng = rng_for(12)
+    first, second = random_channel(rng, 2), random_channel(rng, 2)
+    twin = QuantumChannel(tuple(np.array(op) for op in first.kraus))
+    code = random_det(rng, 3, 2, 2, 2)
+    pair = evaluate_code(Avqc(("a", "b"), {"a": first, "b": second}), code)
+    triple = evaluate_code(Avqc(("a", "b", "c"), {"a": first, "b": second, "c": twin}), code)
+    assert "c" not in triple.worst_state_seq
+    assert triple.worst_state_seq == pair.worst_state_seq
+    assert triple.avg_success_worst == pytest.approx(pair.avg_success_worst, abs=1e-15)
+
+
+def test_round_tripped_correlated_code_groups_like_the_original():
+    rng = rng_for(13)
+    source = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
+    heads = [random_det(rng, 1, 2, 2, 2) for _ in range(2)]
+    cr_code = CorrelatedCode(
+        1, 1, source, {(x,): heads[x].encoder for x in (0, 1)},
+        {(y,): heads[y].decoder for y in (0, 1)},
+    )
+    payload = RandomCode(
+        tuple(random_det(rng, 2, 2, 2, 2) for _ in range(2)), np.array([0.5, 0.5])
+    )
+    composed = compose_two_phase(cr_code, payload, 3)
+    back = from_document(loads_document(dumps_document(to_document(composed))))
+    assert back.encoders[(0, 0, 0)] is not back.encoders[(0, 1, 1)]
+    in_memory = codes._CorrelatedEvaluator(composed)
+    read_back = codes._CorrelatedEvaluator(back)
+    assert len(read_back.pair_weight) == len(in_memory.pair_weight) == 4
+    assert read_back.pair_weight == pytest.approx(in_memory.pair_weight)
+    avqc = Avqc(("u", "v"), {s: random_channel(rng, 2) for s in ("u", "v")})
+    assert evaluate_code(avqc, back) == evaluate_code(avqc, composed)
+    assert evaluate_code(avqc, back, mode="greedy") == evaluate_code(
+        avqc, composed, mode="greedy"
+    )
