@@ -87,8 +87,8 @@ def _as_square(obj, what: str) -> np.ndarray:
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (M + M†)/2."""
-    return 0.5 * (mat + mat.conj().T)
+    """Project onto the Hermitian part, (M + M†)/2, of each matrix of a stack."""
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def min_eigenvalue(mat: np.ndarray) -> float:

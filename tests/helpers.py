@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from avqclab import (
+    AvCqc,
     Avqc,
+    BudgetExceeded,
     CorrelatedCode,
     DensityMatrix,
     DeterministicCode,
@@ -14,7 +16,10 @@ from avqclab import (
     QuantumChannel,
     RandomCode,
     apply_channel_to_slot,
+    simplex_grid,
 )
+from avqclab.capacity import MinimaxResult
+from avqclab.quantum import hermitize
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -110,3 +115,151 @@ def per_message_success(avqc: Avqc, code, seq) -> np.ndarray:
             if table[xi, yi] > 0.0:
                 total += table[xi, yi] * _traces(images, code.decoders[y])
     return total
+
+
+def _entropy_bits(mat: np.ndarray) -> float:
+    vals = np.linalg.eigvalsh(hermitize(mat))
+    kept = vals[vals > 1e-12]
+    return float(-(kept * np.log2(kept)).sum()) if kept.size else 0.0
+
+
+class _ScalarChi:
+    """chi(p, W_q) one point at a time."""
+
+    def __init__(self, avcqc: AvCqc):
+        self.branch = np.stack(
+            [
+                np.stack([avcqc.branches[s].outputs[z].matrix for z in avcqc.alphabet])
+                for s in avcqc.states
+            ]
+        )  # (n_states, n_letters, d, d)
+        self.n_states = self.branch.shape[0]
+        self.n_letters = self.branch.shape[1]
+
+    def mixture_parts(self, q: np.ndarray):
+        out = np.einsum("s,szij->zij", q, self.branch)
+        ents = np.array([_entropy_bits(out[z]) for z in range(self.n_letters)])
+        return out, ents
+
+    def chi_from_parts(self, p: np.ndarray, out: np.ndarray, ents: np.ndarray) -> float:
+        avg = np.einsum("z,zij->ij", p, out)
+        return _entropy_bits(avg) - float(p @ ents)
+
+    def chi(self, p: np.ndarray, q: np.ndarray) -> float:
+        return self.chi_from_parts(p, *self.mixture_parts(q))
+
+
+def _scalar_minimize_q(ev: _ScalarChi, p, q, step0: float, iterations: int):
+    q = np.array(q)
+    value = ev.chi(p, q)
+    step = step0
+    for _ in range(iterations):
+        moved = False
+        for i in range(q.size):
+            for j in range(q.size):
+                if i == j or q[j] < step - 1e-15:
+                    continue
+                cand = np.array(q)
+                cand[j] -= step
+                cand[i] += step
+                cand_val = ev.chi(p, cand)
+                if cand_val < value - 1e-15:
+                    q, value = cand, cand_val
+                    moved = True
+        if not moved:
+            step /= 2.0
+    return value, q
+
+
+def _scalar_inner_min(ev: _ScalarChi, p, q_parts, q_list, step0: float, iterations: int):
+    best_val, best_idx = np.inf, 0
+    for idx, (out, ents) in enumerate(q_parts):
+        val = ev.chi_from_parts(p, out, ents)
+        if val < best_val - 1e-15:
+            best_val, best_idx = val, idx
+    return _scalar_minimize_q(ev, p, q_list[best_idx], step0, iterations)
+
+
+def scalar_capacity_search(
+    avcqc: AvCqc,
+    grid_step: float = 1.0 / 64.0,
+    refine_iterations: int = 20,
+    lipschitz_samples: int = 1000,
+    seed: int = 0,
+    budget: int = 2**20,
+) -> MinimaxResult:
+    """Oracle: ``cq_random_capacity`` scoring one (p, q) point per call.
+
+    The same grids, coordinate moves, random draws and 1e-15 tie rules,
+    with every chi evaluated alone: one ``eigvalsh`` per matrix and
+    ``p @ ents`` for the conditional entropy.
+    """
+    steps = max(1, round(1.0 / grid_step))
+    grid_step = 1.0 / steps
+    ev = _ScalarChi(avcqc)
+    n_z, n_s = ev.n_letters, ev.n_states
+    p_list = list(simplex_grid(n_z, steps))
+    q_list = list(simplex_grid(n_s, steps))
+    if len(p_list) * len(q_list) > budget:
+        raise BudgetExceeded("scalar_capacity_search: grid pairs exceed the budget")
+    q_parts = [ev.mixture_parts(q) for q in q_list]
+
+    best_p, best_val = None, -np.inf
+    for p in p_list:
+        inner_best = np.inf
+        for out, ents in q_parts:
+            val = ev.chi_from_parts(p, out, ents)
+            if val < inner_best - 1e-15:
+                inner_best = val
+        if inner_best > best_val + 1e-15:
+            best_val, best_p = inner_best, p
+    p_star = np.array(best_p)
+
+    value, q_star = _scalar_inner_min(ev, p_star, q_parts, q_list, grid_step, refine_iterations)
+    step = grid_step
+    for _ in range(refine_iterations):
+        moved = False
+        for i in range(n_z):
+            for j in range(n_z):
+                if i == j or p_star[j] < step - 1e-15:
+                    continue
+                cand = np.array(p_star)
+                cand[j] -= step
+                cand[i] += step
+                cand_val, cand_q = _scalar_inner_min(
+                    ev, cand, q_parts, q_list, grid_step, refine_iterations
+                )
+                if cand_val > value + 1e-15:
+                    p_star, value, q_star = cand, cand_val, cand_q
+                    moved = True
+        if not moved:
+            step /= 2.0
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    lipschitz = 0.0
+    for _ in range(lipschitz_samples):
+        p = rng.dirichlet(np.ones(n_z))
+        q = rng.dirichlet(np.ones(n_s))
+        base = ev.chi(p, q)
+        if n_z > 1:
+            i, j = rng.choice(n_z, size=2, replace=False)
+            move = min(grid_step, p[j])
+            if move > 1e-12:
+                cand = np.array(p)
+                cand[j] -= move
+                cand[i] += move
+                lipschitz = max(lipschitz, abs(ev.chi(cand, q) - base) / move)
+        if n_s > 1:
+            i, j = rng.choice(n_s, size=2, replace=False)
+            move = min(grid_step, q[j])
+            if move > 1e-12:
+                cand = np.array(q)
+                cand[j] -= move
+                cand[i] += move
+                lipschitz = max(lipschitz, abs(ev.chi(p, cand) - base) / move)
+    gap = float(lipschitz * grid_step)
+
+    value = float(value)
+    if value <= 0.0:
+        value = 0.0
+    return MinimaxResult(value, p_star, np.asarray(q_star), grid_step, gap)

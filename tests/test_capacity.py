@@ -1,10 +1,15 @@
 """Minimax random-code capacity search for cq channel families."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import avqclab.capacity as capacity
 from avqclab import (
     AvCqc,
     BudgetExceeded,
@@ -19,7 +24,7 @@ from avqclab import (
     simplex_grid,
 )
 
-from helpers import random_density, rng_for
+from helpers import random_density, rng_for, scalar_capacity_search
 
 
 def binary_entropy(x):
@@ -186,3 +191,97 @@ class TestCapacityProperties:
         avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
         with pytest.raises(BudgetExceeded):
             cq_random_capacity(avcqc, grid_step=1.0 / 64.0, budget=100)
+
+    def test_over_budget_grid_is_rejected_before_it_is_built(self):
+        rng = rng_for(77)
+        letters = (0, 1, 2)
+        avcqc = AvCqc((0, 1, 2), {s: random_branch(rng, letters=letters) for s in range(3)})
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="501501x501501 grid pairs exceed budget"):
+            cq_random_capacity(avcqc, grid_step=1.0 / 1000.0)
+        assert time.perf_counter() - start < 0.05
+
+
+def identical(a, b) -> bool:
+    """Every field equal bit for bit, signed zeros included."""
+    for field in dataclasses.fields(a):
+        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+        if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
+            return False
+    return True
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["random", "swap-pair", "constant-member", "twin-member", "twin-letter"]),
+    seed=st.integers(0, 2**16),
+    dim=st.integers(2, 3),
+    n_z=st.integers(1, 3),
+    n_s=st.integers(1, 3),
+    steps=st.integers(4, 16),
+)
+def test_batched_search_equals_the_scalar_oracle(kind, seed, dim, n_z, n_s, steps):
+    rng = rng_for(seed)
+    if kind == "swap-pair":
+        avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
+    else:
+        # an added twin of a member or a letter ties mixtures up to rounding,
+        # which the 1e-15 scan rules then decide
+        outputs = [[random_density(rng, dim) for _ in range(n_z)] for _ in range(n_s)]
+        if kind == "constant-member":
+            outputs[-1] = [outputs[-1][0]] * n_z
+        elif kind == "twin-member":
+            outputs.append(outputs[0])
+        elif kind == "twin-letter":
+            outputs = [row + [row[0]] for row in outputs]
+        letters = tuple(range(len(outputs[0])))
+        avcqc = AvCqc(
+            tuple(range(len(outputs))),
+            {s: CqChannel(letters, dict(zip(letters, row))) for s, row in enumerate(outputs)},
+        )
+    kwargs = dict(grid_step=1.0 / steps, lipschitz_samples=200, seed=seed)
+    batched = cq_random_capacity(avcqc, **kwargs)
+    assert identical(batched, scalar_capacity_search(avcqc, **kwargs))
+
+
+def sequential_search(f, x, step, iterations):
+    """Oracle for ``_coordinate_search``: one move scored per call."""
+    value = f(x)
+    for _ in range(iterations):
+        moved = False
+        for i in range(x.size):
+            for j in range(x.size):
+                if i == j or x[j] < step - 1e-15:
+                    continue
+                cand = np.array(x)
+                cand[j] -= step
+                cand[i] += step
+                if f(cand) < value - 1e-15:
+                    x, value = cand, f(cand)
+                    moved = True
+        if not moved:
+            step /= 2.0
+    return x, value
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), k=st.integers(2, 4), iterations=st.integers(1, 8))
+def test_coordinate_sweeps_take_the_moves_of_a_sequential_loop(seed, k, iterations):
+    rng = rng_for(seed)
+    weights = rng.normal(size=(k, k))
+
+    def f(x):
+        # rugged, so that many moves of a sweep are taken
+        return float(np.sin(37.0 * (x @ weights @ x)))
+
+    def score(points):
+        return [f(x) for x in points], [np.array(x) for x in points]
+
+    x0 = rng.multinomial(8, np.ones(k) / k) / 8.0
+    x, value, payload = capacity._coordinate_search(
+        score, x0, f(x0), x0, 1.0 / 8.0, iterations, capacity._lower
+    )
+    expect_x, expect_value = sequential_search(f, x0, 1.0 / 8.0, iterations)
+    assert x.tobytes() == expect_x.tobytes()
+    assert value == expect_value
+    assert payload.tobytes() == x.tobytes()

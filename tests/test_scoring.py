@@ -18,6 +18,7 @@ from avqclab import (
     QuantumChannel,
     RandomCode,
     compose_two_phase,
+    constant_channel,
     dumps_document,
     evaluate_code,
     from_document,
@@ -145,6 +146,31 @@ def test_duplicated_member_never_displaces_an_earlier_tie():
     assert "c" not in triple.worst_state_seq
     assert triple.worst_state_seq == pair.worst_state_seq
     assert triple.avg_success_worst == pytest.approx(pair.avg_success_worst, abs=1e-15)
+
+
+def constant_pair_problem(rng, l):
+    """Two constant members and two messages: every sequence averages 1/2
+    exactly, and the computed averages differ only by rounding."""
+    avqc = Avqc(("s0", "s1"), {s: constant_channel(random_density(rng, 2)) for s in ("s0", "s1")})
+    return avqc, random_det(rng, l, 2, 2, 2)
+
+
+def test_rounding_never_displaces_the_first_of_exact_ties():
+    # under a fixed 1e-15 rule this instance reported (s1, s1, s1, s1) at
+    # 0.49999999999999706
+    avqc, code = constant_pair_problem(rng_for(28), 4)
+    report = evaluate_code(avqc, code)
+    assert report.worst_state_seq == ("s0",) * 4
+    assert report.avg_success_worst == pytest.approx(0.5, abs=1e-14)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), l=st.integers(1, 5), mode=st.sampled_from(["exhaustive", "greedy"]))
+def test_exact_ties_report_the_first_searched_sequence(seed, l, mode):
+    avqc, code = constant_pair_problem(rng_for(seed), l)
+    report = evaluate_code(avqc, code, mode=mode)
+    assert report.worst_state_seq == ("s0",) * l
+    assert report.avg_success_worst == pytest.approx(0.5, abs=1e-14)
 
 
 def test_round_tripped_correlated_code_groups_like_the_original():
