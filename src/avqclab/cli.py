@@ -50,7 +50,7 @@ def _read_raw(filename: str) -> bytes:
 
 def _load(filename: str):
     raw = _read_raw(filename)
-    doc = loads_document(raw.decode("utf-8"), origin=filename)
+    doc = loads_document(raw, origin=filename)
     return raw, doc
 
 

@@ -6,11 +6,27 @@ nested row-major arrays of those pairs. Floats are emitted through Python's
 shortest round-trip repr, so dump/load is bit-exact at double precision.
 Decode errors raise :class:`SchemaError` carrying the JSON path of the
 offending field.
+
+:func:`dumps_document` returns exactly ``json.dumps(doc, sort_keys=True,
+indent=2, allow_nan=False) + "\\n"``, but renders each array of numbers, and
+each array of ``[re, im]`` number pairs, with one ``str.join``. Anything it
+does not render (non-``str`` keys, numpy scalars, non-finite floats, nesting
+deeper than ``_MAX_DEPTH``) sends the whole document to ``json.dumps``, so
+the bytes or the exception are the same. A matrix whose rows are lists of one
+width, holding only plain numbers or only plain number pairs, decodes in one
+``np.array`` call; any other input goes through the per-entry walk, which
+accepts or rejects it as before and names the offending path. Parsing,
+decoding and encoding run with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import math
+from contextlib import contextmanager
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -31,17 +47,40 @@ __all__ = [
     "write_document",
 ]
 
-
-def _complex_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[_complex_pair(complex(v)) for v in row] for row in np.asarray(mat)]
+# Exact leaf types of the fast paths. ``bool`` is a type of its own here, and
+# subclasses (numpy scalars among them) take the slow paths.
+_NUMBERS = frozenset((int, float))
+_DECODED_NUMBERS = frozenset((int, float, bool))
 
 
-def _real_vector(vec) -> list:
-    return [float(v) for v in vec]
+def _complex_to_json(arr) -> list:
+    """Nested lists of ``[re, im]`` float pairs, one per complex entry."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(float).reshape(arr.shape + (2,)).tolist()
+
+
+def _real_to_json(arr) -> list:
+    return np.asarray(arr, dtype=float).tolist()
+
+
+@contextmanager
+def _collector_paused():
+    """Hold off the cyclic garbage collector while a document is built or read.
+
+    Decoding and encoding make hundreds of thousands of lists, none of them
+    in a reference cycle, and each counts toward the collector's thresholds;
+    its passes over the heap took longer than the decode of a 9 MB document.
+    The collector runs again as soon as the call returns, and one that the
+    caller had turned off stays off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _expect(doc: Any, key: str, path: str) -> Any:
@@ -64,7 +103,8 @@ def _as_complex(entry: Any, path: str) -> complex:
     raise SchemaError("expected a number or an [re, im] pair", path=path)
 
 
-def _matrix_from_json(rows: Any, path: str) -> np.ndarray:
+def _matrix_walk(rows: Any, path: str) -> np.ndarray:
+    """Per-entry decode: the matrices the fast path leaves, and every error path."""
     if not isinstance(rows, list) or not rows:
         raise SchemaError("expected a non-empty array of rows", path=path)
     width = None
@@ -80,6 +120,44 @@ def _matrix_from_json(rows: Any, path: str) -> np.ndarray:
             )
         data.append([_as_complex(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
     return np.array(data, dtype=complex)
+
+
+def _matrix_fast(rows: Any) -> np.ndarray | None:
+    """One ``np.array`` call on the flattened entries of plain rows; None otherwise.
+
+    Every row must be a list of the same width, holding only plain numbers
+    or only pairs of them. Types are checked before numpy sees the entries,
+    so numpy never accepts what the walk rejects (tuple rows, numpy scalars),
+    and ``dtype=float`` converts each int as ``float()`` does.
+    """
+    if type(rows) is not list or set(map(type, rows)) != {list}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    shape = (len(rows), widths.pop())
+    entries = list(chain.from_iterable(rows))
+    kinds = set(map(type, entries))
+    if kinds <= _DECODED_NUMBERS:
+        leaves = entries
+    elif kinds <= {list, tuple} and set(map(len, entries)) == {2}:
+        leaves = list(chain.from_iterable(entries))
+        if not set(map(type, leaves)) <= _DECODED_NUMBERS:
+            return None
+    else:
+        return None
+    try:
+        flat = np.array(leaves, dtype=float)
+    except OverflowError:  # an int beyond float range; the walk raises it
+        return None
+    if leaves is entries:
+        return flat.astype(complex).reshape(shape)
+    return flat.view(complex).reshape(shape)
+
+
+def _matrix_from_json(rows: Any, path: str) -> np.ndarray:
+    mat = _matrix_fast(rows)
+    return _matrix_walk(rows, path) if mat is None else mat
 
 
 def _real_matrix_from_json(rows: Any, path: str) -> np.ndarray:
@@ -105,23 +183,23 @@ def _vector_from_json(entries: Any, path: str) -> np.ndarray:
 
 def _encode(obj: Any) -> dict:
     if isinstance(obj, DensityMatrix):
-        return {"kind": "density_matrix", "matrix": _matrix_to_json(obj.matrix)}
+        return {"kind": "density_matrix", "matrix": _complex_to_json(obj.matrix)}
     if isinstance(obj, PureState):
         return {
             "kind": "pure_state",
-            "amplitudes": [_complex_pair(complex(a)) for a in obj.amplitudes],
+            "amplitudes": _complex_to_json(obj.amplitudes),
         }
     if isinstance(obj, QuantumChannel):
         return {
             "kind": "channel",
             "dim_in": obj.dim_in,
             "dim_out": obj.dim_out,
-            "kraus": [_matrix_to_json(op) for op in obj.kraus],
+            "kraus": [_complex_to_json(op) for op in obj.kraus],
         }
     if isinstance(obj, Povm):
         return {
             "kind": "povm",
-            "elements": [_matrix_to_json(el) for el in obj.elements],
+            "elements": [_complex_to_json(el) for el in obj.elements],
         }
     if isinstance(obj, Avqc):
         return {
@@ -136,7 +214,7 @@ def _encode(obj: Any) -> dict:
             "alphabet": [str(x) for x in obj.alphabet],
             "branches": {
                 str(s): [
-                    _matrix_to_json(obj.branches[s].outputs[x].matrix)
+                    _complex_to_json(obj.branches[s].outputs[x].matrix)
                     for x in obj.alphabet
                 ]
                 for s in obj.states
@@ -147,8 +225,7 @@ def _encode(obj: Any) -> dict:
             "kind": "classical_avc",
             "states": [str(s) for s in obj.states],
             "kernels": {
-                str(s): [[float(v) for v in row] for row in obj.kernels[s]]
-                for s in obj.states
+                str(s): _real_to_json(obj.kernels[s]) for s in obj.states
             },
         }
     if isinstance(obj, BipartiteSource):
@@ -156,20 +233,20 @@ def _encode(obj: Any) -> dict:
             "kind": "bipartite_source",
             "x_alphabet": list(obj.x_alphabet),
             "y_alphabet": list(obj.y_alphabet),
-            "joint": [[float(v) for v in row] for row in obj.joint],
+            "joint": _real_to_json(obj.joint),
         }
     if isinstance(obj, DeterministicCode):
         return {
             "kind": "deterministic_code",
             "l": obj.l,
-            "encoder": [_matrix_to_json(rho.matrix) for rho in obj.encoder],
+            "encoder": [_complex_to_json(rho.matrix) for rho in obj.encoder],
             "decoder": _encode(obj.decoder),
         }
     if isinstance(obj, RandomCode):
         return {
             "kind": "random_code",
             "support": [_encode(det) for det in obj.support],
-            "weights": _real_vector(obj.weights),
+            "weights": _real_to_json(obj.weights),
         }
     if isinstance(obj, CorrelatedCode):
         return {
@@ -180,7 +257,7 @@ def _encode(obj: Any) -> dict:
             "encoders": [
                 {
                     "x": list(x),
-                    "states": [_matrix_to_json(rho.matrix) for rho in enc],
+                    "states": [_complex_to_json(rho.matrix) for rho in enc],
                 }
                 for x, enc in sorted(obj.encoders.items(), key=lambda kv: repr(kv[0]))
             ],
@@ -194,7 +271,8 @@ def _encode(obj: Any) -> dict:
 
 def to_document(obj: Any) -> dict:
     """Encode a library object as a self-describing JSON document."""
-    return _encode(obj)
+    with _collector_paused():
+        return _encode(obj)
 
 
 # ---------------------------------------------------------------- decoding
@@ -333,6 +411,13 @@ def _decode_random_code(doc: Any, path: str) -> RandomCode:
     return RandomCode(support, weights)
 
 
+def _sequence_key(labels: Any, path: str) -> tuple:
+    """An observation sequence as a dict key: an array of hashable labels."""
+    if not isinstance(labels, list) or any(isinstance(v, (list, dict)) for v in labels):
+        raise SchemaError("expected an array of labels", path=path)
+    return tuple(labels)
+
+
 def _decode_correlated_code(doc: Any, path: str) -> CorrelatedCode:
     l = _expect(doc, "l", path)
     r = _expect(doc, "r", path)
@@ -346,18 +431,22 @@ def _decode_correlated_code(doc: Any, path: str) -> CorrelatedCode:
         raise SchemaError("expected arrays of entries", path=path)
     encoders = {}
     for i, entry in enumerate(encoders_doc):
-        x = _expect(entry, "x", f"{path}.encoders[{i}]")
-        states_doc = _expect(entry, "states", f"{path}.encoders[{i}]")
-        encoders[tuple(x)] = tuple(
-            DensityMatrix(_matrix_from_json(m, f"{path}.encoders[{i}].states[{j}]"))
+        at = f"{path}.encoders[{i}]"
+        x = _expect(entry, "x", at)
+        states_doc = _expect(entry, "states", at)
+        if not isinstance(states_doc, list):
+            raise SchemaError("expected an array", path=f"{at}.states")
+        states = tuple(
+            DensityMatrix(_matrix_from_json(m, f"{at}.states[{j}]"))
             for j, m in enumerate(states_doc)
         )
+        encoders[_sequence_key(x, f"{at}.x")] = states
     decoders = {}
     for i, entry in enumerate(decoders_doc):
-        y = _expect(entry, "y", f"{path}.decoders[{i}]")
-        decoders[tuple(y)] = _decode_povm(
-            _expect(entry, "povm", f"{path}.decoders[{i}]"), f"{path}.decoders[{i}].povm"
-        )
+        at = f"{path}.decoders[{i}]"
+        y = _expect(entry, "y", at)
+        povm = _decode_povm(_expect(entry, "povm", at), f"{at}.povm")
+        decoders[_sequence_key(y, f"{at}.y")] = povm
     return CorrelatedCode(l, r, source, encoders, decoders)
 
 
@@ -375,7 +464,7 @@ def probes_to_document(probes) -> dict:
     """Encode a sequence of probe density matrices as a probe_set document."""
     return {
         "kind": "probe_set",
-        "states": [_matrix_to_json(p.matrix) for p in probes],
+        "states": [_complex_to_json(p.matrix) for p in probes],
     }
 
 
@@ -415,17 +504,126 @@ def from_document(doc: Any, path: str = "$"):
             f"unknown kind {kind!r} (expected one of {sorted(_DECODERS)})",
             path=f"{path}.kind",
         )
-    return decoder(doc, path)
+    with _collector_paused():
+        return decoder(doc, path)
+
+
+# ---------------------------------------------------------------- writing
+
+_INDENT = "  "
+_MAX_DEPTH = 100  # deeper (or circular) documents go to json.dumps
+
+
+class _Unrendered(Exception):
+    """A value the fast writer leaves to ``json.dumps``."""
+
+
+def _number_list(items: list, sep: str) -> str | None:
+    """The joined items of a list of plain ints and floats, else None."""
+    if not set(map(type, items)) <= _NUMBERS:
+        return None
+    return sep.join(map(repr, items))
+
+
+def _pair_list(items: list, nl: str) -> str | None:
+    """The joined items of a list of ``[x, y]`` lists of plain numbers, else None.
+
+    ``nl`` is the newline and indent of the pairs; their entries sit one
+    level deeper.
+    """
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    if not set(map(type, chain.from_iterable(items))) <= _NUMBERS:
+        return None
+    inner = nl + _INDENT
+    leaves = iter(map(repr, chain.from_iterable(items)))
+    pairs = map(("," + inner).join, zip(leaves, leaves))
+    return "[" + inner + (nl + "]," + nl + "[" + inner).join(pairs) + nl + "]"
+
+
+def _render(value: Any, level: int, out: list) -> None:
+    """Append the ``json.dumps(..., sort_keys=True, indent=2)`` text of value."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is float:
+        if not math.isfinite(value):
+            raise _Unrendered
+        out.append(repr(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        if level >= _MAX_DEPTH:
+            raise _Unrendered
+        nl = "\n" + _INDENT * (level + 1)
+        sep = "," + nl
+        body = _number_list(value, sep)
+        if body is None and kind is list:
+            body = _pair_list(value, nl)
+        if body is not None:
+            if "n" in body:  # nan, inf or -inf: no other number repr has an n
+                raise _Unrendered
+            out += ("[", nl, body, "\n", _INDENT * level, "]")
+            return
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(sep if i else nl)
+            _render(item, level + 1, out)
+        out += ("\n", _INDENT * level, "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if level >= _MAX_DEPTH or set(map(type, value)) != {str}:
+            raise _Unrendered
+        nl = "\n" + _INDENT * (level + 1)
+        sep = "," + nl
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out += (sep if i else nl, encode_basestring_ascii(key), ": ")
+            _render(value[key], level + 1, out)
+        out += ("\n", _INDENT * level, "}")
+    else:
+        raise _Unrendered
 
 
 def dumps_document(doc: dict) -> str:
-    """Serialize a document with sorted keys; floats round-trip bit-exactly."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Serialize a document with sorted keys; floats round-trip bit-exactly.
 
-
-def loads_document(text: str, origin: str = "<string>") -> Any:
+    Returns exactly ``json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, and raises what that call raises.
+    """
+    out: list = []
     try:
-        return json.loads(text)
+        _render(doc, 0, out)
+    except (_Unrendered, ValueError, RecursionError):
+        # ValueError: an int beyond the interpreter's str conversion limit
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def loads_document(text: str | bytes, origin: str = "<string>") -> Any:
+    """Parse JSON text; bytes must be UTF-8. Errors raise :class:`SchemaError`."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=origin
+            ) from exc
+    try:
+        with _collector_paused():
+            return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"malformed JSON: {exc.msg}", path=f"{origin}:{exc.lineno}:{exc.colno}"
@@ -433,9 +631,9 @@ def loads_document(text: str, origin: str = "<string>") -> Any:
 
 
 def read_document(filename: str) -> Any:
-    with open(filename, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return loads_document(text, origin=filename)
+    with open(filename, "rb") as handle:
+        raw = handle.read()
+    return loads_document(raw, origin=filename)
 
 
 def write_document(doc: dict, filename: str) -> None:

@@ -15,6 +15,7 @@ from avqclab import (
     PureState,
     QuantumChannel,
     RandomCode,
+    SchemaError,
     apply_channel_to_slot,
     simplex_grid,
 )
@@ -115,6 +116,42 @@ def per_message_success(avqc: Avqc, code, seq) -> np.ndarray:
             if table[xi, yi] > 0.0:
                 total += table[xi, yi] * _traces(images, code.decoders[y])
     return total
+
+
+def _oracle_complex(entry, path: str) -> complex:
+    if isinstance(entry, (int, float)):
+        return complex(float(entry), 0.0)
+    if (
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(v, (int, float)) for v in entry)
+    ):
+        return complex(float(entry[0]), float(entry[1]))
+    raise SchemaError("expected a number or an [re, im] pair", path=path)
+
+
+def matrix_from_json_oracle(rows, path: str) -> np.ndarray:
+    """Oracle: decode a JSON matrix one entry at a time.
+
+    Rows must be non-empty lists of one width; each entry is a number or an
+    ``[re, im]`` pair, converted with ``float()``. Errors name the row or
+    entry at fault.
+    """
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError("expected a non-empty array of rows", path=path)
+    width = None
+    data = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            raise SchemaError("expected a non-empty row array", path=f"{path}[{i}]")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise SchemaError(
+                f"row has {len(row)} entries, expected {width}", path=f"{path}[{i}]"
+            )
+        data.append([_oracle_complex(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(data, dtype=complex)
 
 
 def _entropy_bits(mat: np.ndarray) -> float:

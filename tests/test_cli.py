@@ -88,6 +88,14 @@ class TestValidate:
         assert "schema error" in captured.err
         assert f"{target}:2:" in captured.err
 
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        target = tmp_path / "utf16.json"
+        target.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, captured = run_json(capsys, ["validate", "--input", str(target)])
+        assert code == 2
+        assert "schema error" in captured.err
+        assert f"{target}: not UTF-8 text" in captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         code, captured = run_json(
             capsys, ["validate", "--input", str(tmp_path / "nope.json")]

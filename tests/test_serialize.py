@@ -1,9 +1,15 @@
 """JSON document round-trips, schema diagnostics, and float exactness."""
 
+import copy
+import gc
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avqclab import (
     Avqc,
@@ -33,7 +39,15 @@ from avqclab import (
     write_document,
 )
 
-from helpers import random_channel, random_density, random_povm, rng_for
+from avqclab.serialize import _matrix_from_json
+
+from helpers import (
+    matrix_from_json_oracle,
+    random_channel,
+    random_density,
+    random_povm,
+    rng_for,
+)
 
 
 def roundtrip(obj):
@@ -216,6 +230,26 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError):
             from_document(doc)
 
+    @pytest.mark.parametrize(
+        "table, field, value",
+        [
+            ("encoders", "x", 5),
+            ("encoders", "states", 5),
+            ("decoders", "y", 5),
+            ("encoders", "x", [[0]]),
+        ],
+    )
+    def test_correlated_entry_fields_must_be_arrays(self, table, field, value):
+        words = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        povm = computational_povm(2)
+        code = CorrelatedCode(1, 1, src, {(0,): words, (1,): words}, {(0,): povm, (1,): povm})
+        doc = to_document(code)
+        doc[table][0][field] = value
+        with pytest.raises(SchemaError) as err:
+            from_document(doc)
+        assert err.value.path == f"$.{table}[0].{field}"
+
     def test_semantic_errors_left_to_constructors(self):
         doc = {"kind": "density_matrix", "matrix": [[0.9, 0.0], [0.0, 0.9]]}
         with pytest.raises(ValidationError):
@@ -237,6 +271,27 @@ class TestDocumentIO:
             read_document(str(target))
         assert str(target) in err.value.path
 
+    def test_read_rejects_text_that_is_not_utf8(self, tmp_path):
+        target = tmp_path / "utf16.json"
+        target.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(SchemaError) as err:
+            read_document(str(target))
+        assert err.value.path == str(target)
+        assert "UTF-8" in str(err.value)
+
+    def test_codec_leaves_the_collector_as_it_found_it(self):
+        obj = random_density(rng_for(96), 2)
+        for enabled in (True, False):
+            if not enabled:
+                gc.disable()
+            try:
+                from_document(loads_document(dumps_document(to_document(obj))))
+                with pytest.raises(SchemaError):
+                    loads_document("{]")
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
+
     def test_no_nan_output(self):
         with pytest.raises(ValueError):
             dumps_document({"kind": "x", "value": float("nan")})
@@ -245,3 +300,195 @@ class TestDocumentIO:
         text = dumps_document({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+
+# ---------------------------------------------------------------- fast codec
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 5e-324, 1e16, 2**63, -(2**63) - 1, 2**64, 10**400]),
+    st.booleans(),
+)
+_PAIRS = st.one_of(
+    st.lists(_NUMBERS, min_size=2, max_size=2), st.tuples(_NUMBERS, _NUMBERS)
+)
+_DEFECTS = [
+    "string",
+    "none",
+    "dict",
+    "triple",
+    "single",
+    "empty_entry",
+    "empty_row",
+    "ragged",
+    "tuple_row",
+    "deep",
+    "numpy_scalar",
+    "no_rows",
+    "tuple_rows",
+]
+
+
+@st.composite
+def json_matrices(draw, defect):
+    """Matrices as JSON decodes them, broken in one place by ``defect``."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    form = draw(st.sampled_from(["scalar", "pair", "mixed"]))
+
+    def entry():
+        if form == "scalar" or (form == "mixed" and draw(st.booleans())):
+            return draw(_NUMBERS)
+        return draw(_PAIRS)
+
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    x, y = draw(_NUMBERS), draw(_NUMBERS)
+    if defect == "string":
+        rows[i][j] = draw(st.text(max_size=3))
+    elif defect == "none":
+        rows[i][j] = None
+    elif defect == "dict":
+        rows[i][j] = {}
+    elif defect == "triple":
+        rows[i][j] = [x, y, x]
+    elif defect == "single":
+        rows[i][j] = [x]
+    elif defect == "empty_entry":
+        rows[i][j] = []
+    elif defect == "empty_row":
+        rows[i] = []
+    elif defect == "ragged":
+        rows[i] = rows[i][:-1] if m > 1 else rows[i] + [entry()]
+    elif defect == "tuple_row":
+        rows[i] = tuple(rows[i])
+    elif defect == "deep":
+        rows[i][j] = [[x], [y]]
+    elif defect == "numpy_scalar":
+        rows[i][j] = draw(
+            st.sampled_from([np.float32(0.5), np.int64(3), np.float64(0.25), np.bool_(True)])
+        )
+    elif defect == "no_rows":
+        rows = []
+    elif defect == "tuple_rows":
+        rows = tuple(rows)
+    return rows
+
+
+def _decode_outcome(decode, rows):
+    try:
+        arr = decode(copy.deepcopy(rows), "$.m")
+    except (SchemaError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("defect", [None] + _DEFECTS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_matrix_decode_matches_the_per_entry_oracle(defect, data):
+    """Same array bits and dtype, or the same error and path, as the walk."""
+    rows = data.draw(json_matrices(defect))
+    assert _decode_outcome(_matrix_from_json, rows) == _decode_outcome(
+        matrix_from_json_oracle, rows
+    )
+
+
+_ESCAPES = "\"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600a"
+_TEXT = st.text(alphabet=st.sampled_from(_ESCAPES), max_size=6)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1e22]),
+)
+_INTS = st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([0, -1, 2**63, 10**40]))
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+_NUMBER_LISTS = st.lists(st.one_of(_INTS, _FLOATS), max_size=5)
+_PAIR_LISTS = st.lists(st.lists(st.one_of(_INTS, _FLOATS), min_size=2, max_size=2), max_size=4)
+_BAD_LEAVES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float32(0.5), np.int64(3), np.float64(0.25)]
+)
+
+
+def _documents(leaves):
+    return st.recursive(
+        st.one_of(leaves, _NUMBER_LISTS, _PAIR_LISTS),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.tuples(children, children),
+            st.dictionaries(_TEXT, children, max_size=4),
+        ),
+        max_leaves=25,
+    )
+
+
+def _reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_documents(_LEAVES))
+def test_writer_matches_json_dumps_byte_for_byte(doc):
+    assert dumps_document(doc) == _reference(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    doc=_documents(_LEAVES),
+    bad=st.one_of(
+        _BAD_LEAVES,
+        st.builds(lambda v: {1: v}, _LEAVES),
+        st.builds(lambda v: {1: v, "a": v}, _LEAVES),
+        st.builds(lambda v: [[v, 1.0]], _BAD_LEAVES),
+        st.builds(lambda v: [1, v], _BAD_LEAVES),
+    ),
+    first=st.booleans(),
+)
+def test_writer_defers_what_it_does_not_render(doc, bad, first):
+    """The same text, or the same exception, as ``json.dumps``."""
+    wrapped = {"bad": bad, "doc": doc} if first else [doc, {"z": bad}]
+    try:
+        expected = _reference(wrapped)
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)) as err:
+            dumps_document(wrapped)
+        assert str(err.value) == str(exc)
+    else:
+        assert dumps_document(wrapped) == expected
+
+
+def test_writer_on_circular_and_deep_documents():
+    loop: dict = {"a": [1.0]}
+    loop["self"] = loop
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps_document(loop)
+    deep: list = [0.5]
+    for _ in range(300):
+        deep = [deep, 1]
+    assert dumps_document(deep) == _reference(deep)
+
+
+def _nested(depth: int) -> list:
+    doc: list = [0.5]
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+def _dumps_outcome(dumps, doc):
+    try:
+        return dumps(doc)
+    except RecursionError:
+        return RecursionError
+
+
+def test_writer_meets_recursion_limit_where_json_dumps_does():
+    low, high = 1, 4 * sys.getrecursionlimit()
+    while high - low > 1:  # the shallowest nesting json.dumps cannot write
+        mid = (low + high) // 2
+        if _dumps_outcome(_reference, _nested(mid)) is RecursionError:
+            high = mid
+        else:
+            low = mid
+    for depth in (low, high):
+        doc = _nested(depth)
+        assert _dumps_outcome(dumps_document, doc) == _dumps_outcome(_reference, doc)
