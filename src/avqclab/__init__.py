@@ -9,7 +9,6 @@ sit on top.
 """
 
 from .avqc import (
-    AssociatedCqChannel,
     AvCqc,
     Avqc,
     ClassicalAvc,

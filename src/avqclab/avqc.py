@@ -21,7 +21,6 @@ from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import (
     DensityMatrix,
     Povm,
-    QuantumChannel,
     apply_channel,
     apply_product_channel,
     tensor_channel,
@@ -35,7 +34,6 @@ __all__ = [
     "CqChannel",
     "AvCqc",
     "ClassicalAvc",
-    "AssociatedCqChannel",
     "product_avqc",
     "build_associated_avcqc",
     "reduce_to_classical",
@@ -77,9 +75,6 @@ class Avqc:
     def dim_out(self) -> int:
         return self.channels[self.states[0]].dim_out
 
-    def channel_list(self) -> list:
-        return [self.channels[s] for s in self.states]
-
     def state_sequences(self, l: int, budget: int = ENUM_BUDGET) -> list:
         """All length-l label tuples in lexicographic order."""
         if l < 1:
@@ -90,13 +85,6 @@ class Avqc:
                 f"state_sequences: {count} sequences exceed budget {budget}"
             )
         return list(itertools.product(self.states, repeat=l))
-
-    def product_channel_factors(self, seq: Sequence) -> list:
-        return [self.channels[s] for s in seq]
-
-    def apply_sequence(self, seq: Sequence, rho: DensityMatrix) -> DensityMatrix:
-        """Output of the product channel indexed by ``seq`` on ``rho``."""
-        return apply_product_channel(self.product_channel_factors(seq), rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,57 +218,9 @@ def product_avqc(avqc: Avqc, l: int, budget: int = ENUM_BUDGET) -> Avqc:
     """The l-fold product family, indexed by label tuples in lex order."""
     seqs = avqc.state_sequences(l, budget=budget)
     channels = {
-        seq: tensor_channel(avqc.product_channel_factors(seq)) for seq in seqs
+        seq: tensor_channel([avqc.channels[s] for s in seq]) for seq in seqs
     }
     return Avqc(tuple(seqs), channels)
-
-
-@dataclass(frozen=True, eq=False)
-class AssociatedCqChannel:
-    """Descriptor for the flagged cq construction attached to a channel family.
-
-    For block length ``n``, a bipartite source and ``K`` signal states turn
-    each state sequence into a cq channel whose input letters are all
-    functions from sender observations to signal indices. The channel output
-    appends an orthonormal flag recording the receiver observation:
-
-        W_seq(f) = sum_{x,y} p^n(x, y) |rank(y)><rank(y)| (x) N_seq(rho_f(x))
-
-    Function letters are value tables (tuples of 0-based signal indices) over
-    the lexicographically ordered sender sequences.
-    """
-
-    avqc: Avqc
-    n: int
-    source: "BipartiteSource"
-    signals: tuple
-
-    def __post_init__(self):
-        signals = tuple(self.signals)
-        if len(signals) < 1:
-            raise ValidationError("AssociatedCqChannel: needs at least one signal")
-        if self.n < 1:
-            raise ValidationError("AssociatedCqChannel: n must be >= 1")
-        dims = {sig.dim for sig in signals}
-        if dims != {self.avqc.dim_in}:
-            raise DimensionMismatch(
-                "AssociatedCqChannel: signal dims must equal the channel input dim"
-            )
-        object.__setattr__(self, "signals", signals)
-
-    @property
-    def signal_count(self) -> int:
-        return len(self.signals)
-
-    def function_alphabet(self, budget: int = ENUM_BUDGET) -> list:
-        """All value tables f: X^n -> signal indices, lexicographic."""
-        domain = len(self.source.x_alphabet) ** self.n
-        count = self.signal_count**domain
-        if count > budget:
-            raise BudgetExceeded(
-                f"function_alphabet: {count} functions exceed budget {budget}"
-            )
-        return list(itertools.product(range(self.signal_count), repeat=domain))
 
 
 def build_associated_avcqc(
@@ -290,45 +230,61 @@ def build_associated_avcqc(
     signals: Sequence[DensityMatrix],
     budget: int = ENUM_BUDGET,
 ) -> AvCqc:
-    """Materialize the flagged cq family of an ``AssociatedCqChannel``.
+    """The flagged cq family attached to a channel family and a source.
 
-    States are the length-n label tuples; letters are function value tables.
-    Output dimension is |Y|^n * dim_out^n, with the flag block first.
+    For block length ``n``, a bipartite source and ``K`` signal states turn
+    each state sequence into a cq channel whose input letters are all
+    functions from sender observations to signal indices. The channel output
+    appends an orthonormal flag recording the receiver observation:
+
+        W_seq(f) = sum_{x,y} p^n(x, y) |rank(y)><rank(y)| (x) N_seq(rho_f(x))
+
+    States are the length-n label tuples. Letters are value tables (tuples
+    of 0-based signal indices) over the lexicographically ordered sender
+    sequences. Output dimension is |Y|^n * dim_out^n, with the flag block
+    first.
     """
-    desc = AssociatedCqChannel(avqc, n, source, tuple(signals))
-    letters = desc.function_alphabet(budget=budget)
+    signals = tuple(signals)
+    if len(signals) < 1:
+        raise ValidationError("build_associated_avcqc: needs at least one signal")
+    if n < 1:
+        raise ValidationError("build_associated_avcqc: n must be >= 1")
+    if {sig.dim for sig in signals} != {avqc.dim_in}:
+        raise DimensionMismatch(
+            "build_associated_avcqc: signal dims must equal the channel input dim"
+        )
+    signal_count = len(signals)
+    domain = len(source.x_alphabet) ** n
+    count = signal_count**domain
+    if count > budget:
+        raise BudgetExceeded(
+            f"build_associated_avcqc: {count} functions exceed budget {budget}"
+        )
+    letters = list(itertools.product(range(signal_count), repeat=domain))
     seqs = avqc.state_sequences(n, budget=budget)
 
-    joint = np.asarray(source.joint, dtype=float)
-    joint_n = joint
-    for _ in range(n - 1):
-        joint_n = np.kron(joint_n, joint)
-    n_x, n_y = joint_n.shape
-
+    n_y = len(source.y_alphabet) ** n
     d_block = avqc.dim_out**n
     dim_total = n_y * d_block
     if dim_total > 4096:
         raise ValidationError(
             f"build_associated_avcqc: output dimension {dim_total} exceeds the cap"
         )
+    joint_n = source.joint_power(n)
 
     branches = {}
     for seq in seqs:
-        factors = avqc.product_channel_factors(seq)
-        images = [
-            apply_product_channel(factors, sig).matrix for sig in desc.signals
-        ]
+        factors = [avqc.channels[s] for s in seq]
+        images = [apply_product_channel(factors, sig).matrix for sig in signals]
         outputs = {}
         for f in letters:
             # mass[k, y] = sum over sender sequences mapped to signal k
-            mass = np.zeros((desc.signal_count, n_y))
+            mass = np.zeros((signal_count, n_y))
             for x_rank, k in enumerate(f):
                 mass[k] += joint_n[x_rank]
             w = np.zeros((dim_total, dim_total), dtype=complex)
             for y_rank in range(n_y):
-                block = sum(
-                    mass[k, y_rank] * images[k] for k in range(desc.signal_count)
-                )
+                block = sum(mass[k, y_rank] * images[k] for k in range(signal_count))
                 lo = y_rank * d_block
                 hi = lo + d_block
                 w[lo:hi, lo:hi] = block

@@ -331,8 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", required=True, help="input JSON document")
         cmd.add_argument("--out", help="write the result document here")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--budget", type=int, default=None)
+        if name in ("capacity", "reduce"):
+            cmd.add_argument("--seed", type=int, default=0)
+        if name in ("symcheck", "capacity", "simulate", "reduce"):
+            cmd.add_argument("--budget", type=int, default=None)
         if name == "symcheck":
             cmd.add_argument("--tol", type=float, default=None)
             cmd.add_argument("--probes", help="probe_set JSON document")

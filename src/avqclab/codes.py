@@ -742,6 +742,36 @@ def two_phase_schedule(l: int, c: float) -> tuple[int, int]:
     return m, l - m
 
 
+def _extend_observations(
+    cr_code: CorrelatedCode, target_l: int, encode, decode, what: str
+) -> tuple[dict, dict]:
+    """Composed encoders and decoders keyed by full-length observations.
+
+    Only the first ``cr_code.n`` samples select a first-phase entry, so
+    ``encode`` and ``decode`` run once per entry and are shared by every
+    observation that starts with it.
+    """
+    n_total = target_l // cr_code.r
+    if n_total < cr_code.n:
+        raise ValidationError(f"{what}: target block shorter than phase 1")
+    source = cr_code.source
+    if len(source.x_alphabet) ** n_total > ENUM_BUDGET:
+        raise BudgetExceeded(f"{what}: sender observation space too large")
+    if len(source.y_alphabet) ** n_total > ENUM_BUDGET:
+        raise BudgetExceeded(f"{what}: receiver observation space too large")
+    shared_enc = {x: encode(states) for x, states in cr_code.encoders.items()}
+    shared_dec = {y: decode(povm) for y, povm in cr_code.decoders.items()}
+    encoders = {
+        x: shared_enc[x[: cr_code.n]]
+        for x in itertools.product(source.x_alphabet, repeat=n_total)
+    }
+    decoders = {
+        y: shared_dec[y[: cr_code.n]]
+        for y in itertools.product(source.y_alphabet, repeat=n_total)
+    }
+    return encoders, decoders
+
+
 def compose_two_phase(
     cr_code: CorrelatedCode, payload: RandomCode, target_l: int
 ) -> CorrelatedCode:
@@ -772,16 +802,9 @@ def compose_two_phase(
             f"messages, needs at least {k}"
         )
     m_count = payload.message_count
-    n_total = target_l // cr_code.r
-    if n_total < cr_code.n:
-        raise ValidationError("compose_two_phase: target block shorter than phase 1")
-    if len(cr_code.source.x_alphabet) ** n_total > ENUM_BUDGET:
-        raise BudgetExceeded("compose_two_phase: sender observation space too large")
-    if len(cr_code.source.y_alphabet) ** n_total > ENUM_BUDGET:
-        raise BudgetExceeded("compose_two_phase: receiver observation space too large")
+    payload_dec_dim = payload.support[0].decoder.dim
 
-    shared_enc: dict = {}
-    for x_head, cr_states in cr_code.encoders.items():
+    def encode(cr_states):
         rows = []
         for j in range(m_count):
             acc = None
@@ -789,10 +812,9 @@ def compose_two_phase(
                 part = np.kron(cr_states[i].matrix, det.encoder[j].matrix) / k
                 acc = part if acc is None else acc + part
             rows.append(DensityMatrix(acc))
-        shared_enc[x_head] = tuple(rows)
-    payload_dec_dim = payload.support[0].decoder.dim
-    shared_dec: dict = {}
-    for y_head, cr_povm in cr_code.decoders.items():
+        return tuple(rows)
+
+    def decode(cr_povm):
         # index outcomes beyond the used support decode to message 0
         leftover = None
         for i in range(k, cr_code.message_count):
@@ -807,14 +829,11 @@ def compose_two_phase(
             if j == 0 and leftover is not None:
                 acc = acc + leftover
             elements.append(acc)
-        shared_dec[y_head] = Povm(tuple(elements))
+        return Povm(tuple(elements))
 
-    encoders = {}
-    for x_full in itertools.product(cr_code.source.x_alphabet, repeat=n_total):
-        encoders[x_full] = shared_enc[x_full[: cr_code.n]]
-    decoders = {}
-    for y_full in itertools.product(cr_code.source.y_alphabet, repeat=n_total):
-        decoders[y_full] = shared_dec[y_full[: cr_code.n]]
+    encoders, decoders = _extend_observations(
+        cr_code, target_l, encode, decode, "compose_two_phase"
+    )
     return CorrelatedCode(target_l, cr_code.r, cr_code.source, encoders, decoders)
 
 
@@ -858,14 +877,8 @@ def compose_two_phase_entanglement(
         raise DimensionMismatch(
             "compose_two_phase_entanglement: blocks disagree on the channel block"
         )
-    n_total = target_l // cr_code.r
-    if n_total < cr_code.n:
-        raise ValidationError(
-            "compose_two_phase_entanglement: target block shorter than phase 1"
-        )
 
-    shared_enc: dict = {}
-    for x_head, cr_states in cr_code.encoders.items():
+    def encode(cr_states):
         kraus = []
         for i, (enc, _) in enumerate(blocks):
             vals, vecs = np.linalg.eigh(hermitize(np.asarray(cr_states[i].matrix)))
@@ -876,9 +889,9 @@ def compose_two_phase_entanglement(
                 col = (math.sqrt(lam) * vecs[:, r_idx]).reshape(-1, 1)
                 for op in enc.kraus:
                     kraus.append(np.kron(col, op) / math.sqrt(k))
-        shared_enc[x_head] = QuantumChannel(tuple(kraus))
-    shared_dec: dict = {}
-    for y_head, cr_povm in cr_code.decoders.items():
+        return QuantumChannel(tuple(kraus))
+
+    def decode(cr_povm):
         kraus = []
         for i in range(cr_code.message_count):
             root = _sqrt_psd(np.asarray(cr_povm.elements[i]))
@@ -887,14 +900,11 @@ def compose_two_phase_entanglement(
                 row = root[r_idx : r_idx + 1, :]
                 for op in block_dec.kraus:
                     kraus.append(np.kron(row, op))
-        shared_dec[y_head] = QuantumChannel(tuple(kraus))
+        return QuantumChannel(tuple(kraus))
 
-    encoders = {}
-    for x_full in itertools.product(cr_code.source.x_alphabet, repeat=n_total):
-        encoders[x_full] = shared_enc[x_full[: cr_code.n]]
-    decoders = {}
-    for y_full in itertools.product(cr_code.source.y_alphabet, repeat=n_total):
-        decoders[y_full] = shared_dec[y_full[: cr_code.n]]
+    encoders, decoders = _extend_observations(
+        cr_code, target_l, encode, decode, "compose_two_phase_entanglement"
+    )
     return CorrelatedEntanglementCode(
         target_l, cr_code.r, cr_code.source, code_dim, encoders, decoders
     )

@@ -278,6 +278,14 @@ def apply_channel_to_slot(
     Returns the raw output matrix; the slot dimension changes to
     ``ch.dim_out``. This avoids materializing product-channel Kraus families
     whose operator count grows multiplicatively.
+
+    ``apply_channel_to_slot_batch`` computes the same map through the
+    transfer matrix, rounded differently in the last bits. This einsum form
+    stays as the kernel of the symmetrizability images: through the batch
+    kernel, 9 of the 11 ``symcheck`` benchmark outputs move (by at most
+    4e-13, with no verdict changed), because the LP solution follows the
+    last bits of its data. It is also the tests' reference for the batch
+    kernel.
     """
     dims = list(dims)
     if mat.shape[0] != math.prod(dims):
@@ -354,17 +362,26 @@ def apply_product_channel(
     Equivalent to ``apply_channel(tensor_channel(channels), rho)``; factor
     channels act on consecutive slots in the given order.
     """
-    dims = [ch.dim_in for ch in channels]
-    if rho.dim != math.prod(dims):
+    size = math.prod(ch.dim_in for ch in channels)
+    if rho.dim != size:
         raise DimensionMismatch(
-            f"apply_product_channel: state dim {rho.dim} vs product input dim "
-            f"{math.prod(dims)}"
+            f"apply_product_channel: state dim {rho.dim} vs product input dim {size}"
         )
-    mat = np.array(rho.matrix)
+    return DensityMatrix(apply_product_to_matrix(channels, rho.matrix))
+
+
+def apply_product_to_matrix(channels: Sequence[QuantumChannel], mat) -> np.ndarray:
+    """Raw-matrix core of ``apply_product_channel``: one slot at a time.
+
+    ``mat`` may be any square matrix on the product input space (the
+    symmetrizability images feed it non-PSD Hermitian probes).
+    """
+    dims = [ch.dim_in for ch in channels]
+    out = np.array(mat)
     for slot, ch in enumerate(channels):
-        mat = apply_channel_to_slot(ch, mat, slot, dims)
+        out = apply_channel_to_slot(ch, out, slot, dims)
         dims[slot] = ch.dim_out
-    return DensityMatrix(mat)
+    return out
 
 
 def tensor_channel(channels: Sequence[QuantumChannel]) -> QuantumChannel:

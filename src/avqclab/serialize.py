@@ -5,7 +5,9 @@ Complex numbers serialize as two-element arrays ``[re, im]`` and matrices as
 nested row-major arrays of those pairs. Floats are emitted through Python's
 shortest round-trip repr, so dump/load is bit-exact at double precision.
 Decode errors raise :class:`SchemaError` carrying the JSON path of the
-offending field.
+offending field. Every label list (family states, cq letters, source
+alphabets, observation sequences) holds JSON scalars only; family state and
+letter labels are read as their ``str()``.
 
 :func:`dumps_document` returns exactly ``json.dumps(doc, sort_keys=True,
 indent=2, allow_nan=False) + "\\n"``, but renders each array of numbers, and
@@ -311,10 +313,19 @@ def _decode_density(doc: Any, path: str) -> DensityMatrix:
     return DensityMatrix(_matrix_from_json(_expect(doc, "matrix", path), f"{path}.matrix"))
 
 
+def _is_label(value: Any) -> bool:
+    """Labels are JSON scalars: strings, numbers, booleans or null."""
+    return not isinstance(value, (list, dict))
+
+
 def _decode_labels(doc: Any, key: str, path: str) -> list:
     labels = _expect(doc, key, path)
     if not isinstance(labels, list) or not labels:
         raise SchemaError("expected a non-empty array", path=f"{path}.{key}")
+    if not all(map(_is_label, labels)):
+        raise SchemaError(
+            "labels must be strings, numbers, booleans or null", path=f"{path}.{key}"
+        )
     return labels
 
 
@@ -413,7 +424,7 @@ def _decode_random_code(doc: Any, path: str) -> RandomCode:
 
 def _sequence_key(labels: Any, path: str) -> tuple:
     """An observation sequence as a dict key: an array of hashable labels."""
-    if not isinstance(labels, list) or any(isinstance(v, (list, dict)) for v in labels):
+    if not isinstance(labels, list) or not all(map(_is_label, labels)):
         raise SchemaError("expected an array of labels", path=path)
     return tuple(labels)
 
@@ -450,6 +461,17 @@ def _decode_correlated_code(doc: Any, path: str) -> CorrelatedCode:
     return CorrelatedCode(l, r, source, encoders, decoders)
 
 
+def _decode_pure_state(doc: Any, path: str) -> PureState:
+    amplitudes = _expect(doc, "amplitudes", path)
+    if not isinstance(amplitudes, list):
+        raise SchemaError("expected an array", path=f"{path}.amplitudes")
+    return PureState(
+        np.array(
+            [_as_complex(a, f"{path}.amplitudes[{i}]") for i, a in enumerate(amplitudes)]
+        )
+    )
+
+
 def _decode_probe_set(doc: Any, path: str) -> tuple:
     states_doc = _expect(doc, "states", path)
     if not isinstance(states_doc, list) or not states_doc:
@@ -471,14 +493,7 @@ def probes_to_document(probes) -> dict:
 _DECODERS = {
     "density_matrix": _decode_density,
     "probe_set": _decode_probe_set,
-    "pure_state": lambda doc, path: PureState(
-        np.array(
-            [
-                _as_complex(a, f"{path}.amplitudes[{i}]")
-                for i, a in enumerate(_expect(doc, "amplitudes", path))
-            ]
-        )
-    ),
+    "pure_state": _decode_pure_state,
     "channel": _decode_channel,
     "povm": _decode_povm,
     "avqc": _decode_avqc,

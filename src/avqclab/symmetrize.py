@@ -32,7 +32,7 @@ from scipy.optimize import linprog
 from .avqc import Avqc, AvCqc, ClassicalAvc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
-from .quantum import DensityMatrix, PureState, apply_channel_to_slot
+from .quantum import DensityMatrix, PureState, apply_product_to_matrix
 
 __all__ = [
     "SymmetrizingFamily",
@@ -110,6 +110,42 @@ def _pairwise_residual(images: np.ndarray, dist: np.ndarray) -> float:
     return worst
 
 
+def _min_violation_lp(
+    rows: np.ndarray, goal: np.ndarray | None, groups: int, what: str
+) -> tuple[np.ndarray, float]:
+    """Solve min t over x >= 0 with |A_b @ x - goal[b]| <= t for every block b.
+
+    ``rows`` has shape (n_blocks, 2, dim, n_x + 1) and holds each block A_b
+    in ``rows[b, 0, :, :n_x]``; the rest is filled here, in place, so block
+    b becomes the rows [A_b, -1; -A_b, -1] against [goal[b]; -goal[b]]
+    (zero when ``goal`` is None). x splits into ``groups`` equal contiguous
+    groups that each sum to one. Returns the clipped and renormalized
+    groups, one per row, and the optimal t.
+    """
+    n_blocks, _, dim, n_vars = rows.shape
+    n_x = n_vars - 1  # trailing variable is the violation bound t
+    np.negative(rows[:, 0, :, :n_x], out=rows[:, 1, :, :n_x])
+    rows[..., n_x] = -1.0
+    a_ub = rows.reshape(2 * n_blocks * dim, n_vars)
+    if goal is None:
+        b_ub = np.zeros(a_ub.shape[0])
+    else:
+        b_ub = np.stack([goal, -goal], axis=1).reshape(-1)
+
+    size = n_x // groups
+    a_eq = np.hstack([np.repeat(np.eye(groups), size, axis=1), np.zeros((groups, 1))])
+    b_eq = np.ones(groups)
+
+    cost = np.zeros(n_vars)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    if res.status != 0:
+        raise AvqclabError(f"{what}: LP solver failed ({res.message})")
+    x = np.clip(res.x[:-1].reshape(groups, size), 0.0, None)
+    x /= x.sum(axis=1, keepdims=True)
+    return x, float(res.fun)
+
+
 def _pairwise_mixture_feasibility(
     images: np.ndarray, tol: float
 ) -> tuple[bool, np.ndarray | None, float]:
@@ -129,37 +165,16 @@ def _pairwise_mixture_feasibility(
             f"symmetrizability check: LP of {n_rows}x{n_vars} exceeds the budget"
         )
 
-    a_ub = np.zeros((n_rows, n_vars))
-    row = 0
-    for i, j in pairs:
-        # sum_s p_j(s) images[i, s] - sum_s p_i(s) images[j, s] within [-t, t]
-        block = np.zeros((dim, n_vars))
-        block[:, j * n_states : (j + 1) * n_states] = images[i].T
-        block[:, i * n_states : (i + 1) * n_states] = -images[j].T
-        block[:, -1] = -1.0
-        a_ub[row : row + dim] = block
-        a_ub[row + dim : row + 2 * dim] = -block
-        a_ub[row + dim : row + 2 * dim, -1] = -1.0
-        row += 2 * dim
-    b_ub = np.zeros(n_rows)
-
-    a_eq = np.zeros((k, n_vars))
-    for i in range(k):
-        a_eq[i, i * n_states : (i + 1) * n_states] = 1.0
-    b_eq = np.ones(k)
-
-    cost = np.zeros(n_vars)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
-    if res.status != 0:
-        raise AvqclabError(f"symmetrizability check: LP solver failed ({res.message})")
-
-    dist = np.clip(res.x[:-1].reshape(k, n_states), 0.0, None)
-    dist /= dist.sum(axis=1, keepdims=True)
+    # sum_s p_j(s) images[i, s] - sum_s p_i(s) images[j, s] within [-t, t]
+    rows = np.zeros((len(pairs), 2, dim, n_vars))
+    for b, (i, j) in enumerate(pairs):
+        rows[b, 0, :, j * n_states : (j + 1) * n_states] = images[i].T
+        rows[b, 0, :, i * n_states : (i + 1) * n_states] = -images[j].T
+    dist, fun = _min_violation_lp(rows, None, k, "symmetrizability check")
     residual = _pairwise_residual(images, dist)
     if residual <= tol:
         return True, dist, residual
-    return False, None, float(res.fun)
+    return False, None, fun
 
 
 def _hvec(mat: np.ndarray) -> np.ndarray:
@@ -178,14 +193,12 @@ def _probe_matrix(probe, dim: int, what: str) -> np.ndarray:
     return mat
 
 
-def _apply_sequence_raw(avqc: Avqc, seq, mat: np.ndarray) -> np.ndarray:
-    """Product-channel action on a raw (possibly non-PSD) Hermitian matrix."""
-    dims = [avqc.dim_in] * len(seq)
-    out = np.array(mat)
-    for slot, s in enumerate(seq):
-        out = apply_channel_to_slot(avqc.channels[s], out, slot, dims)
-        dims[slot] = avqc.dim_out
-    return out
+def _probe_images(avqc: Avqc, seqs, mats) -> np.ndarray:
+    """images[i, s]: coordinates of probe i under the product channel of seqs[s]."""
+    factors = [[avqc.channels[s] for s in seq] for seq in seqs]
+    return np.array(
+        [[_hvec(apply_product_to_matrix(f, mat)) for f in factors] for mat in mats]
+    )
 
 
 def _degenerate_pairs(mats: Sequence[np.ndarray]) -> tuple:
@@ -215,12 +228,7 @@ def check_symmetrizable(
     dim = avqc.dim_in**l
     mats = [_probe_matrix(p, dim, "check_symmetrizable") for p in probes]
     seqs = avqc.state_sequences(l, budget=budget)
-    images = np.stack(
-        [
-            np.stack([_hvec(_apply_sequence_raw(avqc, seq, mat)) for seq in seqs])
-            for mat in mats
-        ]
-    )
+    images = _probe_images(avqc, seqs, mats)
     feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
     witness = SymmetrizingFamily(tuple(seqs), dist) if feasible else None
     return SymmetrizabilityVerdict(feasible, residual, witness, _degenerate_pairs(mats))
@@ -306,12 +314,7 @@ def symmetrization_residual(
         raise DimensionMismatch(
             "symmetrization_residual: family size does not match probe count"
         )
-    images = np.stack(
-        [
-            np.stack([_hvec(_apply_sequence_raw(avqc, seq, mat)) for seq in seqs])
-            for mat in mats
-        ]
-    )
+    images = _probe_images(avqc, seqs, mats)
     return _pairwise_residual(images, np.asarray(family.distributions))
 
 
@@ -418,22 +421,10 @@ def convex_representation(
     coords = np.stack([_hvec(m) for m in mats])
     goal = _hvec(t_mat)
     n, dim = coords.shape
-    n_vars = n + 1
-    a_ub = np.zeros((2 * dim, n_vars))
-    a_ub[:dim, :n] = coords.T
-    a_ub[:dim, -1] = -1.0
-    a_ub[dim:, :n] = -coords.T
-    a_ub[dim:, -1] = -1.0
-    b_ub = np.concatenate([goal, -goal])
-    a_eq = np.zeros((1, n_vars))
-    a_eq[0, :n] = 1.0
-    cost = np.zeros(n_vars)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs")
-    if res.status != 0:
-        raise AvqclabError(f"convex_representation: LP solver failed ({res.message})")
-    weights = np.clip(res.x[:n], 0.0, None)
-    weights /= weights.sum()
+    rows = np.zeros((1, 2, dim, n + 1))
+    rows[0, 0, :, :n] = coords.T
+    dist, _ = _min_violation_lp(rows, goal[None], 1, "convex_representation")
+    weights = dist[0]
     mismatch = float(np.max(np.abs(coords.T @ weights - goal)))
     if mismatch <= tol:
         return weights

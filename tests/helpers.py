@@ -76,7 +76,7 @@ def _images(avqc: Avqc, seq, encoder) -> list:
     out = []
     for rho in encoder:
         dims = [avqc.dim_in] * len(seq)
-        mat = np.asarray(rho.matrix)
+        mat = np.asarray(getattr(rho, "matrix", rho))
         for slot, s in enumerate(seq):
             mat = apply_channel_to_slot(avqc.channels[s], mat, slot, dims)
             dims[slot] = avqc.channels[s].dim_out
@@ -116,6 +116,78 @@ def per_message_success(avqc: Avqc, code, seq) -> np.ndarray:
             if table[xi, yi] > 0.0:
                 total += table[xi, yi] * _traces(images, code.decoders[y])
     return total
+
+
+def _hvec_reference(mat: np.ndarray) -> np.ndarray:
+    iu = np.triu_indices(mat.shape[0])
+    ius = np.triu_indices(mat.shape[0], k=1)
+    return np.concatenate([mat[iu].real, mat[ius].imag])
+
+
+def reference_pairwise_lp(avqc: Avqc, l: int, probes) -> dict:
+    """Reference layout of the symmetrizability LP, built pair by pair.
+
+    Probe images come from ``apply_channel_to_slot`` slot by slot; each
+    probe pair (i, j) adds the rows [B, -1] and [-B, -1], where B holds
+    images[i].T in the columns of probe j's distribution and -images[j].T
+    in those of probe i. Returns the ``linprog`` arguments.
+    """
+    seqs = avqc.state_sequences(l)
+    images = np.stack(
+        [
+            np.stack([_hvec_reference(_images(avqc, seq, [p])[0]) for seq in seqs])
+            for p in probes
+        ]
+    )
+    k, n_states, dim = images.shape
+    n_vars = k * n_states + 1
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    a_ub = np.zeros((2 * len(pairs) * dim, n_vars))
+    row = 0
+    for i, j in pairs:
+        block = np.zeros((dim, n_vars))
+        block[:, j * n_states : (j + 1) * n_states] = images[i].T
+        block[:, i * n_states : (i + 1) * n_states] = -images[j].T
+        block[:, -1] = -1.0
+        a_ub[row : row + dim] = block
+        a_ub[row + dim : row + 2 * dim] = -block
+        a_ub[row + dim : row + 2 * dim, -1] = -1.0
+        row += 2 * dim
+    a_eq = np.zeros((k, n_vars))
+    for i in range(k):
+        a_eq[i, i * n_states : (i + 1) * n_states] = 1.0
+    cost = np.zeros(n_vars)
+    cost[-1] = 1.0
+    return {
+        "c": cost,
+        "A_ub": a_ub,
+        "b_ub": np.zeros(a_ub.shape[0]),
+        "A_eq": a_eq,
+        "b_eq": np.ones(k),
+    }
+
+
+def reference_convex_lp(target, points) -> dict:
+    """Reference layout of the ``convex_representation`` LP, built by hand."""
+    coords = np.stack([_hvec_reference(np.asarray(p, dtype=complex)) for p in points])
+    goal = _hvec_reference(np.asarray(getattr(target, "matrix", target), dtype=complex))
+    n, dim = coords.shape
+    a_ub = np.zeros((2 * dim, n + 1))
+    a_ub[:dim, :n] = coords.T
+    a_ub[:dim, -1] = -1.0
+    a_ub[dim:, :n] = -coords.T
+    a_ub[dim:, -1] = -1.0
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    cost = np.zeros(n + 1)
+    cost[-1] = 1.0
+    return {
+        "c": cost,
+        "A_ub": a_ub,
+        "b_ub": np.concatenate([goal, -goal]),
+        "A_eq": a_eq,
+        "b_eq": np.array([1.0]),
+    }
 
 
 def _oracle_complex(entry, path: str) -> complex:

@@ -373,3 +373,24 @@ class TestOutputPlumbing:
         a["manifest"].pop("wall_time_ms")
         b["manifest"].pop("wall_time_ms")
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("validate", "--seed"),
+        ("symcheck", "--seed"),
+        ("cr", "--seed"),
+        ("simulate", "--seed"),
+        ("compose", "--seed"),
+        ("validate", "--budget"),
+        ("cr", "--budget"),
+        ("compose", "--budget"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, flag):
+    # argparse exits before the input is opened
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--input", str(tmp_path / "unread.json"), flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

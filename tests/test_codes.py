@@ -516,6 +516,12 @@ class TestComposeTwoPhaseEntanglement:
         with pytest.raises(ValidationError):
             compose_two_phase_entanglement(basic_cr_code(), [], 2)
 
+    def test_observation_space_budget(self):
+        # 2 letters over 17 samples: 131,072 observation sequences
+        blocks = [(identity_channel(2), identity_channel(2))] * 2
+        with pytest.raises(BudgetExceeded):
+            compose_two_phase_entanglement(basic_cr_code(), blocks, 17)
+
     def test_budget_guard(self):
         blocks = [(identity_channel(2), identity_channel(2))] * 2
         ent = compose_two_phase_entanglement(basic_cr_code(), blocks, 2)

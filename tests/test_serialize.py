@@ -190,6 +190,30 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError):
             from_document([1, 2, 3])
 
+    def test_pure_state_amplitudes_must_be_an_array(self):
+        with pytest.raises(SchemaError) as err:
+            from_document({"kind": "pure_state", "amplitudes": 5})
+        assert err.value.path == "$.amplitudes"
+
+    def test_source_labels_must_be_scalars(self):
+        doc = {
+            "kind": "bipartite_source",
+            "x_alphabet": [[0], 1],
+            "y_alphabet": [0, 1],
+            "joint": [[0.5, 0.0], [0.0, 0.5]],
+        }
+        with pytest.raises(SchemaError) as err:
+            from_document(doc)
+        assert err.value.path == "$.x_alphabet"
+
+    def test_family_labels_follow_the_same_rule(self):
+        # str(["a"]) names the channel, so only the label rule rejects this
+        doc = to_document(Avqc(("['a']",), {"['a']": identity_channel(2)}))
+        doc["states"] = [["a"]]
+        with pytest.raises(SchemaError) as err:
+            from_document(doc)
+        assert err.value.path == "$.states"
+
     def test_missing_field_path(self):
         with pytest.raises(SchemaError) as err:
             from_document({"kind": "channel", "dim_in": 2, "dim_out": 2})

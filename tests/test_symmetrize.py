@@ -29,7 +29,15 @@ from avqclab import (
     symmetrization_residual,
 )
 
-from helpers import random_avqc, random_channel, random_density, rng_for
+import avqclab.symmetrize as symmetrize
+from helpers import (
+    random_avqc,
+    random_channel,
+    random_density,
+    reference_convex_lp,
+    reference_pairwise_lp,
+    rng_for,
+)
 
 
 def apply_raw(ch, mat):
@@ -390,6 +398,47 @@ class TestProbeFrame:
         frame = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         target = np.diag([2.0, -1.0]).astype(complex)
         assert convex_representation(target, frame, tol=1e-8) is None
+
+
+class TestLpLayout:
+    """Both LP callers hand HiGHS the reference layouts, bit for bit."""
+
+    @staticmethod
+    def capture(monkeypatch) -> list:
+        calls = []
+        real = symmetrize.linprog
+
+        def spy(c, **kwargs):
+            calls.append(dict(kwargs, c=c))
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(symmetrize, "linprog", spy)
+        return calls
+
+    @staticmethod
+    def assert_bits_equal(got: dict, want: dict) -> None:
+        assert got.pop("method") == "highs"
+        assert sorted(got) == sorted(want)
+        for key, expect in want.items():
+            arr = np.asarray(got[key])
+            assert arr.dtype == expect.dtype and arr.shape == expect.shape, key
+            assert arr.tobytes() == expect.tobytes(), key
+
+    def test_pairwise_check(self, monkeypatch):
+        avqc = random_avqc(rng_for(131), 2, 2)
+        frame = hermitian_probe_frame(4)
+        calls = self.capture(monkeypatch)
+        check_symmetrizable(avqc, 2, frame)
+        assert len(calls) == 1
+        self.assert_bits_equal(calls[0], reference_pairwise_lp(avqc, 2, frame))
+
+    def test_convex_representation(self, monkeypatch):
+        frame = hermitian_probe_frame(3)
+        rho = random_density(rng_for(137), 3)
+        calls = self.capture(monkeypatch)
+        assert convex_representation(rho, frame, tol=1e-8) is not None
+        assert len(calls) == 1
+        self.assert_bits_equal(calls[0], reference_convex_lp(rho, frame))
 
 
 class TestFamilyValidation:
