@@ -123,6 +123,14 @@ class RandomCode:
         return self.support[0].message_count
 
 
+def _check_observation_space(source: BipartiteSource, n: int, what: str) -> None:
+    """Reject length-n observation spaces over ENUM_BUDGET before enumerating them."""
+    if len(source.x_alphabet) ** n > ENUM_BUDGET:
+        raise BudgetExceeded(f"{what}: sender observation space too large")
+    if len(source.y_alphabet) ** n > ENUM_BUDGET:
+        raise BudgetExceeded(f"{what}: receiver observation space too large")
+
+
 def _check_sequence_keys(mapping: Mapping, alphabet, n: int, what: str) -> None:
     expect = set(itertools.product(alphabet, repeat=n))
     if set(mapping) != expect:
@@ -150,10 +158,7 @@ class CorrelatedCode:
         n = self.l // self.r
         if n < 1:
             raise ValidationError("CorrelatedCode: block too short for one sample")
-        if len(self.source.x_alphabet) ** n > ENUM_BUDGET:
-            raise BudgetExceeded("CorrelatedCode: sender observation space too large")
-        if len(self.source.y_alphabet) ** n > ENUM_BUDGET:
-            raise BudgetExceeded("CorrelatedCode: receiver observation space too large")
+        _check_observation_space(self.source, n, "CorrelatedCode")
         encoders = dict(self.encoders)
         decoders = dict(self.decoders)
         _check_sequence_keys(encoders, self.source.x_alphabet, n, "CorrelatedCode encoders")
@@ -203,6 +208,7 @@ class CorrelatedEntanglementCode:
         n = self.l // self.r
         if n < 1:
             raise ValidationError("CorrelatedEntanglementCode: block too short")
+        _check_observation_space(self.source, n, "CorrelatedEntanglementCode")
         encoders = dict(self.encoders)
         decoders = dict(self.decoders)
         _check_sequence_keys(
@@ -755,10 +761,7 @@ def _extend_observations(
     if n_total < cr_code.n:
         raise ValidationError(f"{what}: target block shorter than phase 1")
     source = cr_code.source
-    if len(source.x_alphabet) ** n_total > ENUM_BUDGET:
-        raise BudgetExceeded(f"{what}: sender observation space too large")
-    if len(source.y_alphabet) ** n_total > ENUM_BUDGET:
-        raise BudgetExceeded(f"{what}: receiver observation space too large")
+    _check_observation_space(source, n_total, what)
     shared_enc = {x: encode(states) for x, states in cr_code.encoders.items()}
     shared_dec = {y: decode(povm) for y, povm in cr_code.decoders.items()}
     encoders = {

@@ -11,10 +11,16 @@ indistinguishable from the reverse pairing. The same pairwise-mixture
 program covers classical kernel families and classical-quantum families, so
 all three checks share one feasibility core.
 
-The core solves min t subject to the normalization equalities and all
+The core poses min t subject to the normalization equalities and all
 pairwise equality coordinates relaxed to |...| <= t, with every variable
 nonnegative. The optimum is the smallest achievable max-norm violation:
 zero (up to solver accuracy) exactly when a symmetrizing family exists.
+That primal has few columns and very many rows, so HiGHS is handed its
+dual, which is short and wide and needs far fewer simplex pivots; the
+dual's matrix is the primal's, transposed, built sparse straight from the
+images. The witness family is read back from the dual as the negated
+marginals of its inequality rows (the primal variables), clipped at zero
+and renormalized, and the optimum as the negated dual objective.
 Feasible witnesses are re-verified by direct substitution before they are
 reported, and the optimal objective doubles as residual evidence in the
 infeasible case.
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .avqc import Avqc, AvCqc, ClassicalAvc
@@ -47,8 +54,8 @@ __all__ = [
     "symmetrization_residual",
 ]
 
-# Cap on the dense constraint-matrix size handed to the LP solver.
-LP_ENTRY_BUDGET = 2**24
+# Cap on the nonzeros of the constraint matrix handed to the LP solver.
+LP_NNZ_BUDGET = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +96,13 @@ class SymmetrizabilityVerdict:
 
     ``residual`` is the maximal equality violation: of the re-verified
     witness when feasible, otherwise the least violation any family can
-    achieve (the relaxed program's optimum). ``degenerate_pairs`` lists
-    index pairs of numerically identical probes, which are legal but make
-    the witness non-unique.
+    achieve (the relaxed program's optimum, clamped at zero). In the edge
+    case where that optimum is within ``tol`` but the solver's clipped and
+    renormalized witness re-verifies above it, the verdict is infeasible
+    and ``residual`` is that witness's re-verified violation; so
+    ``feasible`` is False exactly when ``residual > tol``.
+    ``degenerate_pairs`` lists index pairs of numerically identical probes,
+    which are legal but make the witness non-unique.
     """
 
     feasible: bool
@@ -102,48 +113,85 @@ class SymmetrizabilityVerdict:
 
 def _pairwise_residual(images: np.ndarray, dist: np.ndarray) -> float:
     """Max violation of the pairwise equalities for given distributions."""
-    k = images.shape[0]
     mixed = np.einsum("jsd,is->ijd", images, dist)  # probe j under family i
-    worst = 0.0
-    for i, j in itertools.combinations(range(k), 2):
-        worst = max(worst, float(np.max(np.abs(mixed[j, i] - mixed[i, j]))))
-    return worst
+    return float(np.max(np.abs(mixed - mixed.transpose(1, 0, 2))))
+
+
+def _check_lp_budget(k: int, n_states: int, dim: int, what: str) -> None:
+    """Reject the pairwise LP over k indices, n_states states and dim coordinates.
+
+    Each of the k (k - 1) / 2 index pairs adds 2 dim rows of 2 n_states + 1
+    nonzeros; the k normalization rows add n_states each.
+    """
+    nnz = k * (k - 1) * dim * (2 * n_states + 1) + k * n_states
+    if nnz > LP_NNZ_BUDGET:
+        raise BudgetExceeded(
+            f"{what}: LP with {nnz} nonzeros exceeds the budget of {LP_NNZ_BUDGET}"
+        )
 
 
 def _min_violation_lp(
-    rows: np.ndarray, goal: np.ndarray | None, groups: int, what: str
+    values: np.ndarray,
+    columns: np.ndarray,
+    n_x: int,
+    goal: np.ndarray | None,
+    groups: int,
+    what: str,
 ) -> tuple[np.ndarray, float]:
     """Solve min t over x >= 0 with |A_b @ x - goal[b]| <= t for every block b.
 
-    ``rows`` has shape (n_blocks, 2, dim, n_x + 1) and holds each block A_b
-    in ``rows[b, 0, :, :n_x]``; the rest is filled here, in place, so block
-    b becomes the rows [A_b, -1; -A_b, -1] against [goal[b]; -goal[b]]
-    (zero when ``goal`` is None). x splits into ``groups`` equal contiguous
-    groups that each sum to one. Returns the clipped and renormalized
-    groups, one per row, and the optimal t.
+    Row d of block A_b holds ``values[b, d]`` in the sorted columns
+    ``columns[b]`` of x (length n_x) and zeros elsewhere. With z = (x, t)
+    the primal reads G z <= g, H z = 1: block b adds the rows
+    [A_b, -1; -A_b, -1] against [goal[b]; -goal[b]] (zero when ``goal`` is
+    None), and H sums each of ``groups`` equal contiguous groups of x.
+
+    HiGHS solves the dual, min g.u - 1.v over u >= 0 and free v subject to
+    [-G^T H^T] (u, v) <= (0, ..., 0, 1). The CSC arrays of -G^T are the CSR
+    arrays of -G, written here block by block. Returns the primal groups,
+    read as the negated marginals of the dual's rows, clipped and
+    renormalized, one per row; and the optimal t, the negated dual optimum
+    clamped at zero.
     """
-    n_blocks, _, dim, n_vars = rows.shape
-    n_x = n_vars - 1  # trailing variable is the violation bound t
-    np.negative(rows[:, 0, :, :n_x], out=rows[:, 1, :, :n_x])
-    rows[..., n_x] = -1.0
-    a_ub = rows.reshape(2 * n_blocks * dim, n_vars)
-    if goal is None:
-        b_ub = np.zeros(a_ub.shape[0])
-    else:
-        b_ub = np.stack([goal, -goal], axis=1).reshape(-1)
-
+    n_blocks, dim, m = values.shape
     size = n_x // groups
-    a_eq = np.hstack([np.repeat(np.eye(groups), size, axis=1), np.zeros((groups, 1))])
-    b_eq = np.ones(groups)
+    n_u = 2 * n_blocks * dim  # one dual column per primal inequality row
+    n_g = n_u * (m + 1)
+    data = np.empty(n_g + n_x)
+    index = np.empty(n_g + n_x, dtype=np.int32)
+    # -G row by row: [-A_b, 1] and then [A_b, 1], each with m + 1 entries
+    g_data = data[:n_g].reshape(n_blocks, 2, dim, m + 1)
+    g_index = index[:n_g].reshape(n_blocks, 2, dim, m + 1)
+    np.negative(values, out=g_data[:, 0, :, :m])
+    g_data[:, 1, :, :m] = values
+    g_data[..., m] = 1.0
+    g_index[..., :m] = columns[:, None, None, :]
+    g_index[..., m] = n_x
+    data[n_g:] = 1.0  # H^T: group g's ones in rows g * size ... (g + 1) * size
+    index[n_g:] = np.arange(n_x)
+    indptr = np.concatenate(
+        [np.arange(0, n_g + 1, m + 1), n_g + size * np.arange(1, groups + 1)]
+    ).astype(np.int32)
+    matrix = sparse.csc_array((data, index, indptr), shape=(n_x + 1, n_u + groups))
+    matrix.eliminate_zeros()
 
-    cost = np.zeros(n_vars)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    if goal is None:
+        g_rhs = np.zeros(n_u)
+    else:
+        g_rhs = np.stack([goal, -goal], axis=1).reshape(-1)
+    cost = np.concatenate([g_rhs, -np.ones(groups)])
+    rhs = np.zeros(n_x + 1)
+    rhs[-1] = 1.0
+    bounds = np.zeros((n_u + groups, 2))
+    bounds[:, 1] = np.inf
+    bounds[n_u:, 0] = -np.inf
+    res = linprog(cost, A_ub=matrix, b_ub=rhs, bounds=bounds, method="highs")
     if res.status != 0:
         raise AvqclabError(f"{what}: LP solver failed ({res.message})")
-    x = np.clip(res.x[:-1].reshape(groups, size), 0.0, None)
+    # 0.0 - m rather than -m, so that a zero marginal gives +0.0
+    x = np.clip(0.0 - res.ineqlin.marginals[:n_x].reshape(groups, size), 0.0, None)
     x /= x.sum(axis=1, keepdims=True)
-    return x, float(res.fun)
+    return x, max(0.0, -float(res.fun))
 
 
 def _pairwise_mixture_feasibility(
@@ -152,36 +200,38 @@ def _pairwise_mixture_feasibility(
     """Feasibility core over real coordinate images.
 
     ``images[i, s]`` is the coordinate vector of index i processed under
-    state s. Returns (feasible, distributions or None, residual).
+    state s. Returns (feasible, distributions or None, residual), feasible
+    exactly when the re-verified witness residual is within ``tol``.
     """
     k, n_states, dim = images.shape
     if k < 2:
         raise ValidationError("symmetrizability check: needs at least two indices")
-    n_vars = k * n_states + 1  # trailing variable is the violation bound t
-    pairs = list(itertools.combinations(range(k), 2))
-    n_rows = 2 * len(pairs) * dim
-    if n_rows * n_vars > LP_ENTRY_BUDGET:
-        raise BudgetExceeded(
-            f"symmetrizability check: LP of {n_rows}x{n_vars} exceeds the budget"
-        )
+    _check_lp_budget(k, n_states, dim, "symmetrizability check")
 
-    # sum_s p_j(s) images[i, s] - sum_s p_i(s) images[j, s] within [-t, t]
-    rows = np.zeros((len(pairs), 2, dim, n_vars))
-    for b, (i, j) in enumerate(pairs):
-        rows[b, 0, :, j * n_states : (j + 1) * n_states] = images[i].T
-        rows[b, 0, :, i * n_states : (i + 1) * n_states] = -images[j].T
-    dist, fun = _min_violation_lp(rows, None, k, "symmetrizability check")
+    # block (i, j), i < j: sum_s p_j(s) images[i, s] - sum_s p_i(s) images[j, s]
+    first, second = np.triu_indices(k, 1)
+    coords = images.transpose(0, 2, 1)  # (index, coordinate, state)
+    values = np.concatenate([-coords[second], coords[first]], axis=2)
+    span = np.arange(n_states)
+    columns = np.concatenate(
+        [first[:, None] * n_states + span, second[:, None] * n_states + span], axis=1
+    )
+    dist, optimum = _min_violation_lp(
+        values, columns, k * n_states, None, k, "symmetrizability check"
+    )
     residual = _pairwise_residual(images, dist)
     if residual <= tol:
         return True, dist, residual
-    return False, None, fun
+    # the optimum bounds every family's violation from below, unless the
+    # witness that should attain it within tol re-verifies above tol
+    return False, None, optimum if optimum > tol else residual
 
 
-def _hvec(mat: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix: upper real part, strict imag."""
-    iu = np.triu_indices(mat.shape[0])
-    ius = np.triu_indices(mat.shape[0], k=1)
-    return np.concatenate([mat[iu].real, mat[ius].imag])
+def _hvec(mats: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian stacks (..., d, d): upper real part, strict imag."""
+    rows, cols = np.triu_indices(mats.shape[-1])
+    upper = mats[..., rows, cols]
+    return np.concatenate([upper.real, upper[..., rows != cols].imag], axis=-1)
 
 
 def _probe_matrix(probe, dim: int, what: str) -> np.ndarray:
@@ -196,8 +246,8 @@ def _probe_matrix(probe, dim: int, what: str) -> np.ndarray:
 def _probe_images(avqc: Avqc, seqs, mats) -> np.ndarray:
     """images[i, s]: coordinates of probe i under the product channel of seqs[s]."""
     factors = [[avqc.channels[s] for s in seq] for seq in seqs]
-    return np.array(
-        [[_hvec(apply_product_to_matrix(f, mat)) for f in factors] for mat in mats]
+    return _hvec(
+        np.array([[apply_product_to_matrix(f, mat) for f in factors] for mat in mats])
     )
 
 
@@ -228,6 +278,8 @@ def check_symmetrizable(
     dim = avqc.dim_in**l
     mats = [_probe_matrix(p, dim, "check_symmetrizable") for p in probes]
     seqs = avqc.state_sequences(l, budget=budget)
+    coord_dim = avqc.dim_out ** (2 * l)
+    _check_lp_budget(len(mats), len(seqs), coord_dim, "check_symmetrizable")
     images = _probe_images(avqc, seqs, mats)
     feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
     witness = SymmetrizingFamily(tuple(seqs), dist) if feasible else None
@@ -282,13 +334,10 @@ def check_symmetrizable_cq(
     unknown = [z for z in letters if z not in avcqc.alphabet]
     if unknown:
         raise ValidationError(f"check_symmetrizable_cq: unknown letters {unknown}")
-    images = np.stack(
-        [
-            np.stack(
-                [_hvec(avcqc.branches[s].outputs[z].matrix) for s in avcqc.states]
-            )
-            for z in letters
-        ]
+    images = _hvec(
+        np.array(
+            [[avcqc.branches[s].outputs[z].matrix for s in avcqc.states] for z in letters]
+        )
     )
     feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
     witness = SymmetrizingFamily(tuple(avcqc.states), dist) if feasible else None
@@ -418,12 +467,12 @@ def convex_representation(
     """
     t_mat = np.asarray(getattr(target, "matrix", target), dtype=complex)
     mats = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in points]
-    coords = np.stack([_hvec(m) for m in mats])
-    goal = _hvec(t_mat)
-    n, dim = coords.shape
-    rows = np.zeros((1, 2, dim, n + 1))
-    rows[0, 0, :, :n] = coords.T
-    dist, _ = _min_violation_lp(rows, goal[None], 1, "convex_representation")
+    coords = _hvec(np.stack(mats + [t_mat]))
+    coords, goal = coords[:-1], coords[-1]
+    n = len(coords)
+    dist, _ = _min_violation_lp(
+        coords.T[None], np.arange(n)[None], n, goal[None], 1, "convex_representation"
+    )
     weights = dist[0]
     mismatch = float(np.max(np.abs(coords.T @ weights - goal)))
     if mismatch <= tol:

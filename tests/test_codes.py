@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from avqclab import (
     BipartiteSource,
     BudgetExceeded,
     CorrelatedCode,
+    CorrelatedEntanglementCode,
     DensityMatrix,
     DeterministicCode,
     DimensionMismatch,
@@ -521,6 +523,15 @@ class TestComposeTwoPhaseEntanglement:
         blocks = [(identity_channel(2), identity_channel(2))] * 2
         with pytest.raises(BudgetExceeded):
             compose_two_phase_entanglement(basic_cr_code(), blocks, 17)
+
+    def test_constructor_budget_before_enumeration(self):
+        # 2 letters over 18 samples: 262,144 sequences, rejected before any
+        # of them is built, as CorrelatedCode does
+        for cls, extra in ((CorrelatedCode, ()), (CorrelatedEntanglementCode, (2,))):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceeded):
+                cls(18, 1, CORRELATED_SRC, *extra, {}, {})
+            assert time.perf_counter() - t0 < 0.05
 
     def test_budget_guard(self):
         blocks = [(identity_channel(2), identity_channel(2))] * 2

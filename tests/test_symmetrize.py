@@ -1,9 +1,14 @@
 """Symmetrizability feasibility programs and the probe-frame machinery."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from avqclab import (
     Avqc,
@@ -16,6 +21,7 @@ from avqclab import (
     SymmetrizingFamily,
     ValidationError,
     basis_state,
+    bit_flip_channel,
     check_symmetrizable,
     check_symmetrizable_classical,
     check_symmetrizable_cq,
@@ -401,7 +407,7 @@ class TestProbeFrame:
 
 
 class TestLpLayout:
-    """Both LP callers hand HiGHS the reference layouts, bit for bit."""
+    """Both LP callers hand HiGHS the dual of the reference layouts, bit for bit."""
 
     @staticmethod
     def capture(monkeypatch) -> list:
@@ -416,9 +422,30 @@ class TestLpLayout:
         return calls
 
     @staticmethod
+    def reference_dual(primal: dict) -> dict:
+        """min b_ub.u - b_eq.v, u >= 0 and v free, s.t. [-A_ub^T A_eq^T](u, v) <= c."""
+        n_u, n_v = len(primal["b_ub"]), len(primal["b_eq"])
+        bounds = np.zeros((n_u + n_v, 2))
+        bounds[:, 1] = np.inf
+        bounds[n_u:, 0] = -np.inf
+        return {
+            "c": np.concatenate([primal["b_ub"], -primal["b_eq"]]),
+            "A_ub": sparse.csc_array(np.hstack([-primal["A_ub"].T, primal["A_eq"].T])),
+            "b_ub": primal["c"],
+            "bounds": bounds,
+        }
+
+    @staticmethod
     def assert_bits_equal(got: dict, want: dict) -> None:
         assert got.pop("method") == "highs"
         assert sorted(got) == sorted(want)
+        # HiGHS reads the column starts, row indices and values of the CSC
+        matrix, expect = got.pop("A_ub"), want.pop("A_ub")
+        assert isinstance(matrix, sparse.csc_array) and matrix.shape == expect.shape
+        assert np.array_equal(matrix.indptr, expect.indptr)
+        assert np.array_equal(matrix.indices, expect.indices)
+        assert matrix.data.dtype == expect.data.dtype
+        assert matrix.data.tobytes() == expect.data.tobytes()
         for key, expect in want.items():
             arr = np.asarray(got[key])
             assert arr.dtype == expect.dtype and arr.shape == expect.shape, key
@@ -430,7 +457,8 @@ class TestLpLayout:
         calls = self.capture(monkeypatch)
         check_symmetrizable(avqc, 2, frame)
         assert len(calls) == 1
-        self.assert_bits_equal(calls[0], reference_pairwise_lp(avqc, 2, frame))
+        want = self.reference_dual(reference_pairwise_lp(avqc, 2, frame))
+        self.assert_bits_equal(calls[0], want)
 
     def test_convex_representation(self, monkeypatch):
         frame = hermitian_probe_frame(3)
@@ -438,7 +466,113 @@ class TestLpLayout:
         calls = self.capture(monkeypatch)
         assert convex_representation(rho, frame, tol=1e-8) is not None
         assert len(calls) == 1
-        self.assert_bits_equal(calls[0], reference_convex_lp(rho, frame))
+        want = self.reference_dual(reference_convex_lp(rho, frame))
+        self.assert_bits_equal(calls[0], want)
+
+
+def family_case(seed: int, dim: int, l: int, n_states: int, kind: str, probes: str):
+    rng = rng_for(seed)
+    labels = [f"s{i}" for i in range(n_states)]
+    channels = {s: random_channel(rng, dim) for s in labels}
+    if kind == "constant":
+        # a member that forgets its input makes the family symmetrizable
+        channels[labels[0]] = constant_channel(random_density(rng, dim))
+    if probes == "frame":
+        mats = hermitian_probe_frame(dim**l)
+    else:
+        mats = [random_density(rng, dim**l) for _ in range(int(rng.integers(2, 5)))]
+    return Avqc(tuple(labels), channels), mats
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    # (dim, l, probes); the qutrit frame at l=2 would have 81 probes
+    case=st.sampled_from(
+        [(2, 1, "frame"), (2, 2, "frame"), (3, 1, "frame"),
+         (2, 1, "random"), (2, 2, "random"), (3, 1, "random"), (3, 2, "random")]
+    ),
+    n_states=st.integers(1, 3),
+    kind=st.sampled_from(["random", "constant"]),
+)
+def test_dual_optimum_matches_reference_primal(seed, case, n_states, kind):
+    dim, l, probes = case
+    avqc, mats = family_case(seed, dim, l, n_states, kind, probes)
+    optima = []
+    real = symmetrize._min_violation_lp
+
+    def spy(*args):
+        out = real(*args)
+        optima.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetrize, "_min_violation_lp", spy)
+        verdict = check_symmetrizable(avqc, l, mats, tol=1e-7)
+    primal = linprog(method="highs", **reference_pairwise_lp(avqc, l, mats))
+    assert primal.status == 0
+    assert abs(optima[0] - primal.fun) <= 1e-9 * max(1.0, abs(primal.fun))
+    assert verdict.feasible == (primal.fun <= 1e-7)
+    if verdict.feasible:
+        assert symmetrization_residual(avqc, l, mats, verdict.witness) == verdict.residual
+    else:
+        assert verdict.residual == optima[0]
+
+
+class TestVerdictConsistency:
+    def test_optimum_within_tol_with_failing_witness(self, monkeypatch):
+        # a solver whose optimum passes while its witness does not
+        avqc = Avqc((0,), {0: identity_channel(2)})
+        probes = [basis_state(2, 0).to_density(), basis_state(2, 1).to_density()]
+        monkeypatch.setattr(
+            symmetrize, "_min_violation_lp", lambda *args: (np.ones((2, 1)), 0.0)
+        )
+        verdict = check_symmetrizable(avqc, 1, probes, tol=1e-7)
+        assert not verdict.feasible and verdict.witness is None
+        # the witness's re-verified violation, not the optimum, is reported
+        assert verdict.residual == pytest.approx(1.0, abs=1e-12)
+        assert verdict.residual > 1e-7
+
+    def test_negative_optimum_clamped(self, monkeypatch):
+        real = symmetrize.linprog
+
+        def shifted(c, **kwargs):
+            res = real(c, **kwargs)
+            res.fun = 5.3e-14  # a dual optimum just above zero: t = -5.3e-14
+            return res
+
+        monkeypatch.setattr(symmetrize, "linprog", shifted)
+        # one zero block over two groups of two: the optimum is t = 0
+        _, optimum = symmetrize._min_violation_lp(
+            np.zeros((1, 1, 4)), np.array([[0, 1, 2, 3]]), 4, None, 2, "test"
+        )
+        assert optimum == 0.0 and str(optimum) == "0.0"
+
+
+class TestLevelThree:
+    def test_identity_and_bit_flip_with_the_frame(self):
+        # 64 probes and 8 sequences: 258048 primal rows, 4.4M nonzeros
+        avqc = Avqc(("i", "x"), {"i": identity_channel(2), "x": bit_flip_channel(0.25)})
+        verdict = check_symmetrizable(avqc, 3, hermitian_probe_frame(8))
+        assert not verdict.feasible and verdict.witness is None
+        assert verdict.residual == pytest.approx(79.54951288348659, abs=1e-9)
+
+    def test_nonzero_budget_rejects_before_building(self):
+        # four members at l=3: 258048 rows of 129 entries, 33M nonzeros
+        avqc = random_avqc(rng_for(141), 2, 4)
+        frame = hermitian_probe_frame(8)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="nonzeros"):
+            check_symmetrizable(avqc, 3, frame)
+        assert time.perf_counter() - t0 < 0.05
+
+    def test_core_budget_on_images(self):
+        # classical and cq checks reach the core with their images only
+        images = np.broadcast_to(0.0, (200, 64, 64))
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            symmetrize._pairwise_mixture_feasibility(images, 1e-7)
+        assert time.perf_counter() - t0 < 0.05
 
 
 class TestFamilyValidation:
