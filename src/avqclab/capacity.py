@@ -3,19 +3,21 @@
 The sought quantity is the max-min Holevo value: the best input distribution
 against the worst convex mixture of the family's branches,
 
-    max_p  min_q  chi(p, sum_s q(s) W_s).
+    C = max_p  min_q  chi(p, sum_s q(s) W_s).
 
-Neither direction is assumed concave or convex; the search is a pair of
-nested simplex grids followed by local coordinate refinement, and results
-carry a resolution estimate (grid step times a Lipschitz constant sampled at
-random points) rather than a claim of global optimality.
+The search is a pair of nested simplex grids followed by local coordinate
+refinement. chi(p, W_q) is concave in p and convex in q, so the reported
+point (p, q) certifies an interval around C: a Frank-Wolfe gap of the convex
+inner problem bounds min_q chi(p, .) from below, and, since
+max_p chi(p, W) <= max_z D(W(z) || sigma) for every state sigma, the
+relative entropies to the p-average of W_q bound max_p chi(., q) from above.
 
-Every stage scores stacks of (p, q) points at once: one ``einsum`` forms the
-mixtures and the p-averages, one batched ``eigvalsh`` gives every spectrum,
-and the conditional term is one ``vecdot``. Each stacked value equals the
-one-point evaluation bit for bit, and the scans over the stacked values keep
-the order and the 1e-15 tie rules of a one-point-at-a-time search, so the
-result does not depend on how the points are batched
+Every search stage scores stacks of (p, q) points at once: one ``einsum``
+forms the mixtures and the p-averages, one batched ``eigvalsh`` gives every
+spectrum, and the conditional term is one ``vecdot``. Each stacked value
+equals the one-point evaluation bit for bit, and the scans over the stacked
+values keep the order and the 1e-15 tie rules of a one-point-at-a-time
+search, so the result does not depend on how the points are batched
 (``tests/helpers.scalar_capacity_search`` is that one-point search).
 """
 
@@ -43,11 +45,14 @@ _CHUNK_PAIRS = 1024
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    """Grid-and-refine estimate of the max-min Holevo value.
+    """Grid-and-refine estimate of the max-min Holevo value, with a certificate.
 
-    ``certified_gap`` is grid_step times the largest of the Lipschitz
-    quotients of chi sampled at random points: an estimate of the
-    resolution of the search, not a certificate.
+    ``value`` is chi(argmax_p, W_argmin_q). ``lower_bound`` is ``value``
+    less the Frank-Wolfe gap of the convex problem min_q chi(argmax_p, W_q),
+    so at most its minimum; ``upper_bound`` is at least
+    max_p chi(p, W_argmin_q), bounded through relative entropies. The
+    max-min value and ``value`` both lie between them, and
+    ``certified_gap`` is ``upper_bound - lower_bound``.
     """
 
     value: float
@@ -55,6 +60,8 @@ class MinimaxResult:
     argmin_q: np.ndarray
     grid_step: float
     certified_gap: float
+    lower_bound: float
+    upper_bound: float
 
 
 def simplex_grid(k: int, steps: int):
@@ -125,16 +132,17 @@ def _higher(new: float, old: float) -> bool:
     return new > old + 1e-15
 
 
-def _coordinate_search(score, x, value, payload, step, iterations, better):
-    """Coordinate search over simplex transfers with step halving.
+def _coordinate_steps(x, value, payload, step, iterations, better):
+    """Coordinate search over simplex transfers with step halving, as a generator.
 
     A sweep visits the ordered pairs (i, j), i != j, in order and tries to
     move ``step`` of mass from x[j] to x[i] where x[j] holds it; a move is
     taken when ``better(new, current)``, and the rest of the sweep starts
     from the new point. A sweep that takes no move halves the step.
-    ``score`` maps a stack of points to their values and payloads. All
-    remaining moves of a sweep are scored in one call, and after a taken
-    move only the moves after it are scored again, so the search takes
+    The generator yields each stack of candidate points and is sent back
+    their values and payloads; it returns the final (x, value, payload).
+    All remaining moves of a sweep are yielded at once, and after a taken
+    move only the moves after it are yielded again, so the search takes
     exactly the moves of a one-move-at-a-time loop.
     """
     pairs = [(i, j) for i in range(x.size) for j in range(x.size) if i != j]
@@ -149,7 +157,7 @@ def _coordinate_search(score, x, value, payload, step, iterations, better):
             cands = np.repeat(x[None, :], len(todo), axis=0)
             cands[rows, [j for _, j in todo]] -= step
             cands[rows, [i for i, _ in todo]] += step
-            values, payloads = score(cands)
+            values, payloads = yield cands
             for n, cand_val in enumerate(values):
                 if better(cand_val, value):
                     x, value, payload = cands[n], cand_val, payloads[n]
@@ -163,17 +171,15 @@ def _coordinate_search(score, x, value, payload, step, iterations, better):
     return x, value, payload
 
 
-def _local_minimize_q(ev: _ChiEvaluator, p: np.ndarray, q: np.ndarray, step0: float,
-                      iterations: int) -> tuple[float, np.ndarray]:
-    """Coordinate descent over simplex transfers of q, p fixed."""
-
-    def score(qs):
-        return ev.chi(p, qs).tolist(), [None] * len(qs)
-
-    q = np.array(q)
-    value = ev.chi(p, q).item()
-    q, value, _ = _coordinate_search(score, q, value, None, step0, iterations, _lower)
-    return value, q
+def _coordinate_search(score, x, value, payload, step, iterations, better):
+    """Run one ``_coordinate_steps`` search; ``score`` maps a stack to (values, payloads)."""
+    search = _coordinate_steps(x, value, payload, step, iterations, better)
+    try:
+        cands = next(search)
+        while True:
+            cands = search.send(score(cands))
+    except StopIteration as done:
+        return done.value
 
 
 def _grid_min(ev: _ChiEvaluator, ps: np.ndarray, grid) -> list:
@@ -197,38 +203,102 @@ def _grid_min(ev: _ChiEvaluator, ps: np.ndarray, grid) -> list:
 
 
 def _inner_min(ev: _ChiEvaluator, ps: np.ndarray, grid, step0: float,
-               iterations: int) -> tuple[list, list]:
-    """min over q for each row of ``ps``: grid argmin, then local descent."""
-    values, qs = [], []
-    for p, (_, idx) in zip(ps, _grid_min(ev, ps, grid)):
-        value, q = _local_minimize_q(ev, p, grid[0][idx], step0, iterations)
-        values.append(value)
-        qs.append(q)
-    return values, qs
+               iterations: int) -> list:
+    """(min, argmin) over q for each row of ``ps``: grid argmin, then coordinate descent.
 
-
-def _random_transfer(rng, x: np.ndarray, delta: float):
-    """Move min(delta, x[j]) of mass from a random j to a random i != j.
-
-    Returns the moved point and the amount, or None when the amount is at
-    most 1e-12.
+    The rows' descents run in lockstep: each step scores the pending moves
+    of every unfinished descent in one ``chi`` call.
     """
-    i, j = rng.choice(x.size, size=2, replace=False)
-    move = min(delta, x[j])
-    if move <= 1e-12:
-        return None, move
-    cand = np.array(x)
-    cand[j] -= move
-    cand[i] += move
-    return cand, move
+    q_starts = grid[0][[idx for _, idx in _grid_min(ev, ps, grid)]]
+    descents = [
+        _coordinate_steps(q, value, None, step0, iterations, _lower)
+        for q, value in zip(q_starts, ev.chi(ps, q_starts).tolist())
+    ]
+    found = [None] * len(ps)
+    pending = {}
+
+    def advance(row, sent):
+        try:
+            pending[row] = descents[row].send(sent)
+        except StopIteration as done:
+            found[row] = done.value
+
+    for row in range(len(ps)):
+        advance(row, None)
+    while pending:
+        rows, stacks = zip(*pending.items())
+        pending = {}
+        sizes = [len(cands) for cands in stacks]
+        values = ev.chi(np.repeat(ps[list(rows)], sizes, axis=0), np.concatenate(stacks))
+        at = 0
+        for row, size in zip(rows, sizes):
+            advance(row, (values[at : at + size].tolist(), [None] * size))
+            at += size
+    return [(value, q) for q, value, _ in found]
+
+
+def _log_on_support(vals: np.ndarray) -> np.ndarray:
+    """log2 of eigenvalues above 1e-12, and 0 at or below it."""
+    kept = vals > 1e-12
+    return np.where(kept, np.log2(np.where(kept, vals, 1.0)), 0.0)
+
+
+def _off_support(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Whether ``weights`` exceed 1e-12 on an eigenvalue at or below 1e-12.
+
+    ``vals`` (..., d) broadcasts against ``weights``; the last axis is reduced.
+    """
+    return ((weights > 1e-12) & (vals <= 1e-12)).any(axis=-1)
+
+
+def _certificate(branch: np.ndarray, p: np.ndarray, q: np.ndarray,
+                 value: float) -> tuple[float, float]:
+    """(lower, upper) around the max-min of chi, from the point (p, q).
+
+    Lower: chi(p, .) extends to the nonnegative orthant as a convex,
+    positively homogeneous function of q, so min_q chi(p, W_q) is at least
+    value - FW with the Frank-Wolfe gap FW = <grad, q> - min_s grad_s. With
+    rho = sum_z p_z W_q(z), the partial derivatives are
+        grad_s = -tr(sum_z p_z W_s(z) log2 rho) + sum_z p_z tr(W_s(z) log2 W_q(z)).
+    A W_s(z) (p_z > 0) or a p-average of W_s with weight on the kernel of
+    W_q(z) or rho makes grad_s infinite, and the bound falls back to 0.
+    Upper: max_p chi(p, W_q) <= max_z D(W_q(z) || rho) <= log2 min(d, |Z|).
+    Eigenvalues at or below 1e-12 count as 0, as in ``_entropies``.
+    """
+    out = np.einsum("s,szij->zij", q, branch)
+    avg = np.einsum("z,zij->ij", p, out)
+    vals, vecs = np.linalg.eigh(hermitize(out))
+    avg_vals, avg_vecs = np.linalg.eigh(hermitize(avg))
+    logs, avg_logs = _log_on_support(vals), _log_on_support(avg_vals)
+    used = p > 0.0
+
+    # weights <v|W_s(z)|v> on the eigenvectors of W_q(z), and of the
+    # p-averaged members and of W_q(z) on the eigenvectors of rho
+    cond_w = np.einsum("zia,szij,zja->sza", vecs.conj(), branch, vecs).real
+    avg_w = np.einsum("ia,z,szij,ja->sa", avg_vecs.conj(), p, branch, avg_vecs).real
+    out_w = np.einsum("ia,zij,ja->za", avg_vecs.conj(), out, avg_vecs).real
+
+    grad = -(avg_w @ avg_logs) + np.einsum("z,sza,za->s", p, cond_w, logs)
+    infinite = _off_support(avg_w, avg_vals) | _off_support(cond_w[:, used], vals[used]).any(-1)
+    if infinite.any():
+        lower = 0.0
+    else:
+        frank_wolfe = max(0.0, float(grad @ q) - float(grad.min()))
+        lower = max(0.0, value - frank_wolfe)
+
+    ents = -(vals * logs).sum(axis=-1)
+    divergences = -ents - out_w @ avg_logs
+    upper = math.log2(min(branch.shape[-1], branch.shape[1]))
+    if not _off_support(out_w, avg_vals).any():
+        upper = min(upper, float(divergences.max()))
+    # value <= max_p chi(p, W_q) <= upper; tidy away rounding between them
+    return lower, max(upper, value)
 
 
 def cq_random_capacity(
     avcqc: AvCqc,
     grid_step: float = 1.0 / 64.0,
     refine_iterations: int = 20,
-    lipschitz_samples: int = 1000,
-    seed: int = 0,
     budget: int = 2**20,
 ) -> MinimaxResult:
     """Search max_p min_q chi(p, W_q) on nested simplex grids plus refinement.
@@ -236,9 +306,9 @@ def cq_random_capacity(
     Both grids use the same step. The outer maximizer is then improved by
     coordinate ascent (each candidate scored by a full inner minimization)
     with ``refine_iterations`` rounds of step halving, mirrored by descent on
-    the inner weights. The reported gap scales the grid step by the largest
-    of ``lipschitz_samples`` sampled directional difference quotients of chi.
-    The grid sizes are checked against ``budget`` before any grid is built.
+    the inner weights. The result carries the certified interval of
+    ``_certificate`` at the final point. The grid sizes are checked against
+    ``budget`` before any grid is built.
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValidationError("cq_random_capacity: grid_step must lie in (0, 1/2]")
@@ -264,47 +334,26 @@ def cq_random_capacity(
             best_val, best_p = inner_best, p
     p_star = np.array(best_p)
 
-    # stage 2: local refinement of the outer point
+    # stage 2: local refinement of the outer point; after a taken move the
+    # ascent meets points it has scored before, so inner minima are kept
+    known = {}
+
     def inner(ps):
-        return _inner_min(ev, ps, grid, grid_step, refine_iterations)
+        new = [p for p in ps if p.tobytes() not in known]
+        if new:
+            found = _inner_min(ev, np.array(new), grid, grid_step, refine_iterations)
+            known.update(zip((p.tobytes() for p in new), found))
+        return tuple(zip(*(known[p.tobytes()] for p in ps)))
 
     (value,), (q_star,) = inner(p_star[None, :])
     p_star, value, q_star = _coordinate_search(
         inner, p_star, value, q_star, grid_step, refine_iterations, _higher
     )
 
-    # stage 3: sampled Lipschitz estimate for the resolution gap; the draws
-    # do not depend on chi, so all points are drawn first and scored at once
-    rng = np.random.Generator(np.random.Philox(seed))
-    points, quotients = [], []
-    for _ in range(lipschitz_samples):
-        p = rng.dirichlet(np.ones(n_z))
-        q = rng.dirichlet(np.ones(n_s))
-        base = len(points)
-        points.append((p, q))
-        if n_z > 1:
-            cand, move = _random_transfer(rng, p, grid_step)
-            if cand is not None:
-                quotients.append((base, len(points), move))
-                points.append((cand, q))
-        if n_s > 1:
-            cand, move = _random_transfer(rng, q, grid_step)
-            if cand is not None:
-                quotients.append((base, len(points), move))
-                points.append((p, cand))
-    lipschitz = 0.0
-    if quotients:
-        ps, qs = (np.array(axis) for axis in zip(*points))
-        values = []
-        for start in range(0, len(ps), _CHUNK_PAIRS):
-            chunk = slice(start, start + _CHUNK_PAIRS)
-            values += ev.chi(ps[chunk], qs[chunk]).tolist()
-        for base, at, move in quotients:
-            lipschitz = max(lipschitz, abs(values[at] - values[base]) / move)
-    gap = float(lipschitz * grid_step)
-
     # chi is nonnegative; tidy away float noise and negative zeros at the floor
     value = float(value)
     if value <= 0.0:
         value = 0.0
-    return MinimaxResult(value, p_star, np.asarray(q_star), grid_step, gap)
+    q_star = np.asarray(q_star)
+    lower, upper = _certificate(ev.branch, p_star, q_star, value)
+    return MinimaxResult(value, p_star, q_star, grid_step, upper - lower, lower, upper)

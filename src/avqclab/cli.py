@@ -177,13 +177,11 @@ def _cmd_capacity(args) -> dict:
     _expect_kind(doc, {"av_cqc"}, args.input)
     avcqc = from_document(doc, path=f"{args.input}:$")
     steps = args.grid if args.grid is not None else int(round(1.0 / DEFAULT_GRID_STEP))
-    if steps < 1:
-        raise ValidationError("capacity: --grid must be a positive step count")
+    if steps < 2:
+        raise ValidationError("capacity: --grid must be a step count of at least 2")
     budget = args.budget if args.budget is not None else 2**20
     run.config.update({"grid_steps": steps, "budget": budget})
-    result = cq_random_capacity(
-        avcqc, grid_step=1.0 / steps, seed=args.seed, budget=budget
-    )
+    result = cq_random_capacity(avcqc, grid_step=1.0 / steps, budget=budget)
     return run.result(
         "capacity_result",
         {
@@ -192,6 +190,8 @@ def _cmd_capacity(args) -> dict:
             "argmin_q": [float(v) for v in result.argmin_q],
             "grid_step": float(result.grid_step),
             "certified_gap": float(result.certified_gap),
+            "lower_bound": float(result.lower_bound),
+            "upper_bound": float(result.upper_bound),
         },
     )
 
@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", required=True, help="input JSON document")
         cmd.add_argument("--out", help="write the result document here")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
-        if name in ("capacity", "reduce"):
+        if name == "reduce":
             cmd.add_argument("--seed", type=int, default=0)
         if name in ("symcheck", "capacity", "simulate", "reduce"):
             cmd.add_argument("--budget", type=int, default=None)
@@ -340,6 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--probes", help="probe_set JSON document")
             cmd.add_argument("--l", type=int, default=1, help="block length")
         if name == "capacity":
+            cmd.add_argument(
+                "--seed", type=int, default=0,
+                help="recorded in the manifest; the result does not depend on it",
+            )
             cmd.add_argument(
                 "--grid", type=int, default=None, help="simplex grid steps per axis"
             )

@@ -19,7 +19,7 @@ from avqclab import (
     apply_channel_to_slot,
     simplex_grid,
 )
-from avqclab.capacity import MinimaxResult
+from avqclab.capacity import MinimaxResult, _certificate
 from avqclab.quantum import hermitize
 
 
@@ -293,15 +293,15 @@ def scalar_capacity_search(
     avcqc: AvCqc,
     grid_step: float = 1.0 / 64.0,
     refine_iterations: int = 20,
-    lipschitz_samples: int = 1000,
-    seed: int = 0,
     budget: int = 2**20,
 ) -> MinimaxResult:
     """Oracle: ``cq_random_capacity`` scoring one (p, q) point per call.
 
-    The same grids, coordinate moves, random draws and 1e-15 tie rules,
-    with every chi evaluated alone: one ``eigvalsh`` per matrix and
-    ``p @ ents`` for the conditional entropy.
+    The same grids, coordinate moves and 1e-15 tie rules, with every chi
+    evaluated alone (one ``eigvalsh`` per matrix and ``p @ ents`` for the
+    conditional entropy) and every inner minimization run afresh, one at a
+    time. The certificate at the final point is the library's
+    ``_certificate``, so every field must agree bit for bit.
     """
     steps = max(1, round(1.0 / grid_step))
     grid_step = 1.0 / steps
@@ -344,31 +344,9 @@ def scalar_capacity_search(
         if not moved:
             step /= 2.0
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    lipschitz = 0.0
-    for _ in range(lipschitz_samples):
-        p = rng.dirichlet(np.ones(n_z))
-        q = rng.dirichlet(np.ones(n_s))
-        base = ev.chi(p, q)
-        if n_z > 1:
-            i, j = rng.choice(n_z, size=2, replace=False)
-            move = min(grid_step, p[j])
-            if move > 1e-12:
-                cand = np.array(p)
-                cand[j] -= move
-                cand[i] += move
-                lipschitz = max(lipschitz, abs(ev.chi(cand, q) - base) / move)
-        if n_s > 1:
-            i, j = rng.choice(n_s, size=2, replace=False)
-            move = min(grid_step, q[j])
-            if move > 1e-12:
-                cand = np.array(q)
-                cand[j] -= move
-                cand[i] += move
-                lipschitz = max(lipschitz, abs(ev.chi(p, cand) - base) / move)
-    gap = float(lipschitz * grid_step)
-
     value = float(value)
     if value <= 0.0:
         value = 0.0
-    return MinimaxResult(value, p_star, np.asarray(q_star), grid_step, gap)
+    q_star = np.asarray(q_star)
+    lower, upper = _certificate(ev.branch, p_star, q_star, value)
+    return MinimaxResult(value, p_star, q_star, grid_step, upper - lower, lower, upper)

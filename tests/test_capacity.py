@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from avqclab import (
     simplex_grid,
 )
 
-from helpers import random_density, rng_for, scalar_capacity_search
+from helpers import _ScalarChi, random_density, random_pure, rng_for, scalar_capacity_search
 
 
 def binary_entropy(x):
@@ -53,6 +54,27 @@ def constant_branch(rho):
 
 def random_branch(rng, dim=2, letters=(0, 1)):
     return CqChannel(letters, {z: random_density(rng, dim) for z in letters})
+
+
+def golden_section_max(f, lo=0.0, hi=1.0, width=1e-12):
+    """Maximum of a concave f on [lo, hi], bracketed to ``width``.
+
+    Near its maximum a smooth f is flat to second order, so the value is
+    far more accurate than ``width``.
+    """
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo + (1.0 - shrink) * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > width:
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = f(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = lo + (1.0 - shrink) * (hi - lo)
+            fa = f(a)
+    return max(fa, fb, f(lo), f(hi))
 
 
 class TestSimplexGrid:
@@ -141,6 +163,19 @@ class TestCapacityProperties:
         assert result.grid_step == pytest.approx(1.0 / 16.0)
         assert result.argmax_p.sum() == pytest.approx(1.0, abs=1e-9)
         assert result.argmin_q.sum() == pytest.approx(1.0, abs=1e-9)
+        # full-rank outputs: the saddle point is certified to a small interval
+        assert result.lower_bound <= result.value <= result.upper_bound
+        assert result.certified_gap <= 1e-5
+
+    def test_certificate_falls_back_where_a_partial_is_infinite(self):
+        # at q = (1, 0) mixing in the swapped member lowers chi at an
+        # infinite rate, down to 0 at q = (1/2, 1/2)
+        avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
+        p, q = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        chi = chi_of_mixture(avcqc, p, q)
+        assert chi == pytest.approx(1.0)
+        branch = capacity._ChiEvaluator(avcqc).branch
+        assert capacity._certificate(branch, p, q, chi) == (0.0, 1.0)
 
     def test_singleton_matches_direct_maximization(self):
         rng = rng_for(74)
@@ -148,9 +183,7 @@ class TestCapacityProperties:
             branch = random_branch(rng)
             avcqc = AvCqc((0,), {0: branch})
             result = cq_random_capacity(avcqc, grid_step=1.0 / 32.0)
-            direct = max(
-                holevo_chi(p, branch) for p in simplex_grid(2, 256)
-            )
+            direct = golden_section_max(lambda t: holevo_chi([t, 1.0 - t], branch))
             assert abs(result.value - direct) <= result.certified_gap + 1e-9
 
     def test_monotone_under_family_growth(self):
@@ -221,27 +254,78 @@ def identical(a, b) -> bool:
     steps=st.integers(4, 16),
 )
 def test_batched_search_equals_the_scalar_oracle(kind, seed, dim, n_z, n_s, steps):
-    rng = rng_for(seed)
+    avcqc = family_of_kind(kind, rng_for(seed), dim, n_z, n_s)
+    batched = cq_random_capacity(avcqc, grid_step=1.0 / steps)
+    assert identical(batched, scalar_capacity_search(avcqc, grid_step=1.0 / steps))
+
+
+def family_of_kind(kind, rng, dim, n_z, n_s) -> AvCqc:
+    """A cq family with random, pure or orthogonal outputs, or a special shape.
+
+    An added twin of a member or a letter ties mixtures up to rounding,
+    which the 1e-15 scan rules then decide; pure and orthogonal outputs and
+    the swap pair put mixtures and their averages on kernels.
+    """
     if kind == "swap-pair":
-        avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
+        return AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
+    if kind == "pure":
+        outputs = [[random_pure(rng, dim).to_density() for _ in range(n_z)] for _ in range(n_s)]
+    elif kind == "orthogonal":
+        outputs = [
+            [basis_state(dim, int(k)).to_density() for k in rng.integers(0, dim, size=n_z)]
+            for _ in range(n_s)
+        ]
     else:
-        # an added twin of a member or a letter ties mixtures up to rounding,
-        # which the 1e-15 scan rules then decide
         outputs = [[random_density(rng, dim) for _ in range(n_z)] for _ in range(n_s)]
-        if kind == "constant-member":
-            outputs[-1] = [outputs[-1][0]] * n_z
-        elif kind == "twin-member":
-            outputs.append(outputs[0])
-        elif kind == "twin-letter":
-            outputs = [row + [row[0]] for row in outputs]
-        letters = tuple(range(len(outputs[0])))
-        avcqc = AvCqc(
-            tuple(range(len(outputs))),
-            {s: CqChannel(letters, dict(zip(letters, row))) for s, row in enumerate(outputs)},
-        )
-    kwargs = dict(grid_step=1.0 / steps, lipschitz_samples=200, seed=seed)
-    batched = cq_random_capacity(avcqc, **kwargs)
-    assert identical(batched, scalar_capacity_search(avcqc, **kwargs))
+    if kind == "constant-member":
+        outputs[-1] = [outputs[-1][0]] * n_z
+    elif kind == "twin-member":
+        outputs.append(outputs[0])
+    elif kind == "twin-letter":
+        outputs = [row + [row[0]] for row in outputs]
+    letters = tuple(range(len(outputs[0])))
+    return AvCqc(
+        tuple(range(len(outputs))),
+        {s: CqChannel(letters, dict(zip(letters, row))) for s, row in enumerate(outputs)},
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(
+        ["random", "pure", "orthogonal", "constant-member", "swap-pair", "twin-letter"]
+    ),
+    seed=st.integers(0, 2**16),
+    dim=st.integers(2, 3),
+    n_z=st.integers(1, 3),
+    n_s=st.integers(1, 3),
+    steps=st.integers(4, 16),
+)
+def test_certificate_brackets_both_one_sided_problems(kind, seed, dim, n_z, n_s, steps):
+    rng = rng_for(seed)
+    avcqc = family_of_kind(kind, rng, dim, n_z, n_s)
+    ev = _ScalarChi(avcqc)
+    p_grid = list(simplex_grid(ev.n_letters, 48))
+    q_grid = list(simplex_grid(ev.n_states, 48))
+
+    def assert_brackets(p, q, lower, upper):
+        # min_q chi(p, .) and max_p chi(., q) bound the max-min from both sides
+        assert min(ev.chi(p, other) for other in q_grid + [q]) >= lower - 1e-9
+        out, ents = ev.mixture_parts(q)
+        assert max(ev.chi_from_parts(other, out, ents) for other in p_grid + [p]) <= upper + 1e-9
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = cq_random_capacity(avcqc, grid_step=1.0 / steps)
+        # at a point of the 1/4 grids, faces included, the bounds are not
+        # pinned to a near-saddle value, so they test the formulas themselves
+        p0, q0 = (rng.multinomial(4, np.ones(n) / n) / 4.0 for n in (ev.n_letters, ev.n_states))
+        loose = capacity._certificate(ev.branch, p0, q0, max(0.0, ev.chi(p0, q0)))
+    assert_brackets(result.argmax_p, result.argmin_q, result.lower_bound, result.upper_bound)
+    assert_brackets(p0, q0, *loose)
+    assert result.lower_bound <= result.value <= result.upper_bound
+    assert math.isfinite(result.certified_gap)
+    assert result.certified_gap == result.upper_bound - result.lower_bound
 
 
 def sequential_search(f, x, step, iterations):

@@ -162,6 +162,18 @@ class TestCapacity:
         assert doc["grid_step"] == pytest.approx(1.0 / 16.0)
         assert doc["manifest"]["config"]["grid_steps"] == 16
 
+    def test_certified_interval_keys(self, tmp_path, capsys):
+        path = write(tmp_path, "cq.json", swap_avcqc_doc())
+        _, captured = run_json(capsys, ["capacity", "--input", path, "--grid", "8"])
+        doc = json.loads(captured.out)
+        assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
+        assert doc["certified_gap"] == doc["upper_bound"] - doc["lower_bound"]
+
+    def test_grid_of_one_step_names_the_flag(self, tmp_path, capsys):
+        path = write(tmp_path, "cq.json", swap_avcqc_doc())
+        assert run(["capacity", "--input", path, "--grid", "1"]) == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_tol_is_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "cq.json", swap_avcqc_doc())
         with pytest.raises(SystemExit) as exc:

@@ -519,6 +519,41 @@ def test_dual_optimum_matches_reference_primal(seed, case, n_states, kind):
         assert verdict.residual == optima[0]
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    case=st.sampled_from(
+        [(2, 1, "frame"), (2, 2, "frame"), (3, 1, "frame"),
+         (2, 1, "random"), (2, 2, "random"), (3, 1, "random")]
+    ),
+    n_states=st.integers(1, 3),
+    kind=st.sampled_from(["random", "constant"]),
+    shuffle=st.integers(0, 2**16),
+)
+def test_verdicts_do_not_depend_on_state_labels_or_probe_order(seed, case, n_states, kind,
+                                                               shuffle):
+    dim, l, probes = case
+    avqc, mats = family_case(seed, dim, l, n_states, kind, probes)
+    rng = rng_for(shuffle)
+    # new names in a new order, and the probes permuted
+    names = {s: f"t{int(k)}" for s, k in zip(avqc.states, rng.permutation(n_states))}
+    relabelled = Avqc(
+        tuple(names[s] for s in reversed(avqc.states)),
+        {names[s]: avqc.channels[s] for s in avqc.states},
+    )
+    permuted = [mats[int(i)] for i in rng.permutation(len(mats))]
+    verdicts = []
+    for family, probe_list in ((avqc, mats), (relabelled, permuted)):
+        verdict = check_symmetrizable(family, l, probe_list, tol=1e-7)
+        if verdict.feasible:
+            witness_residual = symmetrization_residual(family, l, probe_list, verdict.witness)
+            assert witness_residual == verdict.residual
+        verdicts.append(verdict)
+    first, second = verdicts
+    assert first.feasible == second.feasible
+    assert abs(first.residual - second.residual) <= 1e-9
+
+
 class TestVerdictConsistency:
     def test_optimum_within_tol_with_failing_witness(self, monkeypatch):
         # a solver whose optimum passes while its witness does not
