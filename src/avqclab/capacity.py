@@ -82,12 +82,16 @@ def chi_of_mixture(avcqc: AvCqc, probs, weights) -> float:
     return holevo_chi(probs, avcqc.mixture(weights))
 
 
+def _log_on_support(vals: np.ndarray) -> np.ndarray:
+    """log2 of eigenvalues above 1e-12, and 0 at or below it."""
+    kept = vals > 1e-12
+    return np.where(kept, np.log2(np.where(kept, vals, 1.0)), 0.0)
+
+
 def _entropies(mats: np.ndarray) -> np.ndarray:
     """Entropies in bits of a stack (..., d, d); eigenvalues <= 1e-12 count 0."""
     vals = np.linalg.eigvalsh(hermitize(mats))
-    kept = vals > 1e-12
-    safe = np.where(kept, vals, 1.0)
-    return -np.where(kept, safe * np.log2(safe), 0.0).sum(axis=-1)
+    return -(vals * _log_on_support(vals)).sum(axis=-1)
 
 
 class _ChiEvaluator:
@@ -237,12 +241,6 @@ def _inner_min(ev: _ChiEvaluator, ps: np.ndarray, grid, step0: float,
     return [(value, q) for q, value, _ in found]
 
 
-def _log_on_support(vals: np.ndarray) -> np.ndarray:
-    """log2 of eigenvalues above 1e-12, and 0 at or below it."""
-    kept = vals > 1e-12
-    return np.where(kept, np.log2(np.where(kept, vals, 1.0)), 0.0)
-
-
 def _off_support(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Whether ``weights`` exceed 1e-12 on an eigenvalue at or below 1e-12.
 
@@ -263,7 +261,7 @@ def _certificate(branch: np.ndarray, p: np.ndarray, q: np.ndarray,
     A W_s(z) (p_z > 0) or a p-average of W_s with weight on the kernel of
     W_q(z) or rho makes grad_s infinite, and the bound falls back to 0.
     Upper: max_p chi(p, W_q) <= max_z D(W_q(z) || rho) <= log2 min(d, |Z|).
-    Eigenvalues at or below 1e-12 count as 0, as in ``_entropies``.
+    Eigenvalues at or below 1e-12 count as 0 (``_log_on_support``).
     """
     out = np.einsum("s,szij->zij", q, branch)
     avg = np.einsum("z,zij->ij", p, out)
@@ -335,7 +333,8 @@ def cq_random_capacity(
     p_star = np.array(best_p)
 
     # stage 2: local refinement of the outer point; after a taken move the
-    # ascent meets points it has scored before, so inner minima are kept
+    # ascent meets points it has scored before (bit for bit when the step is
+    # dyadic, as 1/64 is), so inner minima are kept
     known = {}
 
     def inner(ps):

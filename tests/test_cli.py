@@ -158,7 +158,7 @@ class TestCapacity:
         assert code == 0
         doc = json.loads(captured.out)
         assert doc["kind"] == "capacity_result"
-        assert doc["value"] <= 1e-6 + doc["certified_gap"]
+        assert doc["value"] <= 1e-6
         assert doc["grid_step"] == pytest.approx(1.0 / 16.0)
         assert doc["manifest"]["config"]["grid_steps"] == 16
 
