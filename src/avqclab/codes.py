@@ -23,18 +23,15 @@ from .avqc import Avqc
 from .config import ENUM_BUDGET, EXHAUSTIVE_BUDGET, PAIR_ENUM_BUDGET, TOL_PROB
 from .correlation import BipartiteSource
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .measures import entanglement_fidelity
 from .quantum import (
     DensityMatrix,
     Povm,
     PureState,
     QuantumChannel,
+    _hermitian_basis,
     apply_channel_to_slot_batch,
-    compose_channels,
     hermitize,
-    maximally_mixed,
     min_eigenvalue,
-    tensor_channel,
 )
 from .util import content_key
 
@@ -131,10 +128,20 @@ def _check_observation_space(source: BipartiteSource, n: int, what: str) -> None
         raise BudgetExceeded(f"{what}: receiver observation space too large")
 
 
-def _check_sequence_keys(mapping: Mapping, alphabet, n: int, what: str) -> None:
-    expect = set(itertools.product(alphabet, repeat=n))
-    if set(mapping) != expect:
-        raise ValidationError(f"{what}: keys must be exactly the length-{n} sequences")
+def _set_observation_maps(code, what: str) -> None:
+    """Check a correlated code's l, r and observation keys; store copies of its maps."""
+    if code.l < 1 or code.r < 1:
+        raise ValidationError(f"{what}: l and r must be >= 1")
+    n = code.l // code.r
+    if n < 1:
+        raise ValidationError(f"{what}: block too short for one sample")
+    _check_observation_space(code.source, n, what)
+    sides = (("encoders", code.source.x_alphabet), ("decoders", code.source.y_alphabet))
+    for side, alphabet in sides:
+        mapping = dict(getattr(code, side))
+        if set(mapping) != set(itertools.product(alphabet, repeat=n)):
+            raise ValidationError(f"{what} {side}: keys must be exactly the length-{n} sequences")
+        object.__setattr__(code, side, mapping)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,26 +160,15 @@ class CorrelatedCode:
     decoders: Mapping
 
     def __post_init__(self):
-        if self.l < 1 or self.r < 1:
-            raise ValidationError("CorrelatedCode: l and r must be >= 1")
-        n = self.l // self.r
-        if n < 1:
-            raise ValidationError("CorrelatedCode: block too short for one sample")
-        _check_observation_space(self.source, n, "CorrelatedCode")
-        encoders = dict(self.encoders)
-        decoders = dict(self.decoders)
-        _check_sequence_keys(encoders, self.source.x_alphabet, n, "CorrelatedCode encoders")
-        _check_sequence_keys(decoders, self.source.y_alphabet, n, "CorrelatedCode decoders")
-        counts = {len(enc) for enc in encoders.values()}
-        counts |= {povm.outcome_count for povm in decoders.values()}
+        _set_observation_maps(self, "CorrelatedCode")
+        counts = {len(enc) for enc in self.encoders.values()}
+        counts |= {povm.outcome_count for povm in self.decoders.values()}
         if len(counts) != 1:
             raise ValidationError("CorrelatedCode: message counts disagree")
-        in_dims = {rho.dim for enc in encoders.values() for rho in enc}
-        out_dims = {povm.dim for povm in decoders.values()}
+        in_dims = {rho.dim for enc in self.encoders.values() for rho in enc}
+        out_dims = {povm.dim for povm in self.decoders.values()}
         if len(in_dims) != 1 or len(out_dims) != 1:
             raise DimensionMismatch("CorrelatedCode: mixed dimensions")
-        object.__setattr__(self, "encoders", encoders)
-        object.__setattr__(self, "decoders", decoders)
 
     @property
     def n(self) -> int:
@@ -203,32 +199,17 @@ class CorrelatedEntanglementCode:
     decoders: Mapping
 
     def __post_init__(self):
-        if self.l < 1 or self.r < 1:
-            raise ValidationError("CorrelatedEntanglementCode: l and r must be >= 1")
-        n = self.l // self.r
-        if n < 1:
-            raise ValidationError("CorrelatedEntanglementCode: block too short")
-        _check_observation_space(self.source, n, "CorrelatedEntanglementCode")
-        encoders = dict(self.encoders)
-        decoders = dict(self.decoders)
-        _check_sequence_keys(
-            encoders, self.source.x_alphabet, n, "CorrelatedEntanglementCode encoders"
-        )
-        _check_sequence_keys(
-            decoders, self.source.y_alphabet, n, "CorrelatedEntanglementCode decoders"
-        )
-        for enc in encoders.values():
+        _set_observation_maps(self, "CorrelatedEntanglementCode")
+        for enc in self.encoders.values():
             if enc.dim_in != self.code_dim:
                 raise DimensionMismatch(
                     "CorrelatedEntanglementCode: encoder input must be the code space"
                 )
-        for dec in decoders.values():
+        for dec in self.decoders.values():
             if dec.dim_out != self.code_dim:
                 raise DimensionMismatch(
                     "CorrelatedEntanglementCode: decoder output must be the code space"
                 )
-        object.__setattr__(self, "encoders", encoders)
-        object.__setattr__(self, "decoders", decoders)
 
     @property
     def n(self) -> int:
@@ -257,7 +238,7 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Worst-case averaged entanglement fidelity over searched sequences."""
+    """Worst-case source-averaged entanglement fidelity, ties settled as in ``ErrorReport``."""
 
     worst_fidelity: float
     worst_state_seq: tuple
@@ -401,57 +382,48 @@ def _det_term(code: DeterministicCode) -> tuple:
     return [rho.matrix for rho in code.encoder], list(code.decoder.elements)
 
 
-def _group_source_mass(code):
+class _CorrelatedEvaluator:
     """Source mass of each distinct (encoder, decoder) pair of a correlated code.
 
-    Encoders and decoders are told apart by ``content_key``, so equal
-    objects read back from separate JSON entries fall into one pair.
-    Returns ``(encs, decs, pair_weight)``: the encoders and decoders that
-    carry mass by key, and the summed p^n(x, y) of each key pair.
+    Encoders and decoders, of message or entanglement codes, are told apart
+    by ``content_key``, so equal objects read back from separate JSON entries
+    fall into one pair. ``encs`` and ``decs`` hold those that carry mass, by
+    key, and ``pair_weight`` the summed p^n(x, y) of each key pair.
     """
-    x_seqs = code.source.x_sequences(code.n)
-    y_seqs = code.source.y_sequences(code.n)
-    table = code.source.joint_power(code.n, budget=PAIR_ENUM_BUDGET)
-    dec_keys = [content_key(code.decoders[y]) for y in y_seqs]
-    encs: dict = {}
-    decs: dict = {}
-    weight: dict = {}
-    for xi, x in enumerate(x_seqs):
-        enc = code.encoders[x]
-        enc_key = content_key(enc)
-        for yi, y in enumerate(y_seqs):
-            mass = table[xi, yi]
-            if mass == 0.0:
-                continue
-            encs.setdefault(enc_key, enc)
-            decs.setdefault(dec_keys[yi], code.decoders[y])
-            key = (enc_key, dec_keys[yi])
-            weight[key] = weight.get(key, 0.0) + float(mass)
-    return encs, decs, weight
 
+    def __init__(self, code):
+        x_seqs = code.source.x_sequences(code.n)
+        y_seqs = code.source.y_sequences(code.n)
+        table = code.source.joint_power(code.n, budget=PAIR_ENUM_BUDGET)
+        dec_keys = [content_key(code.decoders[y]) for y in y_seqs]
+        encs, decs, weight = {}, {}, {}
+        for xi, x in enumerate(x_seqs):
+            enc = code.encoders[x]
+            enc_key = content_key(enc)
+            for yi, y in enumerate(y_seqs):
+                mass = table[xi, yi]
+                if mass == 0.0:
+                    continue
+                encs.setdefault(enc_key, enc)
+                decs.setdefault(dec_keys[yi], code.decoders[y])
+                key = (enc_key, dec_keys[yi])
+                weight[key] = weight.get(key, 0.0) + float(mass)
+        self.encs, self.decs, self.pair_weight = encs, decs, weight
 
-class _CorrelatedEvaluator:
-    """Groups the source mass by distinct (encoder, decoder) pairs."""
-
-    def __init__(self, code: CorrelatedCode):
-        self.code = code
-        self.encs, self.decs, self.pair_weight = _group_source_mass(code)
-
-    def terms(self) -> list:
-        """``(states, elements)`` terms whose traces sum to the per-message success.
+    def terms(self, states, elements) -> list:
+        """``(states(enc), mixed elements(dec))`` terms whose traces sum to the score.
 
         Traces are linear in the decoder, so each distinct encoder is scored
         once, against the source-weighted sum of the decoders it meets.
         """
+        ops_of = {key: elements(dec) for key, dec in self.decs.items()}
         mixed: dict = {}
         for (enc_key, dec_key), weight in self.pair_weight.items():
-            part = [weight * op for op in self.decs[dec_key].elements]
+            part = [weight * op for op in ops_of[dec_key]]
             if enc_key in mixed:
                 part = [a + b for a, b in zip(mixed[enc_key], part)]
             mixed[enc_key] = part
-        return [
-            ([rho.matrix for rho in self.encs[key]], ops) for key, ops in mixed.items()
-        ]
+        return [(states(self.encs[key]), ops) for key, ops in mixed.items()]
 
 
 def _scoring_terms(code) -> list:
@@ -465,7 +437,10 @@ def _scoring_terms(code) -> list:
             if w != 0.0
         ]
     if isinstance(code, CorrelatedCode):
-        return [(1.0, *term) for term in _CorrelatedEvaluator(code).terms()]
+        terms = _CorrelatedEvaluator(code).terms(
+            lambda enc: [rho.matrix for rho in enc], lambda dec: dec.elements
+        )
+        return [(1.0, *term) for term in terms]
     raise ValidationError(f"evaluate_code: unsupported code type {type(code).__name__}")
 
 
@@ -545,6 +520,23 @@ def _greedy_search(states, l: int, score_cache: dict, vector_fn):
                         improved = True
 
 
+def _check_enumerable(count: int, budget: float, what: str) -> None:
+    """Reject more state sequences than ``budget``, or than ENUM_BUDGET, before any is scored."""
+    if count > budget:
+        raise BudgetExceeded(f"{what}: {count} sequences exceed budget {budget}")
+    if count > ENUM_BUDGET:
+        raise BudgetExceeded(f"{what}: {count} sequences exceed the enumeration budget")
+
+
+def _first_worst(scores, d_out: int) -> int:
+    """Index of the first score, in search order, within 4 * d_out * eps of the smallest."""
+    # a score is an inner product over d_out**2 entries of unit scale, whose
+    # rounding noise grows like d_out * eps: exact ties of random
+    # constant-channel codes spread up to 13 eps at d_out = 32
+    tie = min(scores) + 4.0 * d_out * np.finfo(float).eps
+    return next(n for n, score in enumerate(scores) if score <= tie)
+
+
 def evaluate_code(
     avqc: Avqc,
     code,
@@ -566,11 +558,9 @@ def evaluate_code(
         raise ValidationError(f"evaluate_code: unknown mode {mode!r}")
     if mode == "auto":
         mode = "exhaustive" if count <= budget else "greedy"
-    if mode == "exhaustive" and count > ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"evaluate_code: {count} sequences exceed the enumeration budget"
-        )
     if mode == "exhaustive":
+        # the budget picks the mode; it does not cap an exhaustive request
+        _check_enumerable(count, math.inf, "evaluate_code")
         seqs = itertools.product(avqc.states, repeat=l)
         scores = zip(seqs, _exhaustive_table(avqc, l, code))
     else:
@@ -584,11 +574,7 @@ def evaluate_code(
         seqs.append(seq)
         avgs.append(float(vec.mean()))
         worst_maxerr = max(worst_maxerr, 1.0 - float(vec.min()))
-    # a success is an inner product over d_out**2 entries of unit scale, whose
-    # rounding noise grows like d_out * eps: exact ties of random
-    # constant-channel codes spread up to 13 eps at d_out = 32
-    tie = min(avgs) + 4.0 * d_out * np.finfo(float).eps
-    at = next(n for n, avg in enumerate(avgs) if avg <= tie)
+    at = _first_worst(avgs, d_out)
     return ErrorReport(avgs[at], worst_maxerr, seqs[at], mode)
 
 
@@ -599,33 +585,42 @@ def evaluate_entanglement_code(
 ) -> FidelityReport:
     """Worst-case source-averaged entanglement fidelity, exhaustively.
 
-    For each state sequence the score is the source-weighted fidelity of the
-    maximally mixed code-space state through decoder ∘ channel ∘ encoder.
+    The score of a sequence N is the source-weighted fidelity of I/d through
+    D∘N∘E. With G_1 … G_{d²} an orthonormal Hermitian basis of the code space,
+    F_e(I/d, D∘N∘E) = (1/d²) Σ_j tr[D†(G_j) · N(E(G_j))] = (1/d²) Σ_k |tr K_k|²,
+    the trace of the composite map with Kraus operators K_k. So
+    ``_success_table`` scores it as a code with d² messages, the Hermitian
+    states E(G_j) and elements D†(G_j), the basis taken in chunks whose
+    images fit in ``_STACK_BYTES``.
     """
-    count = len(avqc.states) ** code.l
-    if count > budget:
-        raise BudgetExceeded(
-            f"evaluate_entanglement_code: {count} sequences exceed budget {budget}"
-        )
+    _check_enumerable(len(avqc.states) ** code.l, budget, "evaluate_entanglement_code")
+    d_in, d_out = avqc.dim_in**code.l, avqc.dim_out**code.l
     for enc in code.encoders.values():
-        if enc.dim_out != avqc.dim_in**code.l:
-            raise DimensionMismatch("encoder output does not match the channel block")
+        _check_code_dims(avqc, code.l, enc.dim_out, d_out)
     for dec in code.decoders.values():
-        if dec.dim_in != avqc.dim_out**code.l:
-            raise DimensionMismatch("decoder input does not match the channel block")
-    encs, decs, pair_weight = _group_source_mass(code)
-    mixed = maximally_mixed(code.code_dim)
-
-    worst_seq, worst_fid = None, np.inf
-    for seq in itertools.product(avqc.states, repeat=code.l):
-        block = tensor_channel([avqc.channels[s] for s in seq])
-        fid = 0.0
-        for (enc_key, dec_key), mass in pair_weight.items():
-            channel = compose_channels(decs[dec_key], block, encs[enc_key])
-            fid += mass * entanglement_fidelity(mixed, channel)
-        if fid < worst_fid - 1e-15:
-            worst_fid, worst_seq = fid, seq
-    return FidelityReport(float(worst_fid), worst_seq, "exhaustive")
+        _check_code_dims(avqc, code.l, d_in, dec.dim_in)
+    evaluator = _CorrelatedEvaluator(code)
+    # bytes per basis element: E(G_j), mixed D†(G_j) per encoder plus one such pair
+    # of temporaries, and D†(G_j) per decoder
+    per_element = 16 * (
+        (len(evaluator.encs) + 1) * (d_in**2 + d_out**2) + len(evaluator.decs) * d_out**2
+    )
+    chunk = max(1, _STACK_BYTES // per_element)
+    basis = _hermitian_basis(code.code_dim)
+    fidelity = 0.0
+    while block := list(itertools.islice(basis, chunk)):
+        block = np.stack(block)
+        terms = evaluator.terms(
+            lambda enc: sum(op @ block @ op.conj().T for op in enc.stacked),
+            lambda dec: sum(op.conj().T @ block @ op for op in dec.stacked),
+        )
+        for states, elements in terms:
+            fidelity = fidelity + _success_table(avqc, code.l, states, elements).sum(axis=1)
+        del terms, states, elements  # this chunk's images, before the next is built
+    scores = (fidelity / code.code_dim**2).tolist()
+    at = _first_worst(scores, d_out)
+    seq = next(itertools.islice(itertools.product(avqc.states, repeat=code.l), at, None))
+    return FidelityReport(scores[at], seq, "exhaustive")
 
 
 def permutation_symmetrize(
@@ -706,11 +701,7 @@ def random_code_reduction(
         raise ValidationError("random_code_reduction: sample_count must be >= 1")
     l_, d_in, d_out = _code_shape(code)
     _check_code_dims(avqc, l_, d_in, d_out)
-    count = len(avqc.states) ** l
-    if count > budget:
-        raise BudgetExceeded(
-            f"random_code_reduction: {count} sequences exceed budget {budget}"
-        )
+    _check_enumerable(len(avqc.states) ** l, budget, "random_code_reduction")
     # success[j, seq_index, i] for each support code j
     success = np.stack(
         [_success_table(avqc, l, *_det_term(det)) for det in code.support]

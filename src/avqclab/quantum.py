@@ -96,6 +96,23 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(mat))[0])
 
 
+def _hermitian_basis(dim: int):
+    """Yield an orthonormal basis, tr(G_i G_j) = δ_ij, of the dim×dim Hermitian matrices.
+
+    I/sqrt(dim) first, then the symmetric and the antisymmetric element of
+    each entry pair a < b, then the generalized diagonal Gell-Mann matrices.
+    """
+    yield np.eye(dim, dtype=complex) / np.sqrt(float(dim))
+    for a, b in itertools.combinations(range(dim), 2):
+        for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):
+            op = np.zeros((dim, dim), dtype=complex)
+            op[a, b], op[b, a] = upper / np.sqrt(2.0), lower / np.sqrt(2.0)
+            yield op
+    for a in range(1, dim):
+        diag = np.concatenate([np.ones(a), [-float(a)], np.zeros(dim - a - 1)])
+        yield np.diag(diag).astype(complex) / np.sqrt(float(a * (a + 1)))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A state: Hermitian, unit trace, eigenvalues >= -TOL_PSD."""

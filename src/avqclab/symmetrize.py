@@ -39,7 +39,7 @@ from scipy.optimize import linprog
 from .avqc import Avqc, AvCqc, ClassicalAvc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
-from .quantum import DensityMatrix, PureState, apply_product_to_matrix
+from .quantum import DensityMatrix, PureState, _hermitian_basis, apply_product_to_matrix
 
 __all__ = [
     "SymmetrizingFamily",
@@ -434,21 +434,7 @@ def hermitian_probe_frame(dim: int) -> list:
     """
     if dim < 2:
         raise ValidationError("hermitian_probe_frame: dim must be >= 2")
-    basis = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[a, b] = sym[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(sym)
-            skew = np.zeros((dim, dim), dtype=complex)
-            skew[a, b] = -1.0j / np.sqrt(2.0)
-            skew[b, a] = 1.0j / np.sqrt(2.0)
-            basis.append(skew)
-    for a in range(1, dim):
-        diag = np.zeros(dim)
-        diag[:a] = 1.0
-        diag[a] = -float(a)
-        basis.append(np.diag(diag).astype(complex) / np.sqrt(float(a * (a + 1))))
+    basis = list(_hermitian_basis(dim))[1:]
     center = np.eye(dim, dtype=complex) / dim
     scale = float(dim * (dim + 1))
     frame = [center + scale * op for op in basis]

@@ -9,6 +9,7 @@ from avqclab import (
     Avqc,
     BudgetExceeded,
     CorrelatedCode,
+    CorrelatedEntanglementCode,
     DensityMatrix,
     DeterministicCode,
     Povm,
@@ -17,7 +18,11 @@ from avqclab import (
     RandomCode,
     SchemaError,
     apply_channel_to_slot,
+    compose_channels,
+    entanglement_fidelity,
+    maximally_mixed,
     simplex_grid,
+    tensor_channel,
 )
 from avqclab.capacity import MinimaxResult, _certificate
 from avqclab.quantum import hermitize
@@ -116,6 +121,29 @@ def per_message_success(avqc: Avqc, code, seq) -> np.ndarray:
             if table[xi, yi] > 0.0:
                 total += table[xi, yi] * _traces(images, code.decoders[y])
     return total
+
+
+def entanglement_fidelity_oracle(
+    avqc: Avqc, code: CorrelatedEntanglementCode, seq
+) -> float:
+    """Oracle: source-averaged entanglement fidelity at one state sequence.
+
+    Builds the Kraus form of the block channel and of decoder ∘ block ∘
+    encoder for every observation pair (x, y) with positive source mass,
+    without grouping equal encoders, and sums p^n(x, y) F_e(I/d, ·).
+    """
+    block = tensor_channel([avqc.channels[s] for s in seq])
+    mixed = maximally_mixed(code.code_dim)
+    xs = code.source.x_sequences(code.n)
+    ys = code.source.y_sequences(code.n)
+    table = code.source.joint_power(code.n)
+    fid = 0.0
+    for xi, x in enumerate(xs):
+        for yi, y in enumerate(ys):
+            if table[xi, yi] > 0.0:
+                channel = compose_channels(code.decoders[y], block, code.encoders[x])
+                fid += table[xi, yi] * entanglement_fidelity(mixed, channel)
+    return fid
 
 
 def _hvec_reference(mat: np.ndarray) -> np.ndarray:

@@ -357,6 +357,17 @@ class TestRandomCodeReduction:
         with pytest.raises(ValidationError):
             random_code_reduction(code, avqc, 1, 4, 1.5, seed=0)
 
+    def test_enumeration_budget_holds_for_any_budget(self):
+        # 17 members over 4 uses: 83,521 sequences, over ENUM_BUDGET however
+        # large the caller's budget
+        labels = tuple(range(17))
+        avqc = Avqc(labels, {s: identity_channel(2) for s in labels})
+        code = RandomCode((computational_code(4),), np.array([1.0]))
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="enumeration budget"):
+            random_code_reduction(code, avqc, 4, 4, 0.1, seed=0, budget=10**9)
+        assert time.perf_counter() - t0 < 0.05
+
 
 class TestTwoPhaseSchedule:
     def test_reference_split(self):
@@ -539,6 +550,20 @@ class TestComposeTwoPhaseEntanglement:
         avqc = Avqc((0, 1), {0: identity_channel(2), 1: bit_flip_channel(0.1)})
         with pytest.raises(BudgetExceeded):
             evaluate_entanglement_code(avqc, ent, budget=3)
+
+    def test_enumeration_budget_holds_for_any_budget(self):
+        # 2 members over 17 uses: 131,072 sequences, over ENUM_BUDGET however
+        # large the caller's budget; one source sample keeps the code cheap,
+        # and the guard runs before the block dimensions are checked
+        unit = identity_channel(2)
+        ent = CorrelatedEntanglementCode(
+            17, 17, CORRELATED_SRC, 2, {(0,): unit, (1,): unit}, {(0,): unit, (1,): unit}
+        )
+        avqc = Avqc((0, 1), {0: identity_channel(2), 1: bit_flip_channel(0.1)})
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            evaluate_entanglement_code(avqc, ent, budget=10**9)
+        assert time.perf_counter() - t0 < 0.05
 
 
 class TestCodeValidation:

@@ -29,6 +29,7 @@ from avqclab import (
 )
 from avqclab.quantum import (
     PAULI_Z,
+    _hermitian_basis,
     apply_channel_to_slot,
     apply_channel_to_slot_batch,
     constant_channel,
@@ -322,3 +323,12 @@ class TestComposeAndConstructors:
         prod = tensor_states([KET0, KET1, KET0])
         assert prod.dim == 8
         assert prod.matrix[2, 2] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_hermitian_basis_is_orthonormal(dim):
+    basis = np.stack(list(_hermitian_basis(dim)))
+    assert basis.shape == (dim * dim, dim, dim)
+    assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+    gram = np.einsum("iab,jba->ij", basis, basis)
+    assert np.max(np.abs(gram - np.eye(dim * dim))) <= 1e-15

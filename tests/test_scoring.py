@@ -12,6 +12,7 @@ from avqclab import (
     Avqc,
     BipartiteSource,
     CorrelatedCode,
+    CorrelatedEntanglementCode,
     DensityMatrix,
     DeterministicCode,
     Povm,
@@ -21,12 +22,14 @@ from avqclab import (
     constant_channel,
     dumps_document,
     evaluate_code,
+    evaluate_entanglement_code,
     from_document,
     loads_document,
     to_document,
 )
 
 from helpers import (
+    entanglement_fidelity_oracle,
     per_message_success,
     random_channel,
     random_density,
@@ -45,6 +48,8 @@ def copied(obj):
     """An equal object that shares no array with ``obj``."""
     if isinstance(obj, Povm):
         return Povm(tuple(np.array(op) for op in obj.elements))
+    if isinstance(obj, QuantumChannel):
+        return QuantumChannel(tuple(np.array(op) for op in obj.kraus))
     return tuple(DensityMatrix(np.array(rho.matrix)) for rho in obj)
 
 
@@ -196,3 +201,78 @@ def test_round_tripped_correlated_code_groups_like_the_original():
     assert evaluate_code(avqc, back, mode="greedy") == evaluate_code(
         avqc, composed, mode="greedy"
     )
+
+
+def random_entanglement_code(rng, l, dim_in, dim_out, code_dim):
+    """Two distinct encoders and decoders spread over the observations as copies.
+
+    The source always has a zero-mass pair, and sometimes two.
+    """
+    r = l if rng.random() < 0.5 else (l + 1) // 2
+    n = l // r
+    joint = random_prob_vector(rng, 4).reshape(2, 2)
+    joint[0, 1] = 0.0
+    if rng.random() < 0.5:
+        joint[1, 0] = 0.0
+    source = BipartiteSource((0, 1), (0, 1), joint / joint.sum())
+    encs = [random_channel(rng, code_dim, dim_out=dim_in**l) for _ in range(2)]
+    # a channel onto the code space needs code_dim * kraus_count >= its input dim
+    kraus_count = max(2, -(-(dim_out**l) // code_dim))
+    decs = [
+        random_channel(rng, dim_out**l, kraus_count, dim_out=code_dim) for _ in range(2)
+    ]
+    encoders = {x: copied(encs[x[0]]) for x in itertools.product((0, 1), repeat=n)}
+    decoders = {y: copied(decs[y[-1]]) for y in itertools.product((0, 1), repeat=n)}
+    return CorrelatedEntanglementCode(l, r, source, code_dim, encoders, decoders)
+
+
+def build_entanglement(seed, l, n_states, dim_in, dim_out, code_dim):
+    rng = rng_for(seed)
+    labels = tuple(f"s{i}" for i in range(n_states))
+    avqc = Avqc(labels, {s: random_channel(rng, dim_in, dim_out=dim_out) for s in labels})
+    return avqc, random_entanglement_code(rng, l, dim_in, dim_out, code_dim)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    l=st.integers(1, 3),
+    n_states=st.integers(1, 3),
+    dim_in=st.sampled_from([2, 3]),
+    dim_out=st.sampled_from([2, 3]),
+    code_dim=st.integers(1, 3),
+)
+def test_entanglement_scoring_matches_the_kraus_oracle(
+    seed, l, n_states, dim_in, dim_out, code_dim
+):
+    avqc, code = build_entanglement(seed, l, n_states, dim_in, dim_out, code_dim)
+    seqs = list(itertools.product(avqc.states, repeat=l))
+    expect = np.array([entanglement_fidelity_oracle(avqc, code, seq) for seq in seqs])
+    report = evaluate_entanglement_code(avqc, code)
+    assert report.worst_fidelity == pytest.approx(expect.min(), abs=1e-12)
+    tie = expect.min() + 4.0 * dim_out**l * np.finfo(float).eps
+    assert report.worst_state_seq == seqs[int(np.argmax(expect <= tie))]
+    assert report.method == "exhaustive"
+
+
+def test_entanglement_basis_chunks_match_one_batch(monkeypatch):
+    avqc, code = build_entanglement(7, 3, 2, 2, 3, 3)
+    whole = evaluate_entanglement_code(avqc, code)
+    # room for less than one basis element: the basis is scored one element
+    # at a time, and the split kernel walks every subtree node by node
+    monkeypatch.setattr(codes, "_STACK_BYTES", 16 * 27 * 27)
+    chunked = evaluate_entanglement_code(avqc, code)
+    assert chunked.worst_state_seq == whole.worst_state_seq
+    assert chunked.worst_fidelity == pytest.approx(whole.worst_fidelity, abs=1e-12)
+
+
+def test_entanglement_ties_report_the_first_sequence():
+    # identical channels under two labels: every sequence scores the same
+    rng = rng_for(14)
+    channel = random_channel(rng, 2)
+    avqc = Avqc(("a", "b"), {"a": channel, "b": copied(channel)})
+    code = random_entanglement_code(rng, 3, 2, 2, 2)
+    report = evaluate_entanglement_code(avqc, code)
+    assert report.worst_state_seq == ("a", "a", "a")
+    oracle = entanglement_fidelity_oracle(avqc, code, ("a", "a", "a"))
+    assert report.worst_fidelity == pytest.approx(oracle, abs=1e-12)
