@@ -64,6 +64,20 @@ def _expect_kind(doc, kinds, origin: str):
     return kind
 
 
+def _positive_int(doc: dict, field: str, origin: str) -> int:
+    value = doc[field]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError("expected a positive integer", path=f"{origin}.{field}")
+    return value
+
+
+def _real(doc: dict, field: str, origin: str) -> float:
+    value = doc[field]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError("expected a real number", path=f"{origin}.{field}")
+    return value
+
+
 def _render_text(doc: dict, indent: str = "") -> str:
     lines = []
     for key in sorted(doc):
@@ -261,28 +275,28 @@ def _cmd_reduce(args) -> dict:
     for field in ("avqc", "code", "l", "sample_count", "eps"):
         if field not in doc:
             raise SchemaError(f"missing field {field!r}", path=origin)
+    l = _positive_int(doc, "l", origin)
+    sample_count = _positive_int(doc, "sample_count", origin)
+    eps = _real(doc, "eps", origin)
     avqc = from_document(doc["avqc"], path=f"{origin}.avqc")
     code = from_document(doc["code"], path=f"{origin}.code")
     if not isinstance(code, RandomCode):
         raise SchemaError("'code' must be a random_code", path=f"{origin}.code")
     budget = args.budget if args.budget is not None else EXHAUSTIVE_BUDGET
     run.config.update(
-        {
-            "l": doc["l"],
-            "sample_count": doc["sample_count"],
-            "eps": doc["eps"],
-            "budget": budget,
-        }
+        {"l": l, "sample_count": sample_count, "eps": eps, "budget": budget}
     )
     sampled, verified = random_code_reduction(
-        code, avqc, doc["l"], doc["sample_count"], doc["eps"], args.seed, budget=budget
+        code, avqc, l, sample_count, eps, args.seed, budget=budget
     )
+    # draws repeat support codes: encode each once and list it per draw
+    encoded = {det: to_document(det) for det in dict.fromkeys(sampled)}
     return run.result(
         "reduction_result",
         {
             "verified": verified,
             "sample_count": len(sampled),
-            "codes": [to_document(det) for det in sampled],
+            "codes": [encoded[det] for det in sampled],
         },
     )
 
@@ -295,14 +309,15 @@ def _cmd_compose(args) -> dict:
     for field in ("cr_code", "payload", "target_l"):
         if field not in doc:
             raise SchemaError(f"missing field {field!r}", path=origin)
+    target_l = _positive_int(doc, "target_l", origin)
     cr_code = from_document(doc["cr_code"], path=f"{origin}.cr_code")
     payload = from_document(doc["payload"], path=f"{origin}.payload")
     if not isinstance(cr_code, CorrelatedCode):
         raise SchemaError("'cr_code' must be a correlated_code", path=f"{origin}.cr_code")
     if not isinstance(payload, RandomCode):
         raise SchemaError("'payload' must be a random_code", path=f"{origin}.payload")
-    run.config.update({"target_l": doc["target_l"]})
-    composed = compose_two_phase(cr_code, payload, doc["target_l"])
+    run.config.update({"target_l": target_l})
+    composed = compose_two_phase(cr_code, payload, target_l)
     result = to_document(composed)
     result["manifest"] = run.manifest()
     return result

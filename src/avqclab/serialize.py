@@ -11,14 +11,18 @@ letter labels are read as their ``str()``.
 
 :func:`dumps_document` returns exactly ``json.dumps(doc, sort_keys=True,
 indent=2, allow_nan=False) + "\\n"``, but renders each array of numbers, and
-each array of ``[re, im]`` number pairs, with one ``str.join``. Anything it
-does not render (non-``str`` keys, numpy scalars, non-finite floats, nesting
-deeper than ``_MAX_DEPTH``) sends the whole document to ``json.dumps``, so
-the bytes or the exception are the same. A matrix whose rows are lists of one
-width, holding only plain numbers or only plain number pairs, decodes in one
-``np.array`` call; any other input goes through the per-entry walk, which
-accepts or rejects it as before and names the offending path. Parsing,
-decoding and encoding run with the cyclic garbage collector paused.
+each array of ``[re, im]`` number pairs, with one ``str.join``, and renders a
+list or dict that the document holds again at the same depth only once.
+:func:`to_document` encodes an object it meets again to the same
+sub-document, so the repeats of a composed or sampled code cost one
+rendering each. Anything the writer does not render (non-``str`` keys, numpy
+scalars, non-finite floats, nesting deeper than ``_MAX_DEPTH``) sends the
+whole document to ``json.dumps``, so the bytes or the exception are the
+same. A matrix whose rows are lists of one width, holding only plain numbers
+or only plain number pairs, decodes in one ``np.array`` call; any other
+input goes through the per-entry walk, which accepts or rejects it as before
+and names the offending path. Parsing, decoding and encoding run with the
+cyclic garbage collector paused.
 """
 
 from __future__ import annotations
@@ -183,7 +187,30 @@ def _vector_from_json(entries: Any, path: str) -> np.ndarray:
 # ---------------------------------------------------------------- encoding
 
 
-def _encode(obj: Any) -> dict:
+def _once(obj: Any, memo: dict, make) -> Any:
+    """``make(obj)``, called once per object identity within one encoding.
+
+    The memo holds ``obj`` beside its document, so no object made while the
+    encoding runs can take over its id.
+    """
+    hit = memo.get(id(obj))
+    if hit is None:
+        hit = memo[id(obj)] = (obj, make(obj))
+    return hit[1]
+
+
+def _states(states, memo: dict) -> list:
+    """The matrices of a tuple of density matrices, shared by its repeats."""
+    return _once(
+        states, memo, lambda seq: [_complex_to_json(rho.matrix) for rho in seq]
+    )
+
+
+def _encode(obj: Any, memo: dict) -> dict:
+    return _once(obj, memo, lambda o: _build_document(o, memo))
+
+
+def _build_document(obj: Any, memo: dict) -> dict:
     if isinstance(obj, DensityMatrix):
         return {"kind": "density_matrix", "matrix": _complex_to_json(obj.matrix)}
     if isinstance(obj, PureState):
@@ -207,7 +234,7 @@ def _encode(obj: Any) -> dict:
         return {
             "kind": "avqc",
             "states": [str(s) for s in obj.states],
-            "channels": {str(s): _encode(obj.channels[s]) for s in obj.states},
+            "channels": {str(s): _encode(obj.channels[s], memo) for s in obj.states},
         }
     if isinstance(obj, AvCqc):
         return {
@@ -241,13 +268,13 @@ def _encode(obj: Any) -> dict:
         return {
             "kind": "deterministic_code",
             "l": obj.l,
-            "encoder": [_complex_to_json(rho.matrix) for rho in obj.encoder],
-            "decoder": _encode(obj.decoder),
+            "encoder": _states(obj.encoder, memo),
+            "decoder": _encode(obj.decoder, memo),
         }
     if isinstance(obj, RandomCode):
         return {
             "kind": "random_code",
-            "support": [_encode(det) for det in obj.support],
+            "support": [_encode(det, memo) for det in obj.support],
             "weights": _real_to_json(obj.weights),
         }
     if isinstance(obj, CorrelatedCode):
@@ -255,16 +282,13 @@ def _encode(obj: Any) -> dict:
             "kind": "correlated_code",
             "l": obj.l,
             "r": obj.r,
-            "source": _encode(obj.source),
+            "source": _encode(obj.source, memo),
             "encoders": [
-                {
-                    "x": list(x),
-                    "states": [_complex_to_json(rho.matrix) for rho in enc],
-                }
+                {"x": list(x), "states": _states(enc, memo)}
                 for x, enc in sorted(obj.encoders.items(), key=lambda kv: repr(kv[0]))
             ],
             "decoders": [
-                {"y": list(y), "povm": _encode(povm)}
+                {"y": list(y), "povm": _encode(povm, memo)}
                 for y, povm in sorted(obj.decoders.items(), key=lambda kv: repr(kv[0]))
             ],
         }
@@ -272,9 +296,15 @@ def _encode(obj: Any) -> dict:
 
 
 def to_document(obj: Any) -> dict:
-    """Encode a library object as a self-describing JSON document."""
+    """Encode a library object as a self-describing JSON document.
+
+    Within one call, an object met again by identity (a code, a POVM, an
+    encoder's tuple of states) encodes to the same sub-document object, so
+    the result may share sub-documents. Deep-copy a document before editing
+    one of its parts in place.
+    """
     with _collector_paused():
-        return _encode(obj)
+        return _encode(obj, {})
 
 
 # ---------------------------------------------------------------- decoding
@@ -556,8 +586,14 @@ def _pair_list(items: list, nl: str) -> str | None:
     return "[" + inner + (nl + "]," + nl + "[" + inner).join(pairs) + nl + "]"
 
 
-def _render(value: Any, level: int, out: list) -> None:
-    """Append the ``json.dumps(..., sort_keys=True, indent=2)`` text of value."""
+def _render(value: Any, level: int, out: list, spans: dict) -> None:
+    """Append the ``json.dumps(..., sort_keys=True, indent=2)`` text of value.
+
+    ``spans`` maps ``(id, level)`` of each list or dict already rendered to
+    the slice of ``out`` that holds its text, or to that text once a repeat
+    has joined it; a repeat appends the text instead of rendering again.
+    The document holds every container it renders, so no id is reused.
+    """
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -573,40 +609,45 @@ def _render(value: Any, level: int, out: list) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif kind is list or kind is tuple:
+    elif kind is list or kind is tuple or kind is dict:
         if not value:
-            out.append("[]")
+            out.append("{}" if kind is dict else "[]")
+            return
+        key = (id(value), level)
+        span = spans.get(key)
+        if span is not None:
+            if type(span) is tuple:
+                span = spans[key] = "".join(out[span[0] : span[1]])
+            out.append(span)
             return
         if level >= _MAX_DEPTH:
             raise _Unrendered
+        start = len(out)
         nl = "\n" + _INDENT * (level + 1)
         sep = "," + nl
-        body = _number_list(value, sep)
-        if body is None and kind is list:
-            body = _pair_list(value, nl)
-        if body is not None:
-            if "n" in body:  # nan, inf or -inf: no other number repr has an n
+        if kind is dict:
+            if set(map(type, value)) != {str}:
                 raise _Unrendered
-            out += ("[", nl, body, "\n", _INDENT * level, "]")
-            return
-        out.append("[")
-        for i, item in enumerate(value):
-            out.append(sep if i else nl)
-            _render(item, level + 1, out)
-        out += ("\n", _INDENT * level, "]")
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        if level >= _MAX_DEPTH or set(map(type, value)) != {str}:
-            raise _Unrendered
-        nl = "\n" + _INDENT * (level + 1)
-        sep = "," + nl
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            out += (sep if i else nl, encode_basestring_ascii(key), ": ")
-            _render(value[key], level + 1, out)
-        out += ("\n", _INDENT * level, "}")
+            out.append("{")
+            for i, name in enumerate(sorted(value)):
+                out += (sep if i else nl, encode_basestring_ascii(name), ": ")
+                _render(value[name], level + 1, out, spans)
+            out += ("\n", _INDENT * level, "}")
+        else:
+            body = _number_list(value, sep)
+            if body is None and kind is list:
+                body = _pair_list(value, nl)
+            if body is not None:
+                if "n" in body:  # nan, inf or -inf: no other number repr has an n
+                    raise _Unrendered
+                out += ("[", nl, body, "\n", _INDENT * level, "]")
+            else:
+                out.append("[")
+                for i, item in enumerate(value):
+                    out.append(sep if i else nl)
+                    _render(item, level + 1, out, spans)
+                out += ("\n", _INDENT * level, "]")
+        spans[key] = (start, len(out))
     else:
         raise _Unrendered
 
@@ -615,11 +656,13 @@ def dumps_document(doc: dict) -> str:
     """Serialize a document with sorted keys; floats round-trip bit-exactly.
 
     Returns exactly ``json.dumps(doc, sort_keys=True, indent=2,
-    allow_nan=False) + "\\n"``, and raises what that call raises.
+    allow_nan=False) + "\\n"``, and raises what that call raises. A list or
+    dict that the document holds more than once, at the same depth, is
+    rendered once.
     """
     out: list = []
     try:
-        _render(doc, 0, out)
+        _render(doc, 0, out, {})
     except (_Unrendered, ValueError, RecursionError):
         # ValueError: an int beyond the interpreter's str conversion limit
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -18,12 +18,14 @@ from avqclab import (
     basis_state,
     bit_flip_channel,
     computational_povm,
+    dumps_document,
     from_document,
     identity_channel,
     probes_to_document,
     to_document,
     write_document,
 )
+import avqclab.cli
 from avqclab.cli import run
 
 COMP_WORDS = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
@@ -260,8 +262,15 @@ class TestSimulate:
         assert "code" in captured.err
 
 
+def swapped_code_doc():
+    povm = computational_povm(2)
+    return to_document(
+        DeterministicCode(1, COMP_WORDS[::-1], Povm(povm.elements[::-1]))
+    )
+
+
 class TestReduce:
-    def envelope(self, tmp_path, sample_count=4):
+    def envelope(self, tmp_path, sample_count=4, **fields):
         return write(
             tmp_path,
             "problem.json",
@@ -276,8 +285,60 @@ class TestReduce:
                 "l": 1,
                 "sample_count": sample_count,
                 "eps": 0.1,
+                **fields,
             },
         )
+
+    def test_repeated_draws_share_one_document(self, tmp_path, capsys, monkeypatch):
+        # two support codes and six draws, so draws repeat
+        code_doc = {
+            "kind": "random_code",
+            "support": [comp_code_doc(), swapped_code_doc()],
+            "weights": [0.5, 0.5],
+        }
+        path = self.envelope(tmp_path, sample_count=6, code=code_doc)
+        written = []
+
+        def dumps(doc):
+            written.append(doc)
+            return dumps_document(doc)
+
+        monkeypatch.setattr(avqclab.cli, "dumps_document", dumps)
+        code, captured = run_json(capsys, ["reduce", "--input", path, "--seed", "3"])
+        assert code == 0
+        (result,) = written
+        codes = result["codes"]
+        assert len({id(c) for c in codes}) == 2
+        for a in codes:
+            for b in codes:
+                assert (a is b) == (a == b)
+        read_back = json.loads(captured.out)
+        assert read_back == result
+        text = json.dumps(read_back, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert captured.out == text
+        assert json.loads(dumps_document(result)) == result
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_count", 2.5),
+            ("sample_count", "3"),
+            ("sample_count", True),
+            ("sample_count", 0),
+            ("eps", "0.1"),
+            ("eps", None),
+            ("eps", True),
+            ("l", 1.0),
+            ("l", True),
+        ],
+    )
+    def test_malformed_field_is_a_schema_error(self, tmp_path, capsys, field, value):
+        path = self.envelope(tmp_path, **{field: value})
+        code, captured = run_json(capsys, ["reduce", "--input", path])
+        assert code == 2
+        assert captured.err.startswith("schema error:")
+        assert f"{path}:$.{field}" in captured.err
+        assert captured.out == ""
 
     def test_reduction(self, tmp_path, capsys):
         path = self.envelope(tmp_path)
@@ -312,7 +373,7 @@ class TestReduce:
 
 
 class TestCompose:
-    def envelope(self, tmp_path):
+    def envelope(self, tmp_path, target_l=2):
         src = BipartiteSource(
             (0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]])
         )
@@ -338,9 +399,18 @@ class TestCompose:
                 "kind": "composition_problem",
                 "cr_code": to_document(cr_code),
                 "payload": to_document(payload),
-                "target_l": 2,
+                "target_l": target_l,
             },
         )
+
+    @pytest.mark.parametrize("target_l", [2.0, "2", True, 0])
+    def test_malformed_target_l_is_a_schema_error(self, tmp_path, capsys, target_l):
+        path = self.envelope(tmp_path, target_l=target_l)
+        code, captured = run_json(capsys, ["compose", "--input", path])
+        assert code == 2
+        assert captured.err.startswith("schema error:")
+        assert f"{path}:$.target_l" in captured.err
+        assert captured.out == ""
 
     def test_composition_result_decodes(self, tmp_path, capsys):
         path = self.envelope(tmp_path)

@@ -28,6 +28,7 @@ from avqclab import (
     ValidationError,
     basis_state,
     bit_flip_channel,
+    compose_two_phase,
     computational_povm,
     dumps_document,
     from_document,
@@ -453,6 +454,84 @@ def _reference(doc) -> str:
 @given(doc=_documents(_LEAVES))
 def test_writer_matches_json_dumps_byte_for_byte(doc):
     assert dumps_document(doc) == _reference(doc)
+
+
+def _containers(leaves):
+    children = st.one_of(leaves, _NUMBER_LISTS, _PAIR_LISTS)
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(_TEXT, children, min_size=1, max_size=4),
+        _NUMBER_LISTS.filter(bool),
+        _PAIR_LISTS.filter(bool),
+    )
+
+
+@st.composite
+def _aliased_documents(draw):
+    """Documents that hold one inner and one outer container several times.
+
+    Both repeat at one depth and at others, the outer container may hold
+    the inner one, and either may hold a NaN or an infinity, which sends the
+    whole document to ``json.dumps``.
+    """
+    odd = st.sampled_from([math.nan, math.inf, -math.inf])
+    inner = draw(_containers(st.one_of(_LEAVES, odd)))
+    outer = draw(_containers(st.one_of(_LEAVES, odd, st.just(inner))))
+    tree = st.recursive(
+        st.one_of(_LEAVES, st.just(inner), st.just(outer)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.tuples(children, children),
+            st.dictionaries(_TEXT, children, max_size=4),
+        ),
+        max_leaves=12,
+    )
+    parts = draw(st.lists(tree, max_size=3))
+    parts += [outer, outer, {"again": [outer, (inner,)]}, inner]
+    return draw(st.permutations(parts))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=_aliased_documents())
+def test_writer_matches_json_dumps_on_shared_subdocuments(doc):
+    """A list or dict held several times renders as ``json.dumps`` renders it."""
+    try:
+        expected = _reference(doc)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            dumps_document(doc)
+        assert str(err.value) == str(exc)
+    else:
+        assert dumps_document(doc) == expected
+
+
+def test_composed_code_shares_the_documents_of_its_first_phase():
+    """Entries with one first-phase prefix hold the same states and POVM."""
+    words = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+    povm = computational_povm(2)
+    source = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
+    cr_code = CorrelatedCode(
+        1, 1, source, {(0,): words, (1,): words}, {(0,): povm, (1,): povm}
+    )
+    swapped = DeterministicCode(1, words[::-1], Povm(povm.elements[::-1]))
+    payload = RandomCode(
+        (DeterministicCode(1, words, povm), swapped), np.array([0.5, 0.5])
+    )
+    composed = compose_two_phase(cr_code, payload, 2)
+    doc = to_document(composed)
+    for side, label, field in (("encoders", "x", "states"), ("decoders", "y", "povm")):
+        by_prefix: dict = {}
+        for entry in doc[side]:
+            by_prefix.setdefault(entry[label][0], []).append(entry[field])
+        assert sorted(by_prefix) == [0, 1]
+        for parts in by_prefix.values():
+            assert len(parts) == 2 and parts[0] is parts[1]
+        assert by_prefix[0][0] is not by_prefix[1][0]
+    text = dumps_document(doc)
+    assert text == _reference(doc)
+    assert json.loads(text) == doc
+    assert dumps_document(to_document(from_document(json.loads(text)))) == text
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
