@@ -80,7 +80,6 @@ from .quantum import (
     PureState,
     QuantumChannel,
     apply_channel,
-    apply_channel_to_slot,
     apply_channel_to_slot_batch,
     apply_product_channel,
     basis_state,

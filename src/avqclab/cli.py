@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 
@@ -29,6 +30,7 @@ from .serialize import (
     dumps_document,
     from_document,
     loads_document,
+    positive_int,
     to_document,
 )
 from .symmetrize import check_symmetrizable, hermitian_probe_frame
@@ -62,13 +64,6 @@ def _expect_kind(doc, kinds, origin: str):
             path=f"{origin}:$.kind",
         )
     return kind
-
-
-def _positive_int(doc: dict, field: str, origin: str) -> int:
-    value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SchemaError("expected a positive integer", path=f"{origin}.{field}")
-    return value
 
 
 def _real(doc: dict, field: str, origin: str) -> float:
@@ -150,6 +145,8 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_symcheck(args) -> dict:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValidationError(f"symcheck: --tol must be finite and non-negative, not {args.tol}")
     run = _Run("symcheck", None)
     doc = run.load("input", args.input)
     _expect_kind(doc, {"avqc"}, args.input)
@@ -275,8 +272,8 @@ def _cmd_reduce(args) -> dict:
     for field in ("avqc", "code", "l", "sample_count", "eps"):
         if field not in doc:
             raise SchemaError(f"missing field {field!r}", path=origin)
-    l = _positive_int(doc, "l", origin)
-    sample_count = _positive_int(doc, "sample_count", origin)
+    l = positive_int(doc, "l", origin)
+    sample_count = positive_int(doc, "sample_count", origin)
     eps = _real(doc, "eps", origin)
     avqc = from_document(doc["avqc"], path=f"{origin}.avqc")
     code = from_document(doc["code"], path=f"{origin}.code")
@@ -309,7 +306,7 @@ def _cmd_compose(args) -> dict:
     for field in ("cr_code", "payload", "target_l"):
         if field not in doc:
             raise SchemaError(f"missing field {field!r}", path=origin)
-    target_l = _positive_int(doc, "target_l", origin)
+    target_l = positive_int(doc, "target_l", origin)
     cr_code = from_document(doc["cr_code"], path=f"{origin}.cr_code")
     payload = from_document(doc["payload"], path=f"{origin}.payload")
     if not isinstance(cr_code, CorrelatedCode):

@@ -30,6 +30,7 @@ from .quantum import (
     QuantumChannel,
     _hermitian_basis,
     apply_channel_to_slot_batch,
+    apply_product_to_matrix,
     hermitize,
     min_eigenvalue,
 )
@@ -461,12 +462,9 @@ def _per_message_fn(avqc: Avqc, code):
 
     def fn(seq):
         acc = 0.0
+        channels = [avqc.channels[s] for s in seq]
         for weight, states, elements in terms:
-            dims = [avqc.dim_in] * len(seq)
-            for slot, s in enumerate(seq):
-                ch = avqc.channels[s]
-                states = apply_channel_to_slot_batch(ch, states, slot, dims)
-                dims[slot] = avqc.dim_out
+            states = apply_product_to_matrix(channels, states)
             traces = np.einsum("ix,ix->i", states.reshape(len(elements), -1), elements)
             acc = acc + weight * traces.real
         return acc
@@ -590,8 +588,10 @@ def evaluate_entanglement_code(
     F_e(I/d, D∘N∘E) = (1/d²) Σ_j tr[D†(G_j) · N(E(G_j))] = (1/d²) Σ_k |tr K_k|²,
     the trace of the composite map with Kraus operators K_k. So
     ``_success_table`` scores it as a code with d² messages, the Hermitian
-    states E(G_j) and elements D†(G_j), the basis taken in chunks whose
-    images fit in ``_STACK_BYTES``.
+    states E(G_j) and elements D†(G_j), each chunk of the basis mapped by one
+    ``apply_channel_to_slot_batch`` call per encoder and per decoder (its
+    adjoint). The chunks are sized so that their images fit in
+    ``_STACK_BYTES``.
     """
     _check_enumerable(len(avqc.states) ** code.l, budget, "evaluate_entanglement_code")
     d_in, d_out = avqc.dim_in**code.l, avqc.dim_out**code.l
@@ -611,8 +611,10 @@ def evaluate_entanglement_code(
     while block := list(itertools.islice(basis, chunk)):
         block = np.stack(block)
         terms = evaluator.terms(
-            lambda enc: sum(op @ block @ op.conj().T for op in enc.stacked),
-            lambda dec: sum(op.conj().T @ block @ op for op in dec.stacked),
+            lambda enc: apply_channel_to_slot_batch(enc, block, 0, [code.code_dim]),
+            lambda dec: apply_channel_to_slot_batch(
+                dec, block, 0, [code.code_dim], adjoint=True
+            ),
         )
         for states, elements in terms:
             fidelity = fidelity + _success_table(avqc, code.l, states, elements).sum(axis=1)

@@ -5,6 +5,10 @@ type validates its defining properties at construction time and rejects bad
 input loudly; instances are immutable afterwards (backing arrays are marked
 read-only), and all operations are pure functions, so values can be shared
 freely between threads.
+
+Every channel application, whether to one state, slot by slot through a
+product channel, or as an adjoint, goes through one kernel,
+``apply_channel_to_slot_batch``, which acts by the channel's transfer matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "QuantumChannel",
     "Povm",
     "apply_channel",
-    "apply_channel_to_slot",
     "apply_channel_to_slot_batch",
     "apply_product_channel",
     "tensor_channel",
@@ -273,51 +276,13 @@ class Povm:
         return len(self.elements)
 
 
-def _apply_kraus(stacked: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    # sum_k K_k @ mat @ K_k†
-    return np.einsum("kij,jl,kml->im", stacked, mat, stacked.conj())
-
-
 def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Output state of ``ch`` on input ``rho``."""
     if rho.dim != ch.dim_in:
         raise DimensionMismatch(
             f"apply_channel: state dim {rho.dim} vs channel input dim {ch.dim_in}"
         )
-    return DensityMatrix(_apply_kraus(ch.stacked, rho.matrix))
-
-
-def apply_channel_to_slot(
-    ch: QuantumChannel, mat: np.ndarray, slot: int, dims: Sequence[int]
-) -> np.ndarray:
-    """Apply ``ch`` to one tensor factor of a raw matrix on ``⊗_i C^dims[i]``.
-
-    Returns the raw output matrix; the slot dimension changes to
-    ``ch.dim_out``. This avoids materializing product-channel Kraus families
-    whose operator count grows multiplicatively.
-
-    ``apply_channel_to_slot_batch`` computes the same map through the
-    transfer matrix, rounded differently in the last bits. This einsum form
-    stays as the kernel of the symmetrizability images: through the batch
-    kernel, 9 of the 11 ``symcheck`` benchmark outputs move (by at most
-    4e-13, with no verdict changed), because the LP solution follows the
-    last bits of its data. It is also the tests' reference for the batch
-    kernel.
-    """
-    dims = list(dims)
-    if mat.shape[0] != math.prod(dims):
-        raise DimensionMismatch("apply_channel_to_slot: dims do not match the matrix")
-    if dims[slot] != ch.dim_in:
-        raise DimensionMismatch(
-            f"apply_channel_to_slot: slot dim {dims[slot]} vs channel input {ch.dim_in}"
-        )
-    left = math.prod(dims[:slot])
-    right = math.prod(dims[slot + 1 :])
-    d_in, d_out = ch.dim_in, ch.dim_out
-    six = mat.reshape(left, d_in, right, left, d_in, right)
-    out = np.einsum("kxy,aybczd,kwz->axbcwd", ch.stacked, six, ch.stacked.conj())
-    new_total = left * d_out * right
-    return out.reshape(new_total, new_total)
+    return DensityMatrix(apply_channel_to_slot_batch(ch, rho.matrix[None], 0, [ch.dim_in])[0])
 
 
 def apply_channel_to_slot_batch(
@@ -338,6 +303,10 @@ def apply_channel_to_slot_batch(
     the map is X -> sum_k K_k† X K_k and the slot goes from ``ch.dim_out`` to
     ``ch.dim_in``. The result is written into ``out`` when given, an
     (M, N', N') complex array whose last two axes are C-contiguous.
+
+    This is the library's one channel kernel: ``apply_channel`` is the case
+    of a single slot and a single matrix, and ``apply_product_to_matrix``
+    loops it over the slots of a product channel.
     """
     dims = list(dims)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -387,18 +356,22 @@ def apply_product_channel(
     return DensityMatrix(apply_product_to_matrix(channels, rho.matrix))
 
 
-def apply_product_to_matrix(channels: Sequence[QuantumChannel], mat) -> np.ndarray:
+def apply_product_to_matrix(channels: Sequence[QuantumChannel], mats) -> np.ndarray:
     """Raw-matrix core of ``apply_product_channel``: one slot at a time.
 
-    ``mat`` may be any square matrix on the product input space (the
-    symmetrizability images feed it non-PSD Hermitian probes).
+    ``mats`` is one square matrix on the product input space or an (M, N, N)
+    stack of them, and the result has the same form. Any square matrix will
+    do (the symmetrizability images feed it non-PSD Hermitian probes).
     """
     dims = [ch.dim_in for ch in channels]
-    out = np.array(mat)
+    out = np.asarray(mats)
+    single = out.ndim == 2
+    if single:
+        out = out[None]
     for slot, ch in enumerate(channels):
-        out = apply_channel_to_slot(ch, out, slot, dims)
+        out = apply_channel_to_slot_batch(ch, out, slot, dims)
         dims[slot] = ch.dim_out
-    return out
+    return out[0] if single else out
 
 
 def tensor_channel(channels: Sequence[QuantumChannel]) -> QuantumChannel:

@@ -97,6 +97,14 @@ def _expect(doc: Any, key: str, path: str) -> Any:
     return doc[key]
 
 
+def positive_int(doc: Any, key: str, path: str) -> int:
+    """The field ``key`` of ``doc``, which must be an integer >= 1 and not a bool."""
+    value = _expect(doc, key, path)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError("expected a positive integer", path=f"{path}.{key}")
+    return value
+
+
 def _as_complex(entry: Any, path: str) -> complex:
     if isinstance(entry, (int, float)):
         return complex(float(entry), 0.0)
@@ -427,9 +435,7 @@ def _decode_source(doc: Any, path: str) -> BipartiteSource:
 
 
 def _decode_det_code(doc: Any, path: str) -> DeterministicCode:
-    l = _expect(doc, "l", path)
-    if not isinstance(l, int) or l < 1:
-        raise SchemaError("expected a positive integer", path=f"{path}.l")
+    l = positive_int(doc, "l", path)
     encoder_doc = _expect(doc, "encoder", path)
     if not isinstance(encoder_doc, list) or not encoder_doc:
         raise SchemaError("expected a non-empty array", path=f"{path}.encoder")
@@ -460,11 +466,8 @@ def _sequence_key(labels: Any, path: str) -> tuple:
 
 
 def _decode_correlated_code(doc: Any, path: str) -> CorrelatedCode:
-    l = _expect(doc, "l", path)
-    r = _expect(doc, "r", path)
-    for key, value in (("l", l), ("r", r)):
-        if not isinstance(value, int) or value < 1:
-            raise SchemaError("expected a positive integer", path=f"{path}.{key}")
+    l = positive_int(doc, "l", path)
+    r = positive_int(doc, "r", path)
     source = _decode_source(_expect(doc, "source", path), f"{path}.source")
     encoders_doc = _expect(doc, "encoders", path)
     decoders_doc = _expect(doc, "decoders", path)

@@ -245,9 +245,12 @@ def _probe_matrix(probe, dim: int, what: str) -> np.ndarray:
 
 def _probe_images(avqc: Avqc, seqs, mats) -> np.ndarray:
     """images[i, s]: coordinates of probe i under the product channel of seqs[s]."""
-    factors = [[avqc.channels[s] for s in seq] for seq in seqs]
+    stack = np.stack(mats)
     return _hvec(
-        np.array([[apply_product_to_matrix(f, mat) for f in factors] for mat in mats])
+        np.stack(
+            [apply_product_to_matrix([avqc.channels[s] for s in seq], stack) for seq in seqs],
+            axis=1,
+        )
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from avqclab import (
@@ -17,7 +19,7 @@ from avqclab import (
     QuantumChannel,
     RandomCode,
     SchemaError,
-    apply_channel_to_slot,
+    apply_channel_to_slot_batch,
     compose_channels,
     entanglement_fidelity,
     maximally_mixed,
@@ -77,6 +79,24 @@ def random_prob_vector(rng: np.random.Generator, k: int) -> np.ndarray:
     return v / v.sum()
 
 
+def apply_channel_to_slot(ch: QuantumChannel, mat: np.ndarray, slot: int, dims) -> np.ndarray:
+    """Oracle: apply ``ch`` to one tensor factor of a matrix, Kraus by Kraus.
+
+    One einsum over the Kraus operators and the six-index view of ``mat`` on
+    ``⊗_i C^dims[i]``. It rounds differently from the library's kernel,
+    ``apply_channel_to_slot_batch``, which acts through the transfer matrix,
+    so the two agree to rounding, not bit for bit.
+    """
+    dims = list(dims)
+    assert mat.shape[0] == math.prod(dims) and dims[slot] == ch.dim_in
+    left = math.prod(dims[:slot])
+    right = math.prod(dims[slot + 1 :])
+    six = mat.reshape(left, ch.dim_in, right, left, ch.dim_in, right)
+    out = np.einsum("kxy,aybczd,kwz->axbcwd", ch.stacked, six, ch.stacked.conj())
+    new_total = left * ch.dim_out * right
+    return out.reshape(new_total, new_total)
+
+
 def _images(avqc: Avqc, seq, encoder) -> list:
     out = []
     for rho in encoder:
@@ -89,6 +109,16 @@ def _images(avqc: Avqc, seq, encoder) -> list:
     return out
 
 
+def _kernel_images(avqc: Avqc, seq, probes) -> np.ndarray:
+    """The probes' images under seq, all probes as one stack, slot by slot."""
+    stack = np.stack([np.asarray(getattr(p, "matrix", p)) for p in probes])
+    dims = [avqc.dim_in] * len(seq)
+    for slot, s in enumerate(seq):
+        stack = apply_channel_to_slot_batch(avqc.channels[s], stack, slot, dims)
+        dims[slot] = avqc.channels[s].dim_out
+    return stack
+
+
 def _traces(images, decoder: Povm) -> np.ndarray:
     return np.array(
         [float(np.einsum("ij,ji->", op, mat).real) for op, mat in zip(decoder.elements, images)]
@@ -98,7 +128,8 @@ def _traces(images, decoder: Povm) -> np.ndarray:
 def per_message_success(avqc: Avqc, code, seq) -> np.ndarray:
     """Oracle: per-message success at one state sequence, one slot at a time.
 
-    Each encoder state goes through ``apply_channel_to_slot`` slot by slot
+    Each encoder state goes through the einsum oracle
+    ``apply_channel_to_slot`` slot by slot, apart from the library's kernel,
     and is traced against its decoder element. Random codes average over
     their whole support; correlated codes sum over every observation pair
     (x, y) with its source mass, without grouping equal encoders.
@@ -155,16 +186,20 @@ def _hvec_reference(mat: np.ndarray) -> np.ndarray:
 def reference_pairwise_lp(avqc: Avqc, l: int, probes) -> dict:
     """Reference layout of the symmetrizability LP, built pair by pair.
 
-    Probe images come from ``apply_channel_to_slot`` slot by slot; each
-    probe pair (i, j) adds the rows [B, -1] and [-B, -1], where B holds
+    Probe images come from the library's kernel,
+    ``apply_channel_to_slot_batch``, one slot at a time with all probes in
+    one stack: the LP follows the last bits of its data, and the einsum
+    oracle pins the images only to rounding (``tests/test_quantum.py``).
+    Each probe pair (i, j) adds the rows [B, -1] and [-B, -1], where B holds
     images[i].T in the columns of probe j's distribution and -images[j].T
     in those of probe i. Returns the ``linprog`` arguments.
     """
     seqs = avqc.state_sequences(l)
+    per_seq = [_kernel_images(avqc, seq, probes) for seq in seqs]
     images = np.stack(
         [
-            np.stack([_hvec_reference(_images(avqc, seq, [p])[0]) for seq in seqs])
-            for p in probes
+            np.stack([_hvec_reference(per_seq[s][i]) for s in range(len(seqs))])
+            for i in range(len(probes))
         ]
     )
     k, n_states, dim = images.shape

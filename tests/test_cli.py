@@ -150,6 +150,16 @@ class TestSymcheck:
         assert code == 3
         assert "budget exceeded" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_outside_the_non_negative_reals(self, tmp_path, capsys, monkeypatch, tol):
+        path = write(tmp_path, "avqc.json", identity_avqc_doc())
+        called = []
+        monkeypatch.setattr(avqclab.cli, "check_symmetrizable", lambda *a, **k: called.append(1))
+        code, captured = run_json(capsys, ["symcheck", "--input", path, "--tol", tol])
+        assert code == 2
+        assert "--tol" in captured.err and captured.out == ""
+        assert called == []
+
 
 class TestCapacity:
     def test_swap_pair(self, tmp_path, capsys):

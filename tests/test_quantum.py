@@ -1,7 +1,11 @@
 """Core quantum objects: validation, channel application, measurement."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avqclab import (
     DensityMatrix,
@@ -30,12 +34,19 @@ from avqclab import (
 from avqclab.quantum import (
     PAULI_Z,
     _hermitian_basis,
-    apply_channel_to_slot,
     apply_channel_to_slot_batch,
+    apply_product_to_matrix,
     constant_channel,
 )
 
-from helpers import random_channel, random_density, random_povm, random_pure, rng_for
+from helpers import (
+    apply_channel_to_slot,
+    random_channel,
+    random_density,
+    random_povm,
+    random_pure,
+    rng_for,
+)
 
 
 KET0 = basis_state(2, 0).to_density()
@@ -255,18 +266,58 @@ class TestSlotApplication:
         slotwise = apply_product_channel(chs, rho)
         assert np.allclose(explicit.matrix, slotwise.matrix, atol=1e-10)
 
-    def test_batch_matches_single_slot_application(self):
-        rng = rng_for(11)
-        ch = random_channel(rng, 2, kraus_count=3, dim_out=3)
-        dims = [3, 2, 2]
-        stack = np.stack([random_density(rng, 12).matrix for _ in range(3)])
-        for slot in (1, 2):
-            out_dims = list(dims)
-            out_dims[slot] = 3
-            batch = apply_channel_to_slot_batch(ch, stack, slot, dims)
-            assert batch.shape == (3, 18, 18)
-            for mat, got in zip(stack, batch):
-                assert np.max(np.abs(got - apply_channel_to_slot(ch, mat, slot, dims))) < 1e-14
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        d_in=st.integers(1, 3),
+        d_out=st.integers(1, 3),
+        extra_kraus=st.integers(0, 2),
+        n_slots=st.integers(1, 3),
+        count=st.integers(1, 3),
+    )
+    def test_batch_matches_single_slot_application(
+        self, seed, d_in, d_out, extra_kraus, n_slots, count
+    ):
+        """The one kernel against the Kraus-by-Kraus einsum, and its adjoint by duality."""
+        rng = rng_for(seed)
+        kraus_count = -(-d_in // d_out) + extra_kraus  # enough for a full-rank sum of K†K
+        channels = [
+            random_channel(rng, d_in, kraus_count, dim_out=d_out) for _ in range(n_slots)
+        ]
+        size_in, size_out = d_in**n_slots, d_out**n_slots
+        mats = rng.normal(size=(count, size_in, size_in, 2)) @ [1.0, 1.0j] / size_in
+
+        # a stack through the product loop, element by element against the oracle
+        got = apply_product_to_matrix(channels, mats)
+        assert got.shape == (count, size_out, size_out)
+        for mat, image in zip(mats, got):
+            want, dims = mat, [d_in] * n_slots
+            for slot, ch in enumerate(channels):
+                want = apply_channel_to_slot(ch, want, slot, dims)
+                dims[slot] = d_out
+            assert np.max(np.abs(image - want)) < 1e-13
+        single = apply_product_to_matrix(channels, mats[-1])
+        assert single.shape == (size_out, size_out)
+        assert np.max(np.abs(single - want)) < 1e-13
+
+        rho = random_density(rng, d_in)
+        want = apply_channel_to_slot(channels[0], np.asarray(rho.matrix), 0, [d_in])
+        assert np.max(np.abs(apply_channel(channels[0], rho).matrix - want)) < 1e-13
+
+        # tr(B N(A)) = tr(N†(B) A) with N on one slot of a product space
+        slot = int(rng.integers(n_slots))
+        dims_in = [d_in] * n_slots
+        dims_out = list(dims_in)
+        dims_out[slot] = d_out
+        size_b = math.prod(dims_out)
+        ops = rng.normal(size=(count, size_b, size_b, 2)) @ [1.0, 1.0j]
+        image = apply_channel_to_slot_batch(channels[slot], mats, slot, dims_in)
+        pulled = apply_channel_to_slot_batch(
+            channels[slot], ops, slot, dims_out, adjoint=True
+        )
+        lhs = np.einsum("mij,mji->m", ops, image)
+        rhs = np.einsum("mij,mji->m", pulled, mats)
+        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_adjoint_is_the_trace_dual(self):
         rng = rng_for(12)

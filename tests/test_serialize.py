@@ -275,6 +275,26 @@ class TestSchemaErrors:
             from_document(doc)
         assert err.value.path == f"$.{table}[0].{field}"
 
+    @pytest.mark.parametrize("value", [True, False, 0, -1, 1.0, "1"])
+    @pytest.mark.parametrize("field", ["l", "r"])
+    def test_code_lengths_are_positive_integers(self, field, value):
+        words = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+        povm = computational_povm(2)
+        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        correlated = to_document(
+            CorrelatedCode(1, 1, src, {(0,): words, (1,): words}, {(0,): povm, (1,): povm})
+        )
+        correlated[field] = value
+        docs = {"$": correlated}
+        if field == "l":
+            random = to_document(RandomCode((DeterministicCode(1, words, povm),), [1.0]))
+            random["support"][0]["l"] = value
+            docs["$.support[0]"] = random
+        for at, doc in docs.items():
+            with pytest.raises(SchemaError) as err:
+                from_document(doc)
+            assert err.value.path == f"{at}.{field}"
+
     def test_semantic_errors_left_to_constructors(self):
         doc = {"kind": "density_matrix", "matrix": [[0.9, 0.0], [0.0, 0.9]]}
         with pytest.raises(ValidationError):
