@@ -21,7 +21,7 @@ from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import (
     DensityMatrix,
     Povm,
-    apply_channel,
+    apply_channel_to_slot_batch,
     apply_product_channel,
     tensor_channel,
 )
@@ -332,18 +332,17 @@ def reduce_to_classical_weighted(
             raise DimensionMismatch(
                 "reduce_to_classical_weighted: POVM dim must match channel output"
             )
+    # every signal of every weighted component in one stack, so each channel's
+    # transfer matrix is built once
+    live = [c for c in components if c[2] != 0.0]
+    stack = np.stack([sig.matrix for signals, _, _ in live for sig in signals])
     kernels = {}
     for s in avqc.states:
         ch = avqc.channels[s]
+        outs = apply_channel_to_slot_batch(ch, stack, 0, [ch.dim_in])
+        outs = outs.reshape(len(live), n_in, ch.dim_out, ch.dim_out)
         mat = np.zeros((n_in, n_out))
-        for (signals, povm, weight) in components:
-            if weight == 0.0:
-                continue
-            for i, sig in enumerate(signals):
-                out = apply_channel(ch, sig).matrix
-                for j, element in enumerate(povm.elements):
-                    mat[i, j] += weight * float(
-                        np.einsum("ij,ji->", element, out).real
-                    )
+        for (_, povm, weight), out in zip(live, outs):
+            mat += weight * np.einsum("jab,iba->ij", np.stack(povm.elements), out).real
         kernels[s] = mat
     return ClassicalAvc(avqc.states, kernels)

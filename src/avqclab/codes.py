@@ -588,10 +588,13 @@ def evaluate_entanglement_code(
     F_e(I/d, D∘N∘E) = (1/d²) Σ_j tr[D†(G_j) · N(E(G_j))] = (1/d²) Σ_k |tr K_k|²,
     the trace of the composite map with Kraus operators K_k. So
     ``_success_table`` scores it as a code with d² messages, the Hermitian
-    states E(G_j) and elements D†(G_j), each chunk of the basis mapped by one
-    ``apply_channel_to_slot_batch`` call per encoder and per decoder (its
-    adjoint). The chunks are sized so that their images fit in
-    ``_STACK_BYTES``.
+    states E(G_j) and elements D†(G_j), the basis taken in chunks whose
+    images fit in ``_STACK_BYTES``.
+
+    E(G_j) and D†(G_j) are Kraus sums, not ``apply_channel_to_slot_batch``
+    calls: a map between the code space and an n-dimensional block has a
+    transfer matrix of n²·d² entries but often only a few Kraus operators,
+    and through it L=6 ran 1.7 times slower.
     """
     _check_enumerable(len(avqc.states) ** code.l, budget, "evaluate_entanglement_code")
     d_in, d_out = avqc.dim_in**code.l, avqc.dim_out**code.l
@@ -611,10 +614,8 @@ def evaluate_entanglement_code(
     while block := list(itertools.islice(basis, chunk)):
         block = np.stack(block)
         terms = evaluator.terms(
-            lambda enc: apply_channel_to_slot_batch(enc, block, 0, [code.code_dim]),
-            lambda dec: apply_channel_to_slot_batch(
-                dec, block, 0, [code.code_dim], adjoint=True
-            ),
+            lambda enc: sum(op @ block @ op.conj().T for op in enc.stacked),
+            lambda dec: sum(op.conj().T @ block @ op for op in dec.stacked),
         )
         for states, elements in terms:
             fidelity = fidelity + _success_table(avqc, code.l, states, elements).sum(axis=1)

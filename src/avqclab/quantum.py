@@ -9,6 +9,8 @@ freely between threads.
 Every channel application, whether to one state, slot by slot through a
 product channel, or as an adjoint, goes through one kernel,
 ``apply_channel_to_slot_batch``, which acts by the channel's transfer matrix.
+The exception is ``codes.evaluate_entanglement_code``, whose images on the
+whole code space are Kraus sums.
 """
 
 from __future__ import annotations
@@ -277,7 +279,13 @@ class Povm:
 
 
 def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Output state of ``ch`` on input ``rho``."""
+    """Output state of ``ch`` on input ``rho``.
+
+    This is ``apply_channel_to_slot_batch`` on one slot, so it builds the
+    transfer matrix of ``ch``: its memory grows as dim_in² · dim_out² (268 MB
+    for a channel on 6 qubits). To map many states, stack them into one
+    ``apply_channel_to_slot_batch`` call, which builds it once.
+    """
     if rho.dim != ch.dim_in:
         raise DimensionMismatch(
             f"apply_channel: state dim {rho.dim} vs channel input dim {ch.dim_in}"
@@ -353,25 +361,22 @@ def apply_product_channel(
         raise DimensionMismatch(
             f"apply_product_channel: state dim {rho.dim} vs product input dim {size}"
         )
-    return DensityMatrix(apply_product_to_matrix(channels, rho.matrix))
+    return DensityMatrix(apply_product_to_matrix(channels, rho.matrix[None])[0])
 
 
-def apply_product_to_matrix(channels: Sequence[QuantumChannel], mats) -> np.ndarray:
+def apply_product_to_matrix(channels: Sequence[QuantumChannel], mats: np.ndarray) -> np.ndarray:
     """Raw-matrix core of ``apply_product_channel``: one slot at a time.
 
-    ``mats`` is one square matrix on the product input space or an (M, N, N)
-    stack of them, and the result has the same form. Any square matrix will
-    do (the symmetrizability images feed it non-PSD Hermitian probes).
+    ``mats`` is an (M, N, N) stack of square matrices on the product input
+    space. Any square matrix will do (the symmetrizability images feed it
+    non-PSD Hermitian probes).
     """
     dims = [ch.dim_in for ch in channels]
-    out = np.asarray(mats)
-    single = out.ndim == 2
-    if single:
-        out = out[None]
+    out = mats
     for slot, ch in enumerate(channels):
         out = apply_channel_to_slot_batch(ch, out, slot, dims)
         dims[slot] = ch.dim_out
-    return out[0] if single else out
+    return out
 
 
 def tensor_channel(channels: Sequence[QuantumChannel]) -> QuantumChannel:

@@ -25,7 +25,7 @@ from avqclab import (
     reduce_to_classical_weighted,
 )
 
-from helpers import random_density, rng_for
+from helpers import apply_channel_to_slot, random_channel, random_density, random_povm, rng_for
 
 KET0 = basis_state(2, 0).to_density()
 KET1 = basis_state(2, 1).to_density()
@@ -165,6 +165,27 @@ class TestClassicalReduction:
         )
         # averaging a kernel with its input-swapped copy makes rows equal
         assert np.allclose(mixed.kernels["b"], np.full((2, 2), 0.5), atol=1e-12)
+
+    def test_weighted_matches_per_signal_traces(self):
+        """Every kernel entry against tr(D_j^z N_t(rho_i^z)) through the einsum oracle."""
+        rng = rng_for(23)
+        fam = Avqc(
+            ("t", "u"),
+            {s: random_channel(rng, 2, kraus_count=3, dim_out=3) for s in ("t", "u")},
+        )
+        components = [
+            ([random_density(rng, 2) for _ in range(4)], random_povm(rng, 3, 2), w)
+            for w in (0.25, 0.0, 0.75)
+        ]
+        mixed = reduce_to_classical_weighted(fam, components)
+        for s in fam.states:
+            want = np.zeros((4, 2))
+            for signals, povm, weight in components:
+                for i, sig in enumerate(signals):
+                    out = apply_channel_to_slot(fam.channels[s], sig.matrix, 0, [2])
+                    for j, element in enumerate(povm.elements):
+                        want[i, j] += weight * np.trace(element @ out).real
+            assert np.max(np.abs(mixed.kernels[s] - want)) < 1e-14
 
     def test_weight_validation(self):
         fam = two_family()

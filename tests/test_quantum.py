@@ -296,9 +296,6 @@ class TestSlotApplication:
                 want = apply_channel_to_slot(ch, want, slot, dims)
                 dims[slot] = d_out
             assert np.max(np.abs(image - want)) < 1e-13
-        single = apply_product_to_matrix(channels, mats[-1])
-        assert single.shape == (size_out, size_out)
-        assert np.max(np.abs(single - want)) < 1e-13
 
         rho = random_density(rng, d_in)
         want = apply_channel_to_slot(channels[0], np.asarray(rho.matrix), 0, [d_in])
@@ -318,6 +315,17 @@ class TestSlotApplication:
         lhs = np.einsum("mij,mji->m", ops, image)
         rhs = np.einsum("mij,mji->m", pulled, mats)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_batch_matches_single_slot_application_on_mixed_slot_dims(self):
+        rng = rng_for(11)
+        ch = random_channel(rng, 2, kraus_count=3, dim_out=3)
+        dims = [3, 2, 2]
+        stack = np.stack([random_density(rng, 12).matrix for _ in range(3)])
+        for slot in (1, 2):
+            batch = apply_channel_to_slot_batch(ch, stack, slot, dims)
+            assert batch.shape == (3, 18, 18)
+            for mat, got in zip(stack, batch):
+                assert np.max(np.abs(got - apply_channel_to_slot(ch, mat, slot, dims))) < 1e-14
 
     def test_adjoint_is_the_trace_dual(self):
         rng = rng_for(12)
