@@ -5,20 +5,22 @@ against the worst convex mixture of the family's branches,
 
     C = max_p  min_q  chi(p, sum_s q(s) W_s).
 
-The search is a pair of nested simplex grids followed by local coordinate
-refinement. chi(p, W_q) is concave in p and convex in q, so the reported
-point (p, q) certifies an interval around C: a Frank-Wolfe gap of the convex
-inner problem bounds min_q chi(p, .) from below, and, since
-max_p chi(p, W) <= max_z D(W(z) || sigma) for every state sigma, the
-relative entropies to the p-average of W_q bound max_p chi(., q) from above.
+chi(p, W_q) is concave in p and convex in q, so by Sion's theorem C is the
+minimum over the q simplex of the convex f(q) = max_p chi(p, W_q). The solver
+is Kelley's cutting-plane method on f. At each query q_j an accelerated cq
+Blahut-Arimoto run gives an input p_j and two certificates:
 
-Every search stage scores stacks of (p, q) points at once: one ``einsum``
-forms the mixtures and the p-averages, one batched ``eigvalsh`` gives every
-spectrum, and the conditional term is one ``vecdot``. Each stacked value
-equals the one-point evaluation bit for bit, and the scans over the stacked
-values keep the order and the 1e-15 tie rules of a one-point-at-a-time
-search, so the result does not depend on how the points are batched
-(``tests/helpers.scalar_capacity_search`` is that one-point search).
+- an upper bound: f(q_j) <= max_z D(W_{q_j}(z) || rho_j), with rho_j the
+  p_j-average of the outputs, since chi(p, W) <= max_z D(W(z) || sigma) for
+  every state sigma;
+- a cut: chi(p_j, .) extends to the nonnegative orthant as a convex,
+  positively homogeneous function of q, so chi(p_j, W_q) >= g_j . q for its
+  gradient g_j at q_j, and f(q) >= g_j . q.
+
+A small master LP minimizes max_j g_j . q over the simplex. Its dual weights
+lambda give the lower bound min_s (sum_j lambda_j g_j)_s on C, which by
+concavity in p is also a lower bound on min_q chi(sum_j lambda_j p_j, W_q);
+its minimizer is the next query.
 """
 
 from __future__ import annotations
@@ -28,37 +30,40 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .avqc import AvCqc
-from .errors import BudgetExceeded, ValidationError
+from .errors import ValidationError
 from .measures import holevo_chi
 from .quantum import hermitize
 
 __all__ = ["MinimaxResult", "simplex_grid", "chi_of_mixture", "cq_random_capacity"]
 
-# (p, q) pairs scored per call, to bound the stacks held at once; a grid
-# scan still takes at least one p row against the whole q grid per call.
-# Larger chunks ran no faster on the capacity benchmark and raised its peak
-# RSS by up to 2 MB.
-_CHUNK_PAIRS = 1024
+# The loop stops when the certified interval is this narrow, or after
+# _MAX_CUTS queries; each Blahut-Arimoto run stops at its own gap, at most
+# max(_BA_GAP, a quarter of the interval), or after _MAX_STEPS steps.
+_GAP = 1e-7
+_MAX_CUTS = 200
+_BA_GAP = 1e-9
+_MAX_STEPS = 10_000
+# Each query is moved this far towards the uniform q, so that the outputs
+# W_q(z) contain the support of every member's and the gradient is finite.
+_INTERIOR = 1e-9
 
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    """Grid-and-refine estimate of the max-min Holevo value, with a certificate.
+    """The max-min Holevo value with a certified interval around it.
 
-    ``value`` is chi(argmax_p, W_argmin_q). ``lower_bound`` is ``value``
-    less the Frank-Wolfe gap of the convex problem min_q chi(argmax_p, W_q),
-    so at most its minimum; ``upper_bound`` is at least
-    max_p chi(p, W_argmin_q), bounded through relative entropies. The
-    max-min value and ``value`` both lie between them, and
+    ``lower_bound`` is at most min_q chi(argmax_p, W_q), and ``upper_bound``
+    is at least max_p chi(p, W_argmin_q), so the max-min value and
+    ``value`` = chi(argmax_p, W_argmin_q) both lie between them;
     ``certified_gap`` is ``upper_bound - lower_bound``.
     """
 
     value: float
     argmax_p: np.ndarray
     argmin_q: np.ndarray
-    grid_step: float
     certified_gap: float
     lower_bound: float
     upper_bound: float
@@ -94,153 +99,6 @@ def _entropies(mats: np.ndarray) -> np.ndarray:
     return -(vals * _log_on_support(vals)).sum(axis=-1)
 
 
-class _ChiEvaluator:
-    """Stacked evaluation of chi(p, W_q) for one family.
-
-    The leading axes of the p and q stacks broadcast against each other, so
-    one call scores a p against a q grid, a block of p rows against it, or
-    a list of (p, q) pairs.
-    """
-
-    def __init__(self, avcqc: AvCqc):
-        self.branch = np.stack(
-            [
-                np.stack([avcqc.branches[s].outputs[z].matrix for z in avcqc.alphabet])
-                for s in avcqc.states
-            ]
-        )  # (n_states, n_letters, d, d)
-
-    def mixtures(self, qs: np.ndarray):
-        """Outputs W_q (..., n_letters, d, d) of q stacks and their entropies."""
-        out = np.einsum("...s,szij->...zij", qs, self.branch)
-        return out, _entropies(out)
-
-    def chi_parts(self, ps: np.ndarray, out: np.ndarray, ents: np.ndarray) -> np.ndarray:
-        """chi of p stacks (..., n_letters) against ``mixtures`` output.
-
-        ``vecdot`` reduces like the one-point ``p @ ents``; ``ents @ p`` and
-        ``(ents * ps).sum(-1)`` differ from it in the last bit on some rows.
-        """
-        avg = np.einsum("...z,...zij->...ij", ps, out)
-        return _entropies(avg) - np.vecdot(ents, ps)
-
-    def chi(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        return self.chi_parts(ps, *self.mixtures(qs))
-
-
-def _lower(new: float, old: float) -> bool:
-    return new < old - 1e-15
-
-
-def _higher(new: float, old: float) -> bool:
-    return new > old + 1e-15
-
-
-def _coordinate_steps(x, value, payload, step, iterations, better):
-    """Coordinate search over simplex transfers with step halving, as a generator.
-
-    A sweep visits the ordered pairs (i, j), i != j, in order and tries to
-    move ``step`` of mass from x[j] to x[i] where x[j] holds it; a move is
-    taken when ``better(new, current)``, and the rest of the sweep starts
-    from the new point. A sweep that takes no move halves the step.
-    The generator yields each stack of candidate points and is sent back
-    their values and payloads; it returns the final (x, value, payload).
-    All remaining moves of a sweep are yielded at once, and after a taken
-    move only the moves after it are yielded again, so the search takes
-    exactly the moves of a one-move-at-a-time loop.
-    """
-    pairs = [(i, j) for i in range(x.size) for j in range(x.size) if i != j]
-    for _ in range(iterations):
-        moved = False
-        rest = pairs
-        while rest:
-            todo = [(i, j) for i, j in rest if not x[j] < step - 1e-15]
-            if not todo:
-                break
-            rows = np.arange(len(todo))
-            cands = np.repeat(x[None, :], len(todo), axis=0)
-            cands[rows, [j for _, j in todo]] -= step
-            cands[rows, [i for i, _ in todo]] += step
-            values, payloads = yield cands
-            for n, cand_val in enumerate(values):
-                if better(cand_val, value):
-                    x, value, payload = cands[n], cand_val, payloads[n]
-                    moved = True
-                    rest = rest[rest.index(todo[n]) + 1 :]
-                    break
-            else:
-                break
-        if not moved:
-            step /= 2.0
-    return x, value, payload
-
-
-def _coordinate_search(score, x, value, payload, step, iterations, better):
-    """Run one ``_coordinate_steps`` search; ``score`` maps a stack to (values, payloads)."""
-    search = _coordinate_steps(x, value, payload, step, iterations, better)
-    try:
-        cands = next(search)
-        while True:
-            cands = search.send(score(cands))
-    except StopIteration as done:
-        return done.value
-
-
-def _grid_min(ev: _ChiEvaluator, ps: np.ndarray, grid) -> list:
-    """(min, argmin) over the q grid for each row of ``ps``.
-
-    The scan keeps the earliest grid point unless a later one is lower by
-    more than 1e-15.
-    """
-    _, out, ents = grid
-    rows = max(1, _CHUNK_PAIRS // len(ents))
-    found = []
-    for start in range(0, len(ps), rows):
-        table = ev.chi_parts(ps[start : start + rows, None, :], out, ents)
-        for row in table.tolist():
-            best, best_idx = np.inf, 0
-            for idx, val in enumerate(row):
-                if val < best - 1e-15:
-                    best, best_idx = val, idx
-            found.append((best, best_idx))
-    return found
-
-
-def _inner_min(ev: _ChiEvaluator, ps: np.ndarray, grid, step0: float,
-               iterations: int) -> list:
-    """(min, argmin) over q for each row of ``ps``: grid argmin, then coordinate descent.
-
-    The rows' descents run in lockstep: each step scores the pending moves
-    of every unfinished descent in one ``chi`` call.
-    """
-    q_starts = grid[0][[idx for _, idx in _grid_min(ev, ps, grid)]]
-    descents = [
-        _coordinate_steps(q, value, None, step0, iterations, _lower)
-        for q, value in zip(q_starts, ev.chi(ps, q_starts).tolist())
-    ]
-    found = [None] * len(ps)
-    pending = {}
-
-    def advance(row, sent):
-        try:
-            pending[row] = descents[row].send(sent)
-        except StopIteration as done:
-            found[row] = done.value
-
-    for row in range(len(ps)):
-        advance(row, None)
-    while pending:
-        rows, stacks = zip(*pending.items())
-        pending = {}
-        sizes = [len(cands) for cands in stacks]
-        values = ev.chi(np.repeat(ps[list(rows)], sizes, axis=0), np.concatenate(stacks))
-        at = 0
-        for row, size in zip(rows, sizes):
-            advance(row, (values[at : at + size].tolist(), [None] * size))
-            at += size
-    return [(value, q) for q, value, _ in found]
-
-
 def _off_support(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Whether ``weights`` exceed 1e-12 on an eigenvalue at or below 1e-12.
 
@@ -249,110 +107,131 @@ def _off_support(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return ((weights > 1e-12) & (vals <= 1e-12)).any(axis=-1)
 
 
-def _certificate(branch: np.ndarray, p: np.ndarray, q: np.ndarray,
-                 value: float) -> tuple[float, float]:
-    """(lower, upper) around the max-min of chi, from the point (p, q).
+def _divergences(out: np.ndarray, ents: np.ndarray, p: np.ndarray):
+    """(D(W(z) || rho) for every letter, whether all are finite); rho = sum_z p_z W(z)."""
+    vals, vecs = np.linalg.eigh(hermitize(np.einsum("z,zij->ij", p, out)))
+    weights = np.einsum("ia,zij,ja->za", vecs.conj(), out, vecs).real
+    return -ents - weights @ _log_on_support(vals), not _off_support(weights, vals).any()
 
-    Lower: chi(p, .) extends to the nonnegative orthant as a convex,
-    positively homogeneous function of q, so min_q chi(p, W_q) is at least
-    value - FW with the Frank-Wolfe gap FW = <grad, q> - min_s grad_s. With
-    rho = sum_z p_z W_q(z), the partial derivatives are
+
+def _blahut_arimoto(out: np.ndarray, ents: np.ndarray, p: np.ndarray, gap: float):
+    """Accelerated cq Blahut-Arimoto from ``p``: (p, divergences, finite).
+
+    The step p <- p * 2^(mu D) (Nagaoka 1998 at mu = 1) doubles mu while
+    chi = p . D rises and halves it, down to 1, when chi would fall (Matz &
+    Duhamel 2004). It stops once max_z D_z - chi <= ``gap``. The multiplicative
+    step keeps every letter of a positive p in use.
+    """
+    div, finite = _divergences(out, ents, p)
+    mu = 1.0
+    for _ in range(_MAX_STEPS):
+        if div.max() - p @ div <= gap:
+            break
+        cand = p * np.exp2(mu * (div - div.max()))
+        cand /= cand.sum()
+        cand_div, cand_finite = _divergences(out, ents, cand)
+        if cand @ cand_div >= p @ div or mu == 1.0:
+            p, div, finite = cand, cand_div, cand_finite
+            mu *= 2.0
+        else:
+            mu = max(1.0, mu / 2.0)
+    return p, div, finite
+
+
+def _gradient(branch: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """grad_q chi(p, W_q) at q, or None where a partial derivative is infinite.
+
+    With rho = sum_z p_z W_q(z),
         grad_s = -tr(sum_z p_z W_s(z) log2 rho) + sum_z p_z tr(W_s(z) log2 W_q(z)).
     A W_s(z) (p_z > 0) or a p-average of W_s with weight on the kernel of
-    W_q(z) or rho makes grad_s infinite, and the bound falls back to 0.
-    Upper: max_p chi(p, W_q) <= max_z D(W_q(z) || rho) <= log2 min(d, |Z|).
-    Eigenvalues at or below 1e-12 count as 0 (``_log_on_support``).
+    W_q(z) or rho makes grad_s infinite. Eigenvalues at or below 1e-12 count
+    as 0 (``_log_on_support``).
     """
     out = np.einsum("s,szij->zij", q, branch)
-    avg = np.einsum("z,zij->ij", p, out)
     vals, vecs = np.linalg.eigh(hermitize(out))
-    avg_vals, avg_vecs = np.linalg.eigh(hermitize(avg))
-    logs, avg_logs = _log_on_support(vals), _log_on_support(avg_vals)
+    avg_vals, avg_vecs = np.linalg.eigh(hermitize(np.einsum("z,zij->ij", p, out)))
     used = p > 0.0
-
     # weights <v|W_s(z)|v> on the eigenvectors of W_q(z), and of the
-    # p-averaged members and of W_q(z) on the eigenvectors of rho
+    # p-averaged members on the eigenvectors of rho
     cond_w = np.einsum("zia,szij,zja->sza", vecs.conj(), branch, vecs).real
     avg_w = np.einsum("ia,z,szij,ja->sa", avg_vecs.conj(), p, branch, avg_vecs).real
-    out_w = np.einsum("ia,zij,ja->za", avg_vecs.conj(), out, avg_vecs).real
-
-    grad = -(avg_w @ avg_logs) + np.einsum("z,sza,za->s", p, cond_w, logs)
-    infinite = _off_support(avg_w, avg_vals) | _off_support(cond_w[:, used], vals[used]).any(-1)
-    if infinite.any():
-        lower = 0.0
-    else:
-        frank_wolfe = max(0.0, float(grad @ q) - float(grad.min()))
-        lower = max(0.0, value - frank_wolfe)
-
-    ents = -(vals * logs).sum(axis=-1)
-    divergences = -ents - out_w @ avg_logs
-    upper = math.log2(min(branch.shape[-1], branch.shape[1]))
-    if not _off_support(out_w, avg_vals).any():
-        upper = min(upper, float(divergences.max()))
-    # value <= max_p chi(p, W_q) <= upper; tidy away rounding between them
-    return lower, max(upper, value)
-
-
-def cq_random_capacity(
-    avcqc: AvCqc,
-    grid_step: float = 1.0 / 64.0,
-    refine_iterations: int = 20,
-    budget: int = 2**20,
-) -> MinimaxResult:
-    """Search max_p min_q chi(p, W_q) on nested simplex grids plus refinement.
-
-    Both grids use the same step. The outer maximizer is then improved by
-    coordinate ascent (each candidate scored by a full inner minimization)
-    with ``refine_iterations`` rounds of step halving, mirrored by descent on
-    the inner weights. The result carries the certified interval of
-    ``_certificate`` at the final point. The grid sizes are checked against
-    ``budget`` before any grid is built.
-    """
-    if not 0.0 < grid_step <= 0.5:
-        raise ValidationError("cq_random_capacity: grid_step must lie in (0, 1/2]")
-    steps = max(1, round(1.0 / grid_step))
-    grid_step = 1.0 / steps
-    n_z, n_s = len(avcqc.alphabet), len(avcqc.states)
-    n_p = math.comb(steps + n_z - 1, n_z - 1)
-    n_q = math.comb(steps + n_s - 1, n_s - 1)
-    if n_p * n_q > budget:
-        raise BudgetExceeded(
-            f"cq_random_capacity: {n_p}x{n_q} grid pairs exceed "
-            f"budget {budget}; use a coarser grid"
-        )
-    ev = _ChiEvaluator(avcqc)
-    p_grid = np.array(list(simplex_grid(n_z, steps)))
-    q_grid = np.array(list(simplex_grid(n_s, steps)))
-    grid = (q_grid, *ev.mixtures(q_grid))
-
-    # stage 1: pure grid search
-    best_val, best_p = -np.inf, None
-    for p, (inner_best, _) in zip(p_grid, _grid_min(ev, p_grid, grid)):
-        if inner_best > best_val + 1e-15:
-            best_val, best_p = inner_best, p
-    p_star = np.array(best_p)
-
-    # stage 2: local refinement of the outer point; after a taken move the
-    # ascent meets points it has scored before (bit for bit when the step is
-    # dyadic, as 1/64 is), so inner minima are kept
-    known = {}
-
-    def inner(ps):
-        new = [p for p in ps if p.tobytes() not in known]
-        if new:
-            found = _inner_min(ev, np.array(new), grid, grid_step, refine_iterations)
-            known.update(zip((p.tobytes() for p in new), found))
-        return tuple(zip(*(known[p.tobytes()] for p in ps)))
-
-    (value,), (q_star,) = inner(p_star[None, :])
-    p_star, value, q_star = _coordinate_search(
-        inner, p_star, value, q_star, grid_step, refine_iterations, _higher
+    if _off_support(avg_w, avg_vals).any() or _off_support(cond_w[:, used], vals[used]).any():
+        return None
+    return -(avg_w @ _log_on_support(avg_vals)) + np.einsum(
+        "z,sza,za->s", p, cond_w, _log_on_support(vals)
     )
 
+
+def _master(cuts: np.ndarray):
+    """Kelley's master LP, min_{q, t} t subject to t >= g_j . q on the simplex.
+
+    Returns the minimizing q and the LP's dual weights on the cuts, clipped
+    and normalized to a probability vector. The weights make the lower
+    bound, so they are solved to 1e-10: HiGHS's default 1e-7 leaves that
+    bound up to about 1e-7 below the LP optimum, as wide as the target.
+    """
+    n_cuts, n_s = cuts.shape
+    res = linprog(
+        np.r_[np.zeros(n_s), 1.0],
+        A_ub=np.hstack([cuts, -np.ones((n_cuts, 1))]),
+        b_ub=np.zeros(n_cuts),
+        A_eq=np.r_[np.ones(n_s), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n_s + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    q = np.clip(res.x[:n_s], 0.0, None)
+    weights = np.clip(-res.ineqlin.marginals, 0.0, None)
+    return q / q.sum(), weights / weights.sum()
+
+
+def cq_random_capacity(avcqc: AvCqc) -> MinimaxResult:
+    """max_p min_q chi(p, W_q) by cutting planes over q, with a certified interval.
+
+    Each query warm-starts Blahut-Arimoto from the previous p. The loop
+    stops when ``upper_bound - lower_bound`` <= 1e-7, or after a fixed
+    number of cuts with the wider interval, which is still certified.
+    ``argmax_p`` is the dual-weighted average of the queries' inputs that
+    gives the best lower bound, and ``argmin_q`` the query with the best
+    upper bound. With one member, Blahut-Arimoto runs alone.
+    """
+    branch = np.array(
+        [[avcqc.branches[s].outputs[z].matrix for z in avcqc.alphabet] for s in avcqc.states]
+    )  # (n_states, n_letters, d, d)
+    n_s, n_z = branch.shape[:2]
+    p = p_bar = np.full(n_z, 1.0 / n_z)
+    q = q_best = np.full(n_s, 1.0 / n_s)
+    # chi >= 0, and chi <= log2 min(d, |Z|) by Holevo's bound
+    lower, upper = 0.0, math.log2(min(branch.shape[-1], n_z))
+    cuts, inputs = [], []
+    for _ in range(_MAX_CUTS):
+        out = np.einsum("s,szij->zij", q, branch)
+        ents = _entropies(out)
+        gap = _BA_GAP if n_s == 1 else max(_BA_GAP, (upper - lower) / 4.0)
+        p, div, finite = _blahut_arimoto(out, ents, p, gap)
+        if finite and div.max() < upper:
+            upper, q_best = float(div.max()), q
+        if n_s == 1:
+            lower, p_bar = float(p @ div), p
+            break
+        grad = _gradient(branch, p, q)
+        if grad is None:
+            break
+        cuts.append(grad)
+        inputs.append(p)
+        table = np.array(cuts)
+        q_next, weights = _master(table)
+        bound = float((weights @ table).min())
+        if bound > lower:
+            lower, p_bar = bound, weights @ np.array(inputs)
+        if upper - lower <= _GAP:
+            break
+        q = (1.0 - _INTERIOR) * q_next + _INTERIOR / n_s
+
+    out = np.einsum("s,szij->zij", q_best, branch)
+    chi = _entropies(np.einsum("z,zij->ij", p_bar, out)) - p_bar @ _entropies(out)
     # chi is nonnegative; tidy away float noise and negative zeros at the floor
-    value = float(value)
-    if value <= 0.0:
-        value = 0.0
-    q_star = np.asarray(q_star)
-    lower, upper = _certificate(ev.branch, p_star, q_star, value)
-    return MinimaxResult(value, p_star, q_star, grid_step, upper - lower, lower, upper)
+    value = max(0.0, float(chi))
+    lower, upper = min(lower, value), max(upper, value)
+    return MinimaxResult(value, p_bar, q_best, upper - lower, lower, upper)

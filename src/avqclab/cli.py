@@ -23,7 +23,7 @@ from .codes import (
     evaluate_code,
     random_code_reduction,
 )
-from .config import DEFAULT_GRID_STEP, ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_FEAS
+from .config import ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_FEAS
 from .correlation import binary_reduction, cr_extractable
 from .errors import BudgetExceeded, SchemaError, ValidationError
 from .serialize import (
@@ -70,6 +70,8 @@ def _real(doc: dict, field: str, origin: str) -> float:
     value = doc[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("expected a real number", path=f"{origin}.{field}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError("expected a finite real number", path=f"{origin}.{field}")
     return value
 
 
@@ -154,7 +156,9 @@ def _cmd_symcheck(args) -> dict:
     tol = args.tol if args.tol is not None else TOL_FEAS
     budget = args.budget if args.budget is not None else ENUM_BUDGET
     if args.probes:
-        probes = list(from_document(run.load("probes", args.probes), path=f"{args.probes}:$"))
+        probe_doc = run.load("probes", args.probes)
+        _expect_kind(probe_doc, {"probe_set"}, args.probes)
+        probes = list(from_document(probe_doc, path=f"{args.probes}:$"))
         probe_source = "file"
     else:
         probes = hermitian_probe_frame(avqc.dim_in**args.l)
@@ -187,19 +191,13 @@ def _cmd_capacity(args) -> dict:
     doc = run.load("input", args.input)
     _expect_kind(doc, {"av_cqc"}, args.input)
     avcqc = from_document(doc, path=f"{args.input}:$")
-    steps = args.grid if args.grid is not None else int(round(1.0 / DEFAULT_GRID_STEP))
-    if steps < 2:
-        raise ValidationError("capacity: --grid must be a step count of at least 2")
-    budget = args.budget if args.budget is not None else 2**20
-    run.config.update({"grid_steps": steps, "budget": budget})
-    result = cq_random_capacity(avcqc, grid_step=1.0 / steps, budget=budget)
+    result = cq_random_capacity(avcqc)
     return run.result(
         "capacity_result",
         {
             "value": float(result.value),
             "argmax_p": [float(v) for v in result.argmax_p],
             "argmin_q": [float(v) for v in result.argmin_q],
-            "grid_step": float(result.grid_step),
             "certified_gap": float(result.certified_gap),
             "lower_bound": float(result.lower_bound),
             "upper_bound": float(result.upper_bound),
@@ -345,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         if name == "reduce":
             cmd.add_argument("--seed", type=int, default=0)
-        if name in ("symcheck", "capacity", "simulate", "reduce"):
+        if name in ("symcheck", "simulate", "reduce"):
             cmd.add_argument("--budget", type=int, default=None)
         if name == "symcheck":
             cmd.add_argument("--tol", type=float, default=None)
@@ -357,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="recorded in the manifest; the result does not depend on it",
             )
             cmd.add_argument(
-                "--grid", type=int, default=None, help="simplex grid steps per axis"
+                "--grid", type=int, default=None,
+                help="ignored: the capacity solver uses no grid; kept so older scripts parse",
             )
         if name == "simulate":
             cmd.add_argument(

@@ -41,6 +41,3 @@ PAIR_ENUM_BUDGET = 2**20
 # Cap on total Kraus-operator entries of an explicitly built product channel.
 KRAUS_ENTRY_BUDGET = 2**22
 
-# Default simplex grid step for the minimax capacity search.
-DEFAULT_GRID_STEP = 1.0 / 64.0
-

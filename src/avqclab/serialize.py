@@ -27,6 +27,7 @@ cyclic garbage collector paused.
 
 from __future__ import annotations
 
+import cmath
 import gc
 import json
 import math
@@ -107,14 +108,18 @@ def positive_int(doc: Any, key: str, path: str) -> int:
 
 def _as_complex(entry: Any, path: str) -> complex:
     if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
-    if (
+        value = complex(float(entry), 0.0)
+    elif (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
         and all(isinstance(v, (int, float)) for v in entry)
     ):
-        return complex(float(entry[0]), float(entry[1]))
-    raise SchemaError("expected a number or an [re, im] pair", path=path)
+        value = complex(float(entry[0]), float(entry[1]))
+    else:
+        raise SchemaError("expected a number or an [re, im] pair", path=path)
+    if not cmath.isfinite(value):
+        raise SchemaError("expected a finite number", path=path)
+    return value
 
 
 def _matrix_walk(rows: Any, path: str) -> np.ndarray:
@@ -139,10 +144,10 @@ def _matrix_walk(rows: Any, path: str) -> np.ndarray:
 def _matrix_fast(rows: Any) -> np.ndarray | None:
     """One ``np.array`` call on the flattened entries of plain rows; None otherwise.
 
-    Every row must be a list of the same width, holding only plain numbers
-    or only pairs of them. Types are checked before numpy sees the entries,
-    so numpy never accepts what the walk rejects (tuple rows, numpy scalars),
-    and ``dtype=float`` converts each int as ``float()`` does.
+    Every row must be a list of the same width, holding only plain finite
+    numbers or only pairs of them. Types are checked before numpy sees the
+    entries, so numpy never accepts what the walk rejects (tuple rows, numpy
+    scalars), and ``dtype=float`` converts each int as ``float()`` does.
     """
     if type(rows) is not list or set(map(type, rows)) != {list}:
         return None
@@ -163,6 +168,8 @@ def _matrix_fast(rows: Any) -> np.ndarray | None:
     try:
         flat = np.array(leaves, dtype=float)
     except OverflowError:  # an int beyond float range; the walk raises it
+        return None
+    if not np.isfinite(flat).all():  # NaN, Infinity or 1e400; the walk names the entry
         return None
     if leaves is entries:
         return flat.astype(complex).reshape(shape)
@@ -188,6 +195,8 @@ def _vector_from_json(entries: Any, path: str) -> np.ndarray:
     for i, v in enumerate(entries):
         if not isinstance(v, (int, float)):
             raise SchemaError("expected a number", path=f"{path}[{i}]")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise SchemaError("expected a finite number", path=f"{path}[{i}]")
         out.append(float(v))
     return np.array(out)
 

@@ -9,7 +9,6 @@ import numpy as np
 from avqclab import (
     AvCqc,
     Avqc,
-    BudgetExceeded,
     CorrelatedCode,
     CorrelatedEntanglementCode,
     DensityMatrix,
@@ -23,10 +22,8 @@ from avqclab import (
     compose_channels,
     entanglement_fidelity,
     maximally_mixed,
-    simplex_grid,
     tensor_channel,
 )
-from avqclab.capacity import MinimaxResult, _certificate
 from avqclab.quantum import hermitize
 
 
@@ -255,22 +252,26 @@ def reference_convex_lp(target, points) -> dict:
 
 def _oracle_complex(entry, path: str) -> complex:
     if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
-    if (
+        value = complex(float(entry), 0.0)
+    elif (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
         and all(isinstance(v, (int, float)) for v in entry)
     ):
-        return complex(float(entry[0]), float(entry[1]))
-    raise SchemaError("expected a number or an [re, im] pair", path=path)
+        value = complex(float(entry[0]), float(entry[1]))
+    else:
+        raise SchemaError("expected a number or an [re, im] pair", path=path)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise SchemaError("expected a finite number", path=path)
+    return value
 
 
 def matrix_from_json_oracle(rows, path: str) -> np.ndarray:
     """Oracle: decode a JSON matrix one entry at a time.
 
     Rows must be non-empty lists of one width; each entry is a number or an
-    ``[re, im]`` pair, converted with ``float()``. Errors name the row or
-    entry at fault.
+    ``[re, im]`` pair, converted with ``float()``, and must be finite. Errors
+    name the row or entry at fault.
     """
     if not isinstance(rows, list) or not rows:
         raise SchemaError("expected a non-empty array of rows", path=path)
@@ -289,127 +290,27 @@ def matrix_from_json_oracle(rows, path: str) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
-def _entropy_bits(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(hermitize(mat))
-    kept = vals[vals > 1e-12]
-    return float(-(kept * np.log2(kept)).sum()) if kept.size else 0.0
+def branch_stack(avcqc: AvCqc) -> np.ndarray:
+    """The family's outputs as an array (n_states, n_letters, d, d)."""
+    return np.stack(
+        [
+            np.stack([avcqc.branches[s].outputs[z].matrix for z in avcqc.alphabet])
+            for s in avcqc.states
+        ]
+    )
 
 
-class _ScalarChi:
-    """chi(p, W_q) one point at a time."""
-
-    def __init__(self, avcqc: AvCqc):
-        self.branch = np.stack(
-            [
-                np.stack([avcqc.branches[s].outputs[z].matrix for z in avcqc.alphabet])
-                for s in avcqc.states
-            ]
-        )  # (n_states, n_letters, d, d)
-        self.n_states = self.branch.shape[0]
-        self.n_letters = self.branch.shape[1]
-
-    def mixture_parts(self, q: np.ndarray):
-        out = np.einsum("s,szij->zij", q, self.branch)
-        ents = np.array([_entropy_bits(out[z]) for z in range(self.n_letters)])
-        return out, ents
-
-    def chi_from_parts(self, p: np.ndarray, out: np.ndarray, ents: np.ndarray) -> float:
-        avg = np.einsum("z,zij->ij", p, out)
-        return _entropy_bits(avg) - float(p @ ents)
-
-    def chi(self, p: np.ndarray, q: np.ndarray) -> float:
-        return self.chi_from_parts(p, *self.mixture_parts(q))
+def _entropy_bits(mats: np.ndarray) -> np.ndarray:
+    vals = np.linalg.eigvalsh(hermitize(mats))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(vals > 1e-12, -vals * np.log2(vals), 0.0).sum(axis=-1)
 
 
-def _scalar_minimize_q(ev: _ScalarChi, p, q, step0: float, iterations: int):
-    q = np.array(q)
-    value = ev.chi(p, q)
-    step = step0
-    for _ in range(iterations):
-        moved = False
-        for i in range(q.size):
-            for j in range(q.size):
-                if i == j or q[j] < step - 1e-15:
-                    continue
-                cand = np.array(q)
-                cand[j] -= step
-                cand[i] += step
-                cand_val = ev.chi(p, cand)
-                if cand_val < value - 1e-15:
-                    q, value = cand, cand_val
-                    moved = True
-        if not moved:
-            step /= 2.0
-    return value, q
+def chi_table(branch: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Oracle: chi(p, W_q) for every row of ``ps`` (P, Z) against every row of ``qs`` (Q, S).
 
-
-def _scalar_inner_min(ev: _ScalarChi, p, q_parts, q_list, step0: float, iterations: int):
-    best_val, best_idx = np.inf, 0
-    for idx, (out, ents) in enumerate(q_parts):
-        val = ev.chi_from_parts(p, out, ents)
-        if val < best_val - 1e-15:
-            best_val, best_idx = val, idx
-    return _scalar_minimize_q(ev, p, q_list[best_idx], step0, iterations)
-
-
-def scalar_capacity_search(
-    avcqc: AvCqc,
-    grid_step: float = 1.0 / 64.0,
-    refine_iterations: int = 20,
-    budget: int = 2**20,
-) -> MinimaxResult:
-    """Oracle: ``cq_random_capacity`` scoring one (p, q) point per call.
-
-    The same grids, coordinate moves and 1e-15 tie rules, with every chi
-    evaluated alone (one ``eigvalsh`` per matrix and ``p @ ents`` for the
-    conditional entropy) and every inner minimization run afresh, one at a
-    time. The certificate at the final point is the library's
-    ``_certificate``, so every field must agree bit for bit.
+    Eigenvalues at or below 1e-12 count as 0, as in the library's entropies.
     """
-    steps = max(1, round(1.0 / grid_step))
-    grid_step = 1.0 / steps
-    ev = _ScalarChi(avcqc)
-    n_z, n_s = ev.n_letters, ev.n_states
-    p_list = list(simplex_grid(n_z, steps))
-    q_list = list(simplex_grid(n_s, steps))
-    if len(p_list) * len(q_list) > budget:
-        raise BudgetExceeded("scalar_capacity_search: grid pairs exceed the budget")
-    q_parts = [ev.mixture_parts(q) for q in q_list]
-
-    best_p, best_val = None, -np.inf
-    for p in p_list:
-        inner_best = np.inf
-        for out, ents in q_parts:
-            val = ev.chi_from_parts(p, out, ents)
-            if val < inner_best - 1e-15:
-                inner_best = val
-        if inner_best > best_val + 1e-15:
-            best_val, best_p = inner_best, p
-    p_star = np.array(best_p)
-
-    value, q_star = _scalar_inner_min(ev, p_star, q_parts, q_list, grid_step, refine_iterations)
-    step = grid_step
-    for _ in range(refine_iterations):
-        moved = False
-        for i in range(n_z):
-            for j in range(n_z):
-                if i == j or p_star[j] < step - 1e-15:
-                    continue
-                cand = np.array(p_star)
-                cand[j] -= step
-                cand[i] += step
-                cand_val, cand_q = _scalar_inner_min(
-                    ev, cand, q_parts, q_list, grid_step, refine_iterations
-                )
-                if cand_val > value + 1e-15:
-                    p_star, value, q_star = cand, cand_val, cand_q
-                    moved = True
-        if not moved:
-            step /= 2.0
-
-    value = float(value)
-    if value <= 0.0:
-        value = 0.0
-    q_star = np.asarray(q_star)
-    lower, upper = _certificate(ev.branch, p_star, q_star, value)
-    return MinimaxResult(value, p_star, q_star, grid_step, upper - lower, lower, upper)
+    mixed = np.einsum("qs,szij->qzij", qs, branch)
+    avg = np.einsum("pz,qzij->pqij", ps, mixed)
+    return _entropy_bits(avg) - ps @ _entropy_bits(mixed).T

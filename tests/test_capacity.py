@@ -1,8 +1,6 @@
 """Minimax random-code capacity search for cq channel families."""
 
-import dataclasses
 import math
-import time
 import warnings
 
 import numpy as np
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 import avqclab.capacity as capacity
 from avqclab import (
     AvCqc,
-    BudgetExceeded,
     CqChannel,
     ValidationError,
     basis_state,
@@ -25,7 +22,7 @@ from avqclab import (
     simplex_grid,
 )
 
-from helpers import _ScalarChi, random_density, random_pure, rng_for, scalar_capacity_search
+from helpers import branch_stack, chi_table, random_density, random_pure, rng_for
 
 
 def binary_entropy(x):
@@ -138,29 +135,41 @@ class TestCapacityAnchors:
             (0, 1),
             {0: random_branch(rng), 1: constant_branch(maximally_mixed(2))},
         )
-        result = cq_random_capacity(avcqc, grid_step=1.0 / 64.0)
+        result = cq_random_capacity(avcqc)
         assert result.value == pytest.approx(0.0, abs=1e-6)
 
     def test_singleton_orthogonal_outputs(self):
         avcqc = AvCqc((0,), {0: orthogonal_branch()})
-        result = cq_random_capacity(avcqc, grid_step=1.0 / 64.0)
+        result = cq_random_capacity(avcqc)
         assert result.value == pytest.approx(1.0, abs=1e-4)
         assert np.allclose(result.argmax_p, [0.5, 0.5], atol=1e-3)
 
     def test_swap_pair_zero(self):
         avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
-        result = cq_random_capacity(avcqc, grid_step=1.0 / 64.0)
+        result = cq_random_capacity(avcqc)
         assert result.value == pytest.approx(0.0, abs=1e-6)
+        # Blahut-Arimoto keeps p interior, so the interval closes on 0
+        assert result.lower_bound == 0.0
+        assert result.certified_gap <= 1e-6
+
+    def test_one_letter_has_the_interval_zero_zero(self):
+        rng = rng_for(78)
+        avcqc = AvCqc(
+            (0, 1),
+            {s: CqChannel((0,), {0: random_density(rng, 3)}) for s in (0, 1)},
+        )
+        result = cq_random_capacity(avcqc)
+        assert (result.value, result.lower_bound, result.upper_bound) == (0.0, 0.0, 0.0)
+        assert result.argmax_p.tolist() == [1.0]
 
 
 class TestCapacityProperties:
     def test_result_fields_sane(self):
         rng = rng_for(73)
         avcqc = AvCqc((0, 1), {0: random_branch(rng), 1: random_branch(rng)})
-        result = cq_random_capacity(avcqc, grid_step=1.0 / 16.0)
+        result = cq_random_capacity(avcqc)
         assert result.value >= 0.0
         assert result.certified_gap >= 0.0
-        assert result.grid_step == pytest.approx(1.0 / 16.0)
         assert result.argmax_p.sum() == pytest.approx(1.0, abs=1e-9)
         assert result.argmin_q.sum() == pytest.approx(1.0, abs=1e-9)
         # full-rank outputs: the saddle point is certified to a small interval
@@ -169,94 +178,93 @@ class TestCapacityProperties:
 
     def test_certificate_falls_back_where_a_partial_is_infinite(self):
         # at q = (1, 0) mixing in the swapped member lowers chi at an
-        # infinite rate, down to 0 at q = (1/2, 1/2)
+        # infinite rate, down to 0 at q = (1/2, 1/2), so there is no cut
         avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
         p, q = np.array([0.5, 0.5]), np.array([1.0, 0.0])
-        chi = chi_of_mixture(avcqc, p, q)
-        assert chi == pytest.approx(1.0)
-        branch = capacity._ChiEvaluator(avcqc).branch
-        assert capacity._certificate(branch, p, q, chi) == (0.0, 1.0)
+        assert chi_of_mixture(avcqc, p, q) == pytest.approx(1.0)
+        assert capacity._gradient(branch_stack(avcqc), p, q) is None
+        grad = capacity._gradient(branch_stack(avcqc), p, np.array([0.5, 0.5]))
+        assert np.abs(grad).max() <= 1e-12
 
     def test_singleton_matches_direct_maximization(self):
         rng = rng_for(74)
         for _ in range(3):
             branch = random_branch(rng)
             avcqc = AvCqc((0,), {0: branch})
-            result = cq_random_capacity(avcqc, grid_step=1.0 / 32.0)
+            result = cq_random_capacity(avcqc)
             direct = golden_section_max(lambda t: holevo_chi([t, 1.0 - t], branch))
             assert abs(result.value - direct) <= result.certified_gap + 1e-9
+
+    def test_one_member_runs_blahut_arimoto_alone(self, monkeypatch):
+        rng = rng_for(79)
+        letters = (0, 1, 2)
+        avcqc = AvCqc((0,), {0: random_branch(rng, dim=3, letters=letters)})
+
+        def no_master(cuts):
+            raise AssertionError("the master LP ran for a one-member family")
+
+        monkeypatch.setattr(capacity, "_master", no_master)
+        result = cq_random_capacity(avcqc)
+        assert result.argmin_q.tolist() == [1.0]
+        assert result.certified_gap <= 1e-9
+        assert result.lower_bound <= result.value <= result.upper_bound
 
     def test_monotone_under_family_growth(self):
         rng = rng_for(75)
         for _ in range(3):
             b0, b1 = random_branch(rng), random_branch(rng)
-            small = cq_random_capacity(
-                AvCqc((0,), {0: b0}), grid_step=1.0 / 16.0
-            )
-            large = cq_random_capacity(
-                AvCqc((0, 1), {0: b0, 1: b1}), grid_step=1.0 / 16.0
-            )
+            small = cq_random_capacity(AvCqc((0,), {0: b0}))
+            large = cq_random_capacity(AvCqc((0, 1), {0: b0, 1: b1}))
             # adding a channel shrinks nothing but the inf's feasible hull
             assert large.value <= small.value + 1e-6
-
-    def test_half_step_consistency(self):
-        rng = rng_for(76)
-        avcqc = AvCqc((0, 1), {0: random_branch(rng), 1: random_branch(rng)})
-        coarse = cq_random_capacity(avcqc, grid_step=1.0 / 16.0)
-        fine = cq_random_capacity(avcqc, grid_step=1.0 / 32.0)
-        assert abs(coarse.value - fine.value) <= coarse.certified_gap + 1e-9
 
     def test_symmetrizable_swap_pair_consistency(self):
         avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
         verdict = check_symmetrizable_cq(avcqc)
-        result = cq_random_capacity(avcqc, grid_step=1.0 / 16.0)
+        result = cq_random_capacity(avcqc)
         assert verdict.feasible
         assert result.value <= 1e-9
 
     def test_grid_step_validation(self):
+        # the solver takes no tuning parameter: no grid, refinement or budget
         avcqc = AvCqc((0,), {0: orthogonal_branch()})
-        with pytest.raises(ValidationError):
-            cq_random_capacity(avcqc, grid_step=0.9)
-        with pytest.raises(ValidationError):
-            cq_random_capacity(avcqc, grid_step=0.0)
+        for knob in ("grid_step", "refine_iterations", "budget"):
+            with pytest.raises(TypeError):
+                cq_random_capacity(avcqc, **{knob: 1})
 
-    def test_budget_guard(self):
-        avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
-        with pytest.raises(BudgetExceeded):
-            cq_random_capacity(avcqc, grid_step=1.0 / 64.0, budget=100)
-
-    def test_over_budget_grid_is_rejected_before_it_is_built(self):
+    def test_budget_guard(self, monkeypatch):
+        # at the cut cap the wider interval is returned, and it still brackets
         rng = rng_for(77)
         letters = (0, 1, 2)
         avcqc = AvCqc((0, 1, 2), {s: random_branch(rng, letters=letters) for s in range(3)})
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="501501x501501 grid pairs exceed budget"):
-            cq_random_capacity(avcqc, grid_step=1.0 / 1000.0)
-        assert time.perf_counter() - start < 0.05
+        full = cq_random_capacity(avcqc)
+        monkeypatch.setattr(capacity, "_MAX_CUTS", 3)
+        capped = cq_random_capacity(avcqc)
+        assert capped.certified_gap > full.certified_gap
+        assert capped.lower_bound <= full.lower_bound <= full.upper_bound <= capped.upper_bound
+        assert_brackets(branch_stack(avcqc), capped, 24)
 
 
-def identical(a, b) -> bool:
-    """Every field equal bit for bit, signed zeros included."""
-    for field in dataclasses.fields(a):
-        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
-        if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
-            return False
-    return True
+def assert_brackets(branch, result, steps):
+    """The reported interval holds against ``steps``-grids over p and q.
 
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(["random", "swap-pair", "constant-member", "twin-member", "twin-letter"]),
-    seed=st.integers(0, 2**16),
-    dim=st.integers(2, 3),
-    n_z=st.integers(1, 3),
-    n_s=st.integers(1, 3),
-    steps=st.integers(4, 16),
-)
-def test_batched_search_equals_the_scalar_oracle(kind, seed, dim, n_z, n_s, steps):
-    avcqc = family_of_kind(kind, rng_for(seed), dim, n_z, n_s)
-    batched = cq_random_capacity(avcqc, grid_step=1.0 / steps)
-    assert identical(batched, scalar_capacity_search(avcqc, grid_step=1.0 / steps))
+    The grids include the reported points. Every chi(argmax_p, q) is at
+    least ``lower_bound`` and every chi(p, argmin_q) at most
+    ``upper_bound``; the row and the column then bracket the grids' saddle
+    value max_p min_q chi, which is also computed outright when the table
+    is small.
+    """
+    n_s, n_z = branch.shape[:2]
+    ps = np.vstack([np.array(list(simplex_grid(n_z, steps))), result.argmax_p])
+    qs = np.vstack([np.array(list(simplex_grid(n_s, steps))), result.argmin_q])
+    assert chi_table(branch, result.argmax_p[None], qs).min() >= result.lower_bound - 1e-9
+    assert chi_table(branch, ps, result.argmin_q[None]).max() <= result.upper_bound + 1e-9
+    if len(ps) * len(qs) <= 2500:
+        saddle = chi_table(branch, ps, qs).min(axis=1).max()
+        assert result.lower_bound - 1e-9 <= saddle <= result.upper_bound + 1e-9
+    assert result.lower_bound <= result.value <= result.upper_bound
+    assert math.isfinite(result.certified_gap)
+    assert result.certified_gap == result.upper_bound - result.lower_bound
 
 
 def family_of_kind(kind, rng, dim, n_z, n_s) -> AvCqc:
@@ -293,79 +301,39 @@ def family_of_kind(kind, rng, dim, n_z, n_s) -> AvCqc:
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(
-        ["random", "pure", "orthogonal", "constant-member", "swap-pair", "twin-letter"]
+        [
+            "random",
+            "pure",
+            "orthogonal",
+            "constant-member",
+            "swap-pair",
+            "twin-member",
+            "twin-letter",
+        ]
     ),
     seed=st.integers(0, 2**16),
     dim=st.integers(2, 3),
     n_z=st.integers(1, 3),
     n_s=st.integers(1, 3),
-    steps=st.integers(4, 16),
 )
-def test_certificate_brackets_both_one_sided_problems(kind, seed, dim, n_z, n_s, steps):
+def test_certificate_brackets_both_one_sided_problems(kind, seed, dim, n_z, n_s):
     rng = rng_for(seed)
     avcqc = family_of_kind(kind, rng, dim, n_z, n_s)
-    ev = _ScalarChi(avcqc)
-    p_grid = list(simplex_grid(ev.n_letters, 48))
-    q_grid = list(simplex_grid(ev.n_states, 48))
-
-    def assert_brackets(p, q, lower, upper):
-        # min_q chi(p, .) and max_p chi(., q) bound the max-min from both sides
-        assert min(ev.chi(p, other) for other in q_grid + [q]) >= lower - 1e-9
-        out, ents = ev.mixture_parts(q)
-        assert max(ev.chi_from_parts(other, out, ents) for other in p_grid + [p]) <= upper + 1e-9
-
+    branch = branch_stack(avcqc)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = cq_random_capacity(avcqc, grid_step=1.0 / steps)
-        # at a point of the 1/4 grids, faces included, the bounds are not
-        # pinned to a near-saddle value, so they test the formulas themselves
-        p0, q0 = (rng.multinomial(4, np.ones(n) / n) / 4.0 for n in (ev.n_letters, ev.n_states))
-        loose = capacity._certificate(ev.branch, p0, q0, max(0.0, ev.chi(p0, q0)))
-    assert_brackets(result.argmax_p, result.argmin_q, result.lower_bound, result.upper_bound)
-    assert_brackets(p0, q0, *loose)
-    assert result.lower_bound <= result.value <= result.upper_bound
-    assert math.isfinite(result.certified_gap)
-    assert result.certified_gap == result.upper_bound - result.lower_bound
-
-
-def sequential_search(f, x, step, iterations):
-    """Oracle for ``_coordinate_search``: one move scored per call."""
-    value = f(x)
-    for _ in range(iterations):
-        moved = False
-        for i in range(x.size):
-            for j in range(x.size):
-                if i == j or x[j] < step - 1e-15:
-                    continue
-                cand = np.array(x)
-                cand[j] -= step
-                cand[i] += step
-                if f(cand) < value - 1e-15:
-                    x, value = cand, f(cand)
-                    moved = True
-        if not moved:
-            step /= 2.0
-    return x, value
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**16), k=st.integers(2, 4), iterations=st.integers(1, 8))
-def test_coordinate_sweeps_take_the_moves_of_a_sequential_loop(seed, k, iterations):
-    rng = rng_for(seed)
-    weights = rng.normal(size=(k, k))
-
-    def f(x):
-        # rugged, so that many moves of a sweep are taken
-        return float(np.sin(37.0 * (x @ weights @ x)))
-
-    def score(points):
-        return [f(x) for x in points], [np.array(x) for x in points]
-
-    x0 = rng.multinomial(8, np.ones(k) / k) / 8.0
-    x, value, payload = capacity._coordinate_search(
-        score, x0, f(x0), x0, 1.0 / 8.0, iterations, capacity._lower
-    )
-    expect_x, expect_value = sequential_search(f, x0, 1.0 / 8.0, iterations)
-    assert x.tobytes() == expect_x.tobytes()
-    assert value == expect_value
-    assert payload.tobytes() == x.tobytes()
+        result = cq_random_capacity(avcqc)
+        # at a point of the 1/4 grids, faces included, the cut and the
+        # divergence bound are not pinned to a near-saddle value, so they
+        # test the formulas themselves
+        p0, q0 = (rng.multinomial(4, np.ones(n) / n) / 4.0 for n in branch.shape[1::-1])
+        grad = capacity._gradient(branch, p0, q0)
+        out = np.einsum("s,szij->zij", q0, branch)
+        div, finite = capacity._divergences(out, capacity._entropies(out), p0)
+    assert_brackets(branch, result, 48)
+    qs = np.array(list(simplex_grid(branch.shape[0], 48)))
+    ps = np.array(list(simplex_grid(branch.shape[1], 48)))
+    if grad is not None:
+        assert (chi_table(branch, p0[None], qs)[0] >= qs @ grad - 1e-9).all()
+    if finite:
+        assert chi_table(branch, ps, q0[None]).max() <= div.max() + 1e-9

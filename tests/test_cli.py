@@ -10,6 +10,7 @@ from avqclab import (
     Avqc,
     AvCqc,
     BipartiteSource,
+    ClassicalAvc,
     CorrelatedCode,
     CqChannel,
     DeterministicCode,
@@ -41,6 +42,53 @@ def run_json(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured
+
+
+def write_with_token(tmp_path, name, doc, keys, token):
+    """Write ``doc`` with the number at ``keys`` replaced by a raw JSON token."""
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = 0.123456789
+    text = json.dumps(doc).replace("0.123456789", token)
+    assert token in text
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def non_finite_sites():
+    """For each document kind: a valid document, where to break it, the path named."""
+    words = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+    code = DeterministicCode(1, words, computational_povm(2))
+    return {
+        "density_matrix": (to_document(words[0]), ("matrix", 0, 0, 0), "$.matrix[0][0]"),
+        "povm": (
+            to_document(computational_povm(2)),
+            ("elements", 1, 1, 1, 1),
+            "$.elements[1][1][1]",
+        ),
+        "channel": (
+            to_document(bit_flip_channel(0.25)),
+            ("kraus", 0, 0, 0, 0),
+            "$.kraus[0][0][0]",
+        ),
+        "bipartite_source": (
+            to_document(BipartiteSource((0, 1), (0, 1), np.eye(2) / 2)),
+            ("joint", 0, 1),
+            "$.joint[0][1]",
+        ),
+        "classical_avc": (
+            to_document(ClassicalAvc(("a",), {"a": np.eye(2)})),
+            ("kernels", "a", 1, 0),
+            "$.kernels.a[1][0]",
+        ),
+        "random_code": (
+            to_document(RandomCode((code,), np.array([1.0]))),
+            ("weights", 0),
+            "$.weights[0]",
+        ),
+    }
 
 
 def identity_avqc_doc():
@@ -98,6 +146,17 @@ class TestValidate:
         assert "schema error" in captured.err
         assert f"{target}: not UTF-8 text" in captured.err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("kind", sorted(non_finite_sites()))
+    def test_non_finite_number_is_a_schema_error(self, tmp_path, capsys, kind, token):
+        doc, keys, at = non_finite_sites()[kind]
+        path = write_with_token(tmp_path, "doc.json", doc, keys, token)
+        code, captured = run_json(capsys, ["validate", "--input", path])
+        assert code == 2
+        assert captured.err.startswith("schema error:")
+        assert f"{path}:{at}" in captured.err
+        assert captured.out == ""
+
     def test_missing_file(self, tmp_path, capsys):
         code, captured = run_json(
             capsys, ["validate", "--input", str(tmp_path / "nope.json")]
@@ -138,6 +197,15 @@ class TestSymcheck:
         assert code == 2
         assert "$.kind" in captured.err
 
+    def test_probes_of_the_wrong_kind(self, tmp_path, capsys):
+        path = write(tmp_path, "avqc.json", identity_avqc_doc())
+        probes = write(tmp_path, "ch.json", to_document(identity_channel(2)))
+        code, captured = run_json(capsys, ["symcheck", "--input", path, "--probes", probes])
+        assert code == 2
+        assert "probe_set" in captured.err
+        assert f"{probes}:$.kind" in captured.err
+        assert captured.out == ""
+
     def test_budget_exit_code(self, tmp_path, capsys):
         avqc = Avqc(
             ("a", "b"), {"a": identity_channel(2), "b": bit_flip_channel(0.5)}
@@ -171,8 +239,10 @@ class TestCapacity:
         doc = json.loads(captured.out)
         assert doc["kind"] == "capacity_result"
         assert doc["value"] <= 1e-6
-        assert doc["grid_step"] == pytest.approx(1.0 / 16.0)
-        assert doc["manifest"]["config"]["grid_steps"] == 16
+        assert doc["certified_gap"] <= 1e-6
+        assert "grid_step" not in doc
+        assert "grid_steps" not in doc["manifest"]["config"]
+        assert "budget" not in doc["manifest"]["config"]
 
     def test_certified_interval_keys(self, tmp_path, capsys):
         path = write(tmp_path, "cq.json", swap_avcqc_doc())
@@ -181,10 +251,14 @@ class TestCapacity:
         assert doc["lower_bound"] <= doc["value"] <= doc["upper_bound"]
         assert doc["certified_gap"] == doc["upper_bound"] - doc["lower_bound"]
 
-    def test_grid_of_one_step_names_the_flag(self, tmp_path, capsys):
+    def test_grid_is_parsed_and_ignored(self, tmp_path, capsys):
         path = write(tmp_path, "cq.json", swap_avcqc_doc())
-        assert run(["capacity", "--input", path, "--grid", "1"]) == 2
-        assert "--grid" in capsys.readouterr().err
+        _, plain = run_json(capsys, ["capacity", "--input", path])
+        _, gridded = run_json(capsys, ["capacity", "--input", path, "--grid", "1"])
+        a, b = json.loads(plain.out), json.loads(gridded.out)
+        a["manifest"].pop("wall_time_ms")
+        b["manifest"].pop("wall_time_ms")
+        assert a == b
 
     def test_tol_is_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "cq.json", swap_avcqc_doc())
@@ -350,6 +424,16 @@ class TestReduce:
         assert f"{path}:$.{field}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_eps_is_a_schema_error(self, tmp_path, capsys, token):
+        with open(self.envelope(tmp_path)) as handle:
+            doc = json.load(handle)
+        path = write_with_token(tmp_path, "raw.json", doc, ("eps",), token)
+        code, captured = run_json(capsys, ["reduce", "--input", path])
+        assert code == 2
+        assert f"{path}:$.eps" in captured.err
+        assert captured.out == ""
+
     def test_reduction(self, tmp_path, capsys):
         path = self.envelope(tmp_path)
         code, captured = run_json(capsys, ["reduce", "--input", path, "--seed", "7"])
@@ -476,6 +560,7 @@ class TestOutputPlumbing:
         ("simulate", "--seed"),
         ("compose", "--seed"),
         ("validate", "--budget"),
+        ("capacity", "--budget"),
         ("cr", "--budget"),
         ("compose", "--budget"),
     ],
