@@ -25,6 +25,7 @@ from .quantum import (
     apply_product_channel,
     tensor_channel,
 )
+from .util import power_exceeds
 
 if TYPE_CHECKING:
     from .correlation import BipartiteSource
@@ -79,10 +80,9 @@ class Avqc:
         """All length-l label tuples in lexicographic order."""
         if l < 1:
             raise ValidationError("state_sequences: l must be >= 1")
-        count = len(self.states) ** l
-        if count > budget:
+        if power_exceeds(len(self.states), l, budget):
             raise BudgetExceeded(
-                f"state_sequences: {count} sequences exceed budget {budget}"
+                f"state_sequences: {len(self.states)}^{l} sequences exceed budget {budget}"
             )
         return list(itertools.product(self.states, repeat=l))
 

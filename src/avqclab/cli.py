@@ -16,63 +16,23 @@ import time
 
 from . import __version__
 from .capacity import cq_random_capacity
-from .codes import (
-    CorrelatedCode,
-    RandomCode,
-    compose_two_phase,
-    evaluate_code,
-    random_code_reduction,
-)
+from .codes import compose_two_phase, evaluate_code, random_code_reduction
 from .config import ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_FEAS
 from .correlation import binary_reduction, cr_extractable
 from .errors import BudgetExceeded, SchemaError, ValidationError
 from .serialize import (
+    document_kind,
     dumps_document,
+    field,
+    finite_real,
     from_document,
     loads_document,
     positive_int,
     to_document,
 )
-from .symmetrize import check_symmetrizable, hermitian_probe_frame
+from .symmetrize import check_lp_size, check_symmetrizable, hermitian_probe_frame
 
 __all__ = ["main", "run"]
-
-
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
-def _read_raw(filename: str) -> bytes:
-    try:
-        with open(filename, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {filename}: {exc}") from exc
-
-
-def _load(filename: str):
-    raw = _read_raw(filename)
-    doc = loads_document(raw, origin=filename)
-    return raw, doc
-
-
-def _expect_kind(doc, kinds, origin: str):
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in kinds:
-        raise SchemaError(
-            f"expected a document of kind {sorted(kinds)}, got {kind!r}",
-            path=f"{origin}:$.kind",
-        )
-    return kind
-
-
-def _real(doc: dict, field: str, origin: str) -> float:
-    value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError("expected a real number", path=f"{origin}.{field}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise SchemaError("expected a finite real number", path=f"{origin}.{field}")
-    return value
 
 
 def _render_text(doc: dict, indent: str = "") -> str:
@@ -114,10 +74,18 @@ class _Run:
         self.config: dict = {}
         self.started = time.monotonic()
 
-    def load(self, label: str, filename: str):
-        raw, doc = _load(filename)
-        self.digests[label] = _digest(raw)
-        return doc
+    def load(self, label: str, filename: str, kinds=None) -> tuple:
+        """The document in ``filename``, of a kind in ``kinds``, and its path."""
+        try:
+            with open(filename, "rb") as handle:
+                raw = handle.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {filename}: {exc}") from exc
+        self.digests[label] = hashlib.sha256(raw).hexdigest()
+        doc = loads_document(raw, origin=filename)
+        origin = f"{filename}:$"
+        document_kind(doc, origin, kinds)
+        return doc, origin
 
     def manifest(self) -> dict:
         return {
@@ -138,8 +106,8 @@ class _Run:
 
 def _cmd_validate(args) -> dict:
     run = _Run("validate", None)
-    doc = run.load("input", args.input)
-    obj = from_document(doc, path=f"{args.input}:$")
+    doc, origin = run.load("input", args.input)
+    obj = from_document(doc, origin)
     return run.result(
         "validation_result",
         {"valid": True, "object_kind": doc["kind"], "object_type": type(obj).__name__},
@@ -147,26 +115,21 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_symcheck(args) -> dict:
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValidationError(f"symcheck: --tol must be finite and non-negative, not {args.tol}")
     run = _Run("symcheck", None)
-    doc = run.load("input", args.input)
-    _expect_kind(doc, {"avqc"}, args.input)
-    avqc = from_document(doc, path=f"{args.input}:$")
-    tol = args.tol if args.tol is not None else TOL_FEAS
-    budget = args.budget if args.budget is not None else ENUM_BUDGET
+    avqc = from_document(*run.load("input", args.input, {"avqc"}))
     if args.probes:
-        probe_doc = run.load("probes", args.probes)
-        _expect_kind(probe_doc, {"probe_set"}, args.probes)
-        probes = list(from_document(probe_doc, path=f"{args.probes}:$"))
+        probes = list(from_document(*run.load("probes", args.probes, {"probe_set"})))
         probe_source = "file"
     else:
-        probes = hermitian_probe_frame(avqc.dim_in**args.l)
+        # the frame has dim^2 operators of dim^2 entries: size the LP first
+        probes = hermitian_probe_frame(check_lp_size(avqc, args.l, None, args.budget))
         probe_source = "hermitian_frame"
     run.config.update(
-        {"l": args.l, "tol": tol, "budget": budget, "probes": probe_source}
+        {"l": args.l, "tol": args.tol, "budget": args.budget, "probes": probe_source}
     )
-    verdict = check_symmetrizable(avqc, args.l, probes, tol=tol, budget=budget)
+    verdict = check_symmetrizable(avqc, args.l, probes, tol=args.tol, budget=args.budget)
     witness = None
     if verdict.witness is not None:
         witness = {
@@ -188,10 +151,7 @@ def _cmd_symcheck(args) -> dict:
 
 def _cmd_capacity(args) -> dict:
     run = _Run("capacity", args.seed)
-    doc = run.load("input", args.input)
-    _expect_kind(doc, {"av_cqc"}, args.input)
-    avcqc = from_document(doc, path=f"{args.input}:$")
-    result = cq_random_capacity(avcqc)
+    result = cq_random_capacity(from_document(*run.load("input", args.input, {"av_cqc"})))
     return run.result(
         "capacity_result",
         {
@@ -207,9 +167,7 @@ def _cmd_capacity(args) -> dict:
 
 def _cmd_cr(args) -> dict:
     run = _Run("cr", None)
-    doc = run.load("input", args.input)
-    _expect_kind(doc, {"bipartite_source"}, args.input)
-    source = from_document(doc, path=f"{args.input}:$")
+    source = from_document(*run.load("input", args.input, {"bipartite_source"}))
     verdict = cr_extractable(source)
     reduction = None
     reduction_note = None
@@ -241,16 +199,11 @@ def _cmd_cr(args) -> dict:
 
 def _cmd_simulate(args) -> dict:
     run = _Run("simulate", None)
-    doc = run.load("input", args.input)
-    _expect_kind(doc, {"simulation_problem"}, args.input)
-    origin = f"{args.input}:$"
-    if "avqc" not in doc or "code" not in doc:
-        raise SchemaError("needs 'avqc' and 'code' fields", path=origin)
-    avqc = from_document(doc["avqc"], path=f"{origin}.avqc")
-    code = from_document(doc["code"], path=f"{origin}.code")
-    budget = args.budget if args.budget is not None else EXHAUSTIVE_BUDGET
-    run.config.update({"budget": budget, "mode": args.mode})
-    report = evaluate_code(avqc, code, budget=budget, mode=args.mode)
+    doc, origin = run.load("input", args.input, {"simulation_problem"})
+    avqc = field(doc, "avqc", origin, {"avqc"})
+    code = field(doc, "code", origin, {"deterministic_code", "random_code", "correlated_code"})
+    run.config.update({"budget": args.budget, "mode": args.mode})
+    report = evaluate_code(avqc, code, budget=args.budget, mode=args.mode)
     return run.result(
         "error_report",
         {
@@ -264,25 +217,17 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_reduce(args) -> dict:
     run = _Run("reduce", args.seed)
-    doc = run.load("input", args.input)
-    _expect_kind(doc, {"reduction_problem"}, args.input)
-    origin = f"{args.input}:$"
-    for field in ("avqc", "code", "l", "sample_count", "eps"):
-        if field not in doc:
-            raise SchemaError(f"missing field {field!r}", path=origin)
+    doc, origin = run.load("input", args.input, {"reduction_problem"})
     l = positive_int(doc, "l", origin)
     sample_count = positive_int(doc, "sample_count", origin)
-    eps = _real(doc, "eps", origin)
-    avqc = from_document(doc["avqc"], path=f"{origin}.avqc")
-    code = from_document(doc["code"], path=f"{origin}.code")
-    if not isinstance(code, RandomCode):
-        raise SchemaError("'code' must be a random_code", path=f"{origin}.code")
-    budget = args.budget if args.budget is not None else EXHAUSTIVE_BUDGET
+    eps = finite_real(doc, "eps", origin)
+    avqc = field(doc, "avqc", origin, {"avqc"})
+    code = field(doc, "code", origin, {"random_code"})
     run.config.update(
-        {"l": l, "sample_count": sample_count, "eps": eps, "budget": budget}
+        {"l": l, "sample_count": sample_count, "eps": eps, "budget": args.budget}
     )
     sampled, verified = random_code_reduction(
-        code, avqc, l, sample_count, eps, args.seed, budget=budget
+        code, avqc, l, sample_count, eps, args.seed, budget=args.budget
     )
     # draws repeat support codes: encode each once and list it per draw
     encoded = {det: to_document(det) for det in dict.fromkeys(sampled)}
@@ -298,22 +243,12 @@ def _cmd_reduce(args) -> dict:
 
 def _cmd_compose(args) -> dict:
     run = _Run("compose", None)
-    doc = run.load("input", args.input)
-    _expect_kind(doc, {"composition_problem"}, args.input)
-    origin = f"{args.input}:$"
-    for field in ("cr_code", "payload", "target_l"):
-        if field not in doc:
-            raise SchemaError(f"missing field {field!r}", path=origin)
+    doc, origin = run.load("input", args.input, {"composition_problem"})
     target_l = positive_int(doc, "target_l", origin)
-    cr_code = from_document(doc["cr_code"], path=f"{origin}.cr_code")
-    payload = from_document(doc["payload"], path=f"{origin}.payload")
-    if not isinstance(cr_code, CorrelatedCode):
-        raise SchemaError("'cr_code' must be a correlated_code", path=f"{origin}.cr_code")
-    if not isinstance(payload, RandomCode):
-        raise SchemaError("'payload' must be a random_code", path=f"{origin}.payload")
+    cr_code = field(doc, "cr_code", origin, {"correlated_code"})
+    payload = field(doc, "payload", origin, {"random_code"})
     run.config.update({"target_l": target_l})
-    composed = compose_two_phase(cr_code, payload, target_l)
-    result = to_document(composed)
+    result = to_document(compose_two_phase(cr_code, payload, target_l))
     result["manifest"] = run.manifest()
     return result
 
@@ -344,9 +279,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "reduce":
             cmd.add_argument("--seed", type=int, default=0)
         if name in ("symcheck", "simulate", "reduce"):
-            cmd.add_argument("--budget", type=int, default=None)
+            default = ENUM_BUDGET if name == "symcheck" else EXHAUSTIVE_BUDGET
+            cmd.add_argument("--budget", type=int, default=default)
         if name == "symcheck":
-            cmd.add_argument("--tol", type=float, default=None)
+            cmd.add_argument("--tol", type=float, default=TOL_FEAS)
             cmd.add_argument("--probes", help="probe_set JSON document")
             cmd.add_argument("--l", type=int, default=1, help="block length")
         if name == "capacity":

@@ -34,7 +34,7 @@ from .quantum import (
     hermitize,
     min_eigenvalue,
 )
-from .util import content_key
+from .util import content_key, power_exceeds
 
 __all__ = [
     "DeterministicCode",
@@ -123,9 +123,9 @@ class RandomCode:
 
 def _check_observation_space(source: BipartiteSource, n: int, what: str) -> None:
     """Reject length-n observation spaces over ENUM_BUDGET before enumerating them."""
-    if len(source.x_alphabet) ** n > ENUM_BUDGET:
+    if power_exceeds(len(source.x_alphabet), n, ENUM_BUDGET):
         raise BudgetExceeded(f"{what}: sender observation space too large")
-    if len(source.y_alphabet) ** n > ENUM_BUDGET:
+    if power_exceeds(len(source.y_alphabet), n, ENUM_BUDGET):
         raise BudgetExceeded(f"{what}: receiver observation space too large")
 
 
@@ -473,11 +473,11 @@ def _per_message_fn(avqc: Avqc, code):
 
 
 def _check_code_dims(avqc: Avqc, l: int, input_dim: int, output_dim: int) -> None:
-    if input_dim != avqc.dim_in**l:
+    if power_exceeds(avqc.dim_in, l, input_dim) or input_dim != avqc.dim_in**l:
         raise DimensionMismatch(
             f"code input dim {input_dim} does not match {avqc.dim_in}^{l}"
         )
-    if output_dim != avqc.dim_out**l:
+    if power_exceeds(avqc.dim_out, l, output_dim) or output_dim != avqc.dim_out**l:
         raise DimensionMismatch(
             f"code output dim {output_dim} does not match {avqc.dim_out}^{l}"
         )
@@ -518,12 +518,15 @@ def _greedy_search(states, l: int, score_cache: dict, vector_fn):
                         improved = True
 
 
-def _check_enumerable(count: int, budget: float, what: str) -> None:
-    """Reject more state sequences than ``budget``, or than ENUM_BUDGET, before any is scored."""
-    if count > budget:
-        raise BudgetExceeded(f"{what}: {count} sequences exceed budget {budget}")
-    if count > ENUM_BUDGET:
-        raise BudgetExceeded(f"{what}: {count} sequences exceed the enumeration budget")
+def _check_enumerable(n_states: int, l: int, budget: float, what: str) -> None:
+    """Reject more length-l state sequences than ``budget``, or than ENUM_BUDGET.
+
+    Runs before any sequence is scored, and never forms ``n_states ** l``.
+    """
+    if power_exceeds(n_states, l, budget):
+        raise BudgetExceeded(f"{what}: {n_states}^{l} sequences exceed budget {budget}")
+    if power_exceeds(n_states, l, ENUM_BUDGET):
+        raise BudgetExceeded(f"{what}: {n_states}^{l} sequences exceed the enumeration budget")
 
 
 def _first_worst(scores, d_out: int) -> int:
@@ -551,14 +554,13 @@ def evaluate_code(
     """
     l, d_in, d_out = _code_shape(code)
     _check_code_dims(avqc, l, d_in, d_out)
-    count = len(avqc.states) ** l
     if mode not in ("auto", "exhaustive", "greedy"):
         raise ValidationError(f"evaluate_code: unknown mode {mode!r}")
     if mode == "auto":
-        mode = "exhaustive" if count <= budget else "greedy"
+        mode = "greedy" if power_exceeds(len(avqc.states), l, budget) else "exhaustive"
     if mode == "exhaustive":
         # the budget picks the mode; it does not cap an exhaustive request
-        _check_enumerable(count, math.inf, "evaluate_code")
+        _check_enumerable(len(avqc.states), l, math.inf, "evaluate_code")
         seqs = itertools.product(avqc.states, repeat=l)
         scores = zip(seqs, _exhaustive_table(avqc, l, code))
     else:
@@ -596,7 +598,7 @@ def evaluate_entanglement_code(
     transfer matrix of n²·d² entries but often only a few Kraus operators,
     and through it L=6 ran 1.7 times slower.
     """
-    _check_enumerable(len(avqc.states) ** code.l, budget, "evaluate_entanglement_code")
+    _check_enumerable(len(avqc.states), code.l, budget, "evaluate_entanglement_code")
     d_in, d_out = avqc.dim_in**code.l, avqc.dim_out**code.l
     for enc in code.encoders.values():
         _check_code_dims(avqc, code.l, enc.dim_out, d_out)
@@ -702,9 +704,11 @@ def random_code_reduction(
         raise ValidationError("random_code_reduction: eps must lie in (0, 1)")
     if sample_count < 1:
         raise ValidationError("random_code_reduction: sample_count must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"random_code_reduction: seed must be non-negative, not {seed}")
     l_, d_in, d_out = _code_shape(code)
     _check_code_dims(avqc, l_, d_in, d_out)
-    _check_enumerable(len(avqc.states) ** l, budget, "random_code_reduction")
+    _check_enumerable(len(avqc.states), l, budget, "random_code_reduction")
     # success[j, seq_index, i] for each support code j
     success = np.stack(
         [_success_table(avqc, l, *_det_term(det)) for det in code.support]

@@ -5,9 +5,15 @@ Complex numbers serialize as two-element arrays ``[re, im]`` and matrices as
 nested row-major arrays of those pairs. Floats are emitted through Python's
 shortest round-trip repr, so dump/load is bit-exact at double precision.
 Decode errors raise :class:`SchemaError` carrying the JSON path of the
-offending field. Every label list (family states, cq letters, source
-alphabets, observation sequences) holds JSON scalars only; family state and
-letter labels are read as their ``str()``.
+offending field. Every field goes through the same few readers, which the
+command line uses as well: a number is a finite int or float, never a bool
+(:func:`finite_real`, :func:`positive_int`); a kind is a string that is
+checked against the kinds its place allows before anything is decoded
+(:func:`document_kind`, :func:`from_document`, :func:`field`); arrays are
+non-empty. Every label list (family states, cq letters, source alphabets,
+observation sequences) holds JSON scalars only; family state and letter
+labels are read as their ``str()``, and no two observation entries of a
+correlated code may hold the same sequence.
 
 :func:`dumps_document` returns exactly ``json.dumps(doc, sort_keys=True,
 indent=2, allow_nan=False) + "\\n"``, but renders each array of numbers, and
@@ -20,18 +26,18 @@ scalars, non-finite floats, nesting deeper than ``_MAX_DEPTH``) sends the
 whole document to ``json.dumps``, so the bytes or the exception are the
 same. A matrix whose rows are lists of one width, holding only plain numbers
 or only plain number pairs, decodes in one ``np.array`` call; any other
-input goes through the per-entry walk, which accepts or rejects it as before
-and names the offending path. Parsing, decoding and encoding run with the
+input goes through the per-entry walk, which applies the number rule and
+names the offending path. Parsing, decoding and encoding run with the
 cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
-import cmath
 import gc
 import json
 import math
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -54,10 +60,9 @@ __all__ = [
     "write_document",
 ]
 
-# Exact leaf types of the fast paths. ``bool`` is a type of its own here, and
-# subclasses (numpy scalars among them) take the slow paths.
+# Exact leaf types of the fast paths. Each is a number by ``_is_number``; a bool,
+# or any subclass of int or float, takes the per-entry walk.
 _NUMBERS = frozenset((int, float))
-_DECODED_NUMBERS = frozenset((int, float, bool))
 
 
 def _complex_to_json(arr) -> list:
@@ -90,36 +95,60 @@ def _collector_paused():
         gc.enable()
 
 
-def _expect(doc: Any, key: str, path: str) -> Any:
+def _at(doc: Any, key: str, path: str) -> tuple[Any, str]:
+    """The field ``key`` of the object ``doc``, and its path."""
     if not isinstance(doc, dict):
-        raise SchemaError(f"expected an object", path=path)
+        raise SchemaError("expected an object", path=path)
     if key not in doc:
         raise SchemaError(f"missing field {key!r}", path=path)
-    return doc[key]
+    return doc[key], f"{path}.{key}"
+
+
+def _is_number(value: Any) -> bool:
+    """The number rule of every field: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value: Any, path: str) -> float:
+    """A number as a finite float; an int beyond the float range is not finite."""
+    if not _is_number(value):
+        raise SchemaError("expected a number", path=path)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError("expected a finite number", path=path)
+    return out
 
 
 def positive_int(doc: Any, key: str, path: str) -> int:
     """The field ``key`` of ``doc``, which must be an integer >= 1 and not a bool."""
-    value = _expect(doc, key, path)
+    value, at = _at(doc, key, path)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SchemaError("expected a positive integer", path=f"{path}.{key}")
+        raise SchemaError("expected a positive integer", path=at)
     return value
+
+
+def finite_real(doc: Any, key: str, path: str) -> int | float:
+    """The field ``key`` of ``doc``, which must be a finite number; returned as given."""
+    value, at = _at(doc, key, path)
+    _finite(value, at)
+    return value
+
+
+def _each(items: Any, path: str, decode) -> list:
+    """``decode(item, path)`` of each item of a non-empty array."""
+    if not isinstance(items, list) or not items:
+        raise SchemaError("expected a non-empty array", path=path)
+    return [decode(item, f"{path}[{i}]") for i, item in enumerate(items)]
 
 
 def _as_complex(entry: Any, path: str) -> complex:
-    if isinstance(entry, (int, float)):
-        value = complex(float(entry), 0.0)
-    elif (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(v, (int, float)) for v in entry)
-    ):
-        value = complex(float(entry[0]), float(entry[1]))
-    else:
+    parts = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0.0)
+    if not all(map(_is_number, parts)):
         raise SchemaError("expected a number or an [re, im] pair", path=path)
-    if not cmath.isfinite(value):
-        raise SchemaError("expected a finite number", path=path)
-    return value
+    return complex(*(_finite(v, path) for v in parts))
 
 
 def _matrix_walk(rows: Any, path: str) -> np.ndarray:
@@ -146,8 +175,9 @@ def _matrix_fast(rows: Any) -> np.ndarray | None:
 
     Every row must be a list of the same width, holding only plain finite
     numbers or only pairs of them. Types are checked before numpy sees the
-    entries, so numpy never accepts what the walk rejects (tuple rows, numpy
-    scalars), and ``dtype=float`` converts each int as ``float()`` does.
+    entries, so numpy never accepts what the walk rejects (booleans, tuple
+    rows, numpy scalars), and ``dtype=float`` converts each int as
+    ``float()`` does.
     """
     if type(rows) is not list or set(map(type, rows)) != {list}:
         return None
@@ -157,17 +187,17 @@ def _matrix_fast(rows: Any) -> np.ndarray | None:
     shape = (len(rows), widths.pop())
     entries = list(chain.from_iterable(rows))
     kinds = set(map(type, entries))
-    if kinds <= _DECODED_NUMBERS:
+    if kinds <= _NUMBERS:
         leaves = entries
     elif kinds <= {list, tuple} and set(map(len, entries)) == {2}:
         leaves = list(chain.from_iterable(entries))
-        if not set(map(type, leaves)) <= _DECODED_NUMBERS:
+        if not set(map(type, leaves)) <= _NUMBERS:
             return None
     else:
         return None
     try:
         flat = np.array(leaves, dtype=float)
-    except OverflowError:  # an int beyond float range; the walk raises it
+    except OverflowError:  # an int beyond float range; the walk names the entry
         return None
     if not np.isfinite(flat).all():  # NaN, Infinity or 1e400; the walk names the entry
         return None
@@ -188,17 +218,12 @@ def _real_matrix_from_json(rows: Any, path: str) -> np.ndarray:
     return mat.real
 
 
-def _vector_from_json(entries: Any, path: str) -> np.ndarray:
-    if not isinstance(entries, list) or not entries:
-        raise SchemaError("expected a non-empty array", path=path)
-    out = []
-    for i, v in enumerate(entries):
-        if not isinstance(v, (int, float)):
-            raise SchemaError("expected a number", path=f"{path}[{i}]")
-        if isinstance(v, float) and not math.isfinite(v):
-            raise SchemaError("expected a finite number", path=f"{path}[{i}]")
-        out.append(float(v))
-    return np.array(out)
+def _density(rows: Any, path: str) -> DensityMatrix:
+    return DensityMatrix(_matrix_from_json(rows, path))
+
+
+def _densities(items: Any, path: str) -> tuple:
+    return tuple(_each(items, path, _density))
 
 
 # ---------------------------------------------------------------- encoding
@@ -328,15 +353,9 @@ def to_document(obj: Any) -> dict:
 
 
 def _decode_channel(doc: Any, path: str) -> QuantumChannel:
-    kraus_doc = _expect(doc, "kraus", path)
-    if not isinstance(kraus_doc, list) or not kraus_doc:
-        raise SchemaError("expected a non-empty array", path=f"{path}.kraus")
-    ops = [
-        _matrix_from_json(op, f"{path}.kraus[{i}]") for i, op in enumerate(kraus_doc)
-    ]
-    channel = QuantumChannel(tuple(ops))
+    channel = QuantumChannel(tuple(_each(*_at(doc, "kraus", path), _matrix_from_json)))
     for key, value in (("dim_in", channel.dim_in), ("dim_out", channel.dim_out)):
-        if key in doc and doc[key] != value:
+        if key in doc and positive_int(doc, key, path) != value:
             raise SchemaError(
                 f"declared {key}={doc[key]} but kraus operators give {value}",
                 path=f"{path}.{key}",
@@ -345,19 +364,7 @@ def _decode_channel(doc: Any, path: str) -> QuantumChannel:
 
 
 def _decode_povm(doc: Any, path: str) -> Povm:
-    elements_doc = _expect(doc, "elements", path)
-    if not isinstance(elements_doc, list) or not elements_doc:
-        raise SchemaError("expected a non-empty array", path=f"{path}.elements")
-    return Povm(
-        tuple(
-            _matrix_from_json(el, f"{path}.elements[{i}]")
-            for i, el in enumerate(elements_doc)
-        )
-    )
-
-
-def _decode_density(doc: Any, path: str) -> DensityMatrix:
-    return DensityMatrix(_matrix_from_json(_expect(doc, "matrix", path), f"{path}.matrix"))
+    return Povm(tuple(_each(*_at(doc, "elements", path), _matrix_from_json)))
 
 
 def _is_label(value: Any) -> bool:
@@ -365,163 +372,107 @@ def _is_label(value: Any) -> bool:
     return not isinstance(value, (list, dict))
 
 
-def _decode_labels(doc: Any, key: str, path: str) -> list:
-    labels = _expect(doc, key, path)
-    if not isinstance(labels, list) or not labels:
-        raise SchemaError("expected a non-empty array", path=f"{path}.{key}")
-    if not all(map(_is_label, labels)):
-        raise SchemaError(
-            "labels must be strings, numbers, booleans or null", path=f"{path}.{key}"
-        )
-    return labels
-
-
-def _decode_avqc(doc: Any, path: str) -> Avqc:
-    states = _decode_labels(doc, "states", path)
-    channels_doc = _expect(doc, "channels", path)
-    if not isinstance(channels_doc, dict):
-        raise SchemaError("expected an object", path=f"{path}.channels")
-    channels = {}
-    for s in states:
-        key = str(s)
-        if key not in channels_doc:
-            raise SchemaError(f"missing channel for state {key!r}", path=f"{path}.channels")
-        channels[key] = _decode_channel(channels_doc[key], f"{path}.channels.{key}")
-    return Avqc(tuple(str(s) for s in states), channels)
-
-
-def _decode_av_cqc(doc: Any, path: str) -> AvCqc:
-    states = _decode_labels(doc, "states", path)
-    alphabet = _decode_labels(doc, "alphabet", path)
-    branches_doc = _expect(doc, "branches", path)
-    if not isinstance(branches_doc, dict):
-        raise SchemaError("expected an object", path=f"{path}.branches")
-    branches = {}
-    for s in states:
-        key = str(s)
-        if key not in branches_doc:
-            raise SchemaError(f"missing branch for state {key!r}", path=f"{path}.branches")
-        row = branches_doc[key]
-        if not isinstance(row, list) or len(row) != len(alphabet):
-            raise SchemaError(
-                f"expected {len(alphabet)} output states", path=f"{path}.branches.{key}"
-            )
-        letters = tuple(str(x) for x in alphabet)
-        outputs = {
-            letters[i]: DensityMatrix(
-                _matrix_from_json(row[i], f"{path}.branches.{key}[{i}]")
-            )
-            for i in range(len(letters))
-        }
-        branches[key] = CqChannel(letters, outputs)
-    return AvCqc(tuple(str(s) for s in states), branches)
-
-
-def _decode_classical_avc(doc: Any, path: str) -> ClassicalAvc:
-    states = _decode_labels(doc, "states", path)
-    kernels_doc = _expect(doc, "kernels", path)
-    if not isinstance(kernels_doc, dict):
-        raise SchemaError("expected an object", path=f"{path}.kernels")
-    kernels = {}
-    for s in states:
-        key = str(s)
-        if key not in kernels_doc:
-            raise SchemaError(f"missing kernel for state {key!r}", path=f"{path}.kernels")
-        kernels[key] = _real_matrix_from_json(kernels_doc[key], f"{path}.kernels.{key}")
-    return ClassicalAvc(tuple(str(s) for s in states), kernels)
-
-
-def _decode_source(doc: Any, path: str) -> BipartiteSource:
-    x_alphabet = _decode_labels(doc, "x_alphabet", path)
-    y_alphabet = _decode_labels(doc, "y_alphabet", path)
-    joint = _real_matrix_from_json(_expect(doc, "joint", path), f"{path}.joint")
-    if joint.shape != (len(x_alphabet), len(y_alphabet)):
-        raise SchemaError(
-            f"joint table shape {joint.shape} does not match the alphabets",
-            path=f"{path}.joint",
-        )
-    return BipartiteSource(tuple(x_alphabet), tuple(y_alphabet), joint)
-
-
-def _decode_det_code(doc: Any, path: str) -> DeterministicCode:
-    l = positive_int(doc, "l", path)
-    encoder_doc = _expect(doc, "encoder", path)
-    if not isinstance(encoder_doc, list) or not encoder_doc:
-        raise SchemaError("expected a non-empty array", path=f"{path}.encoder")
-    encoder = tuple(
-        DensityMatrix(_matrix_from_json(m, f"{path}.encoder[{i}]"))
-        for i, m in enumerate(encoder_doc)
-    )
-    decoder = _decode_povm(_expect(doc, "decoder", path), f"{path}.decoder")
-    return DeterministicCode(l, encoder, decoder)
-
-
-def _decode_random_code(doc: Any, path: str) -> RandomCode:
-    support_doc = _expect(doc, "support", path)
-    if not isinstance(support_doc, list) or not support_doc:
-        raise SchemaError("expected a non-empty array", path=f"{path}.support")
-    support = tuple(
-        _decode_det_code(d, f"{path}.support[{i}]") for i, d in enumerate(support_doc)
-    )
-    weights = _vector_from_json(_expect(doc, "weights", path), f"{path}.weights")
-    return RandomCode(support, weights)
-
-
-def _sequence_key(labels: Any, path: str) -> tuple:
-    """An observation sequence as a dict key: an array of hashable labels."""
-    if not isinstance(labels, list) or not all(map(_is_label, labels)):
-        raise SchemaError("expected an array of labels", path=path)
+def _labels(doc: Any, key: str, path: str) -> tuple:
+    labels, at = _at(doc, key, path)
+    if not all(_each(labels, at, lambda label, _: _is_label(label))):
+        raise SchemaError("labels must be strings, numbers, booleans or null", path=at)
     return tuple(labels)
 
 
-def _decode_correlated_code(doc: Any, path: str) -> CorrelatedCode:
-    l = positive_int(doc, "l", path)
-    r = positive_int(doc, "r", path)
-    source = _decode_source(_expect(doc, "source", path), f"{path}.source")
-    encoders_doc = _expect(doc, "encoders", path)
-    decoders_doc = _expect(doc, "decoders", path)
-    if not isinstance(encoders_doc, list) or not isinstance(decoders_doc, list):
-        raise SchemaError("expected arrays of entries", path=path)
-    encoders = {}
-    for i, entry in enumerate(encoders_doc):
-        at = f"{path}.encoders[{i}]"
-        x = _expect(entry, "x", at)
-        states_doc = _expect(entry, "states", at)
-        if not isinstance(states_doc, list):
-            raise SchemaError("expected an array", path=f"{at}.states")
-        states = tuple(
-            DensityMatrix(_matrix_from_json(m, f"{at}.states[{j}]"))
-            for j, m in enumerate(states_doc)
+def _label_table(doc: Any, key: str, path: str, decode) -> tuple[tuple, dict]:
+    """The family's state labels as strings, and ``decode`` of each one's ``doc[key]`` entry."""
+    states = tuple(map(str, _labels(doc, "states", path)))
+    table, at = _at(doc, key, path)
+    if not isinstance(table, dict):
+        raise SchemaError("expected an object", path=at)
+    return states, {s: decode(*_at(table, s, at)) for s in states}
+
+
+def _decode_avqc(doc: Any, path: str) -> Avqc:
+    return Avqc(*_label_table(doc, "channels", path, partial(_decode, kinds={"channel"})))
+
+
+def _decode_av_cqc(doc: Any, path: str) -> AvCqc:
+    letters = tuple(map(str, _labels(doc, "alphabet", path)))
+
+    def branch(row: Any, at: str) -> CqChannel:
+        outputs = _densities(row, at)
+        if len(outputs) != len(letters):
+            raise SchemaError(f"expected {len(letters)} output states", path=at)
+        return CqChannel(letters, dict(zip(letters, outputs)))
+
+    return AvCqc(*_label_table(doc, "branches", path, branch))
+
+
+def _decode_classical_avc(doc: Any, path: str) -> ClassicalAvc:
+    return ClassicalAvc(*_label_table(doc, "kernels", path, _real_matrix_from_json))
+
+
+def _decode_source(doc: Any, path: str) -> BipartiteSource:
+    x_alphabet = _labels(doc, "x_alphabet", path)
+    y_alphabet = _labels(doc, "y_alphabet", path)
+    joint, at = _at(doc, "joint", path)
+    joint = _real_matrix_from_json(joint, at)
+    if joint.shape != (len(x_alphabet), len(y_alphabet)):
+        raise SchemaError(
+            f"joint table shape {joint.shape} does not match the alphabets", path=at
         )
-        encoders[_sequence_key(x, f"{at}.x")] = states
-    decoders = {}
-    for i, entry in enumerate(decoders_doc):
-        at = f"{path}.decoders[{i}]"
-        y = _expect(entry, "y", at)
-        povm = _decode_povm(_expect(entry, "povm", at), f"{at}.povm")
-        decoders[_sequence_key(y, f"{at}.y")] = povm
-    return CorrelatedCode(l, r, source, encoders, decoders)
+    return BipartiteSource(x_alphabet, y_alphabet, joint)
+
+
+def _decode_det_code(doc: Any, path: str) -> DeterministicCode:
+    return DeterministicCode(
+        positive_int(doc, "l", path),
+        _densities(*_at(doc, "encoder", path)),
+        _decode(*_at(doc, "decoder", path), {"povm"}),
+    )
+
+
+def _decode_random_code(doc: Any, path: str) -> RandomCode:
+    support = _each(*_at(doc, "support", path), partial(_decode, kinds={"deterministic_code"}))
+    return RandomCode(tuple(support), np.array(_each(*_at(doc, "weights", path), _finite)))
+
+
+def _observations(doc: Any, key: str, label: str, path: str, decode) -> dict:
+    """``decode(entry, at)`` of each entry of ``doc[key]``, keyed by its observation sequence.
+
+    An entry's ``label`` field holds its sequence, an array of labels; no two
+    entries may hold the same one.
+    """
+    table: dict = {}
+
+    def read(entry: Any, at: str) -> None:
+        seq, seq_at = _at(entry, label, at)
+        if not isinstance(seq, list) or not all(map(_is_label, seq)):
+            raise SchemaError("expected an array of labels", path=seq_at)
+        if tuple(seq) in table:
+            raise SchemaError("repeats an earlier observation sequence", path=seq_at)
+        table[tuple(seq)] = decode(entry, at)
+
+    _each(*_at(doc, key, path), read)
+    return table
+
+
+def _decode_correlated_code(doc: Any, path: str) -> CorrelatedCode:
+    return CorrelatedCode(
+        positive_int(doc, "l", path),
+        positive_int(doc, "r", path),
+        _decode(*_at(doc, "source", path), {"bipartite_source"}),
+        _observations(
+            doc, "encoders", "x", path, lambda e, at: _densities(*_at(e, "states", at))
+        ),
+        _observations(
+            doc, "decoders", "y", path, lambda e, at: _decode(*_at(e, "povm", at), {"povm"})
+        ),
+    )
 
 
 def _decode_pure_state(doc: Any, path: str) -> PureState:
-    amplitudes = _expect(doc, "amplitudes", path)
-    if not isinstance(amplitudes, list):
-        raise SchemaError("expected an array", path=f"{path}.amplitudes")
-    return PureState(
-        np.array(
-            [_as_complex(a, f"{path}.amplitudes[{i}]") for i, a in enumerate(amplitudes)]
-        )
-    )
+    return PureState(np.array(_each(*_at(doc, "amplitudes", path), _as_complex)))
 
 
 def _decode_probe_set(doc: Any, path: str) -> tuple:
-    states_doc = _expect(doc, "states", path)
-    if not isinstance(states_doc, list) or not states_doc:
-        raise SchemaError("expected a non-empty array", path=f"{path}.states")
-    return tuple(
-        DensityMatrix(_matrix_from_json(m, f"{path}.states[{i}]"))
-        for i, m in enumerate(states_doc)
-    )
+    return _densities(*_at(doc, "states", path))
 
 
 def probes_to_document(probes) -> dict:
@@ -533,7 +484,7 @@ def probes_to_document(probes) -> dict:
 
 
 _DECODERS = {
-    "density_matrix": _decode_density,
+    "density_matrix": lambda doc, path: _density(*_at(doc, "matrix", path)),
     "probe_set": _decode_probe_set,
     "pure_state": _decode_pure_state,
     "channel": _decode_channel,
@@ -548,21 +499,35 @@ _DECODERS = {
 }
 
 
-def from_document(doc: Any, path: str = "$"):
+def document_kind(doc: Any, path: str = "$", kinds=None) -> str:
+    """The ``kind`` of ``doc``: a string in ``kinds``, by default any decodable kind."""
+    kind, at = _at(doc, "kind", path)
+    allowed = _DECODERS if kinds is None else kinds
+    if not isinstance(kind, str) or kind not in allowed:
+        raise SchemaError(f"expected a kind in {sorted(allowed)}, got {kind!r}", path=at)
+    return kind
+
+
+def _decode(doc: Any, path: str, kinds=None):
+    return _DECODERS[document_kind(doc, path, kinds)](doc, path)
+
+
+def from_document(doc: Any, path: str = "$", kinds=None):
     """Decode a JSON document into the library object its kind names.
 
-    Raises :class:`SchemaError` with the offending JSON path for structural
-    problems; semantic validation errors come from the object constructors.
+    The kind must be a string in ``kinds`` (by default, any decodable kind)
+    and is checked before anything is decoded; so is the kind of every
+    sub-document. Raises :class:`SchemaError` with the offending JSON path for
+    structural problems; semantic validation errors come from the object
+    constructors.
     """
-    kind = _expect(doc, "kind", path)
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise SchemaError(
-            f"unknown kind {kind!r} (expected one of {sorted(_DECODERS)})",
-            path=f"{path}.kind",
-        )
     with _collector_paused():
-        return decoder(doc, path)
+        return _decode(doc, path, kinds)
+
+
+def field(doc: Any, key: str, path: str, kinds=None):
+    """``from_document`` of the sub-document ``doc[key]``, at its own path."""
+    return from_document(*_at(doc, key, path), kinds)
 
 
 # ---------------------------------------------------------------- writing

@@ -40,11 +40,13 @@ from .avqc import Avqc, AvCqc, ClassicalAvc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import DensityMatrix, PureState, _hermitian_basis, apply_product_to_matrix
+from .util import power_exceeds
 
 __all__ = [
     "SymmetrizingFamily",
     "SymmetrizabilityVerdict",
     "check_symmetrizable",
+    "check_lp_size",
     "check_symmetrizable_pure",
     "check_symmetrizable_classical",
     "check_symmetrizable_cq",
@@ -262,6 +264,31 @@ def _degenerate_pairs(mats: Sequence[np.ndarray]) -> tuple:
     return tuple(flagged)
 
 
+def check_lp_size(
+    avqc: Avqc, l: int, probe_count: int | None = None, budget: int = ENUM_BUDGET
+) -> int:
+    """The l-block input dimension, once the pairwise LP is known to fit.
+
+    The LP over ``probe_count`` probes (None: the dim^2 of the Hermitian
+    frame) must have at most ``budget`` state sequences and LP_NNZ_BUDGET
+    nonzeros. Nothing is built, and no power above a budget is formed.
+    """
+    what = "check_symmetrizable"
+    if l < 1:
+        raise ValidationError(f"{what}: l must be >= 1")
+    n = len(avqc.states)
+    if power_exceeds(n, l, budget):
+        raise BudgetExceeded(f"{what}: {n}^{l} state sequences exceed budget {budget}")
+    if power_exceeds(avqc.dim_in, l, LP_NNZ_BUDGET) or power_exceeds(
+        avqc.dim_out, 2 * l, LP_NNZ_BUDGET
+    ):
+        raise BudgetExceeded(f"{what}: the {l}-block dimensions exceed the LP budget")
+    dim = avqc.dim_in**l
+    k = dim * dim if probe_count is None else probe_count
+    _check_lp_budget(k, n**l, avqc.dim_out ** (2 * l), what)
+    return dim
+
+
 def check_symmetrizable(
     avqc: Avqc,
     l: int,
@@ -278,11 +305,9 @@ def check_symmetrizable(
     probes = list(probes)
     if len(probes) < 2:
         raise ValidationError("check_symmetrizable: needs at least two probes")
-    dim = avqc.dim_in**l
+    dim = check_lp_size(avqc, l, len(probes), budget)
     mats = [_probe_matrix(p, dim, "check_symmetrizable") for p in probes]
     seqs = avqc.state_sequences(l, budget=budget)
-    coord_dim = avqc.dim_out ** (2 * l)
-    _check_lp_budget(len(mats), len(seqs), coord_dim, "check_symmetrizable")
     images = _probe_images(avqc, seqs, mats)
     feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
     witness = SymmetrizingFamily(tuple(seqs), dist) if feasible else None

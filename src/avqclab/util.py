@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -25,3 +26,20 @@ def content_key(obj) -> bytes:
         digest.update(repr(arr.shape).encode())
         digest.update(arr.tobytes())
     return digest.digest()
+
+
+def power_exceeds(base: int, exp: int, limit: float) -> bool:
+    """Whether ``base ** exp > limit``, for integers base, exp >= 0.
+
+    A document's block length can be any integer, and ``len(alphabet) ** l``
+    for l = 10**12 never finishes. Past a logarithm test the answer is
+    certain, so the power is formed only when it is below about 2 * limit.
+    """
+    if base < 2 or exp < 2 or limit < 1:
+        return base ** min(exp, 1) > limit
+    if limit == math.inf:
+        return False
+    bits = math.log2(limit) + 1  # base**exp >= 2**exp, so past it exp is small
+    if exp > bits or exp * math.log2(base) > bits:
+        return True
+    return base**exp > limit

@@ -250,17 +250,26 @@ def reference_convex_lp(target, points) -> dict:
     }
 
 
+def _oracle_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _oracle_complex(entry, path: str) -> complex:
-    if isinstance(entry, (int, float)):
-        value = complex(float(entry), 0.0)
+    """A number or an ``[re, im]`` pair of numbers; booleans are not numbers."""
+    if _oracle_number(entry):
+        parts = (entry, 0.0)
     elif (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
-        and all(isinstance(v, (int, float)) for v in entry)
+        and all(map(_oracle_number, entry))
     ):
-        value = complex(float(entry[0]), float(entry[1]))
+        parts = entry
     else:
         raise SchemaError("expected a number or an [re, im] pair", path=path)
+    try:
+        value = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:  # an int beyond the float range
+        raise SchemaError("expected a finite number", path=path) from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise SchemaError("expected a finite number", path=path)
     return value

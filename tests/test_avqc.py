@@ -1,5 +1,8 @@
 """Channel families, products, the flagged cq construction, classical reduction."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,8 @@ from avqclab import (
     reduce_to_classical,
     reduce_to_classical_weighted,
 )
+
+from avqclab.util import power_exceeds
 
 from helpers import apply_channel_to_slot, random_channel, random_density, random_povm, rng_for
 
@@ -56,6 +61,24 @@ class TestAvqcValidation:
         with pytest.raises(BudgetExceeded):
             fam.state_sequences(3, budget=7)
         assert len(fam.state_sequences(3)) == 8
+
+    def test_a_huge_block_length_is_rejected_without_its_power(self):
+        # 2**(10**12) has 3 * 10**11 digits; the test returns only if it is never formed
+        with pytest.raises(BudgetExceeded):
+            two_family().state_sequences(10**12)
+
+
+def test_power_exceeds_decides_the_power_against_the_limit():
+    for base, exp in itertools.product(range(6), range(12)):
+        for limit in (-1, 0, 0.5, 1, 7, 8, 9, 4096, 2**20, 10**40, math.inf):
+            assert power_exceeds(base, exp, limit) == (base**exp > limit), (base, exp, limit)
+
+
+def test_power_exceeds_never_forms_a_power_above_the_limit():
+    assert power_exceeds(2, 10**400, 2**20)
+    assert power_exceeds(3, 10**12, 10**500)
+    assert not power_exceeds(1, 10**400, 1)
+    assert not power_exceeds(7, 10**400, math.inf)
 
 
 class TestProductAvqc:

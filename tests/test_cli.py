@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestValidate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "symcheck"])
+    @pytest.mark.parametrize("kind", [[], {}, 3, None])
+    def test_a_non_string_kind_is_a_schema_error(self, tmp_path, capsys, command, kind):
+        path = write(tmp_path, "doc.json", {"kind": kind})
+        code, captured = run_json(capsys, [command, "--input", path])
+        assert code == 2
+        assert captured.err.startswith("schema error:")
+        assert f"{path}:$.kind" in captured.err
+        assert captured.out == ""
+
 
 class TestSymcheck:
     def test_singleton_identity_infeasible(self, tmp_path, capsys):
@@ -217,6 +228,20 @@ class TestSymcheck:
         )
         assert code == 3
         assert "budget exceeded" in captured.err
+
+    def test_frame_is_sized_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        # at l=4 the qubit pair's LP has 551,489,536 nonzeros; its frame alone
+        # would be 256 matrices of 16 x 16
+        avqc = Avqc(("a", "b"), {"a": identity_channel(2), "b": bit_flip_channel(0.5)})
+        path = write(tmp_path, "avqc.json", to_document(avqc))
+
+        def frame(dim):
+            raise AssertionError("the frame was built before the budget check")
+
+        monkeypatch.setattr(avqclab.cli, "hermitian_probe_frame", frame)
+        code, captured = run_json(capsys, ["symcheck", "--input", path, "--l", "4"])
+        assert code == 3
+        assert "nonzeros" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_outside_the_non_negative_reals(self, tmp_path, capsys, monkeypatch, tol):
@@ -434,6 +459,13 @@ class TestReduce:
         assert f"{path}:$.eps" in captured.err
         assert captured.out == ""
 
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys):
+        path = self.envelope(tmp_path)
+        code, captured = run_json(capsys, ["reduce", "--input", path, "--seed", "-1"])
+        assert code == 2
+        assert captured.err.startswith("validation error:")
+        assert "seed" in captured.err and captured.out == ""
+
     def test_reduction(self, tmp_path, capsys):
         path = self.envelope(tmp_path)
         code, captured = run_json(capsys, ["reduce", "--input", path, "--seed", "7"])
@@ -549,6 +581,15 @@ class TestOutputPlumbing:
         a["manifest"].pop("wall_time_ms")
         b["manifest"].pop("wall_time_ms")
         assert a == b
+
+
+def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "doc.json", {"kind": []})
+    monkeypatch.setattr(sys, "argv", ["avqclab", "validate", "--input", path])
+    with pytest.raises(SystemExit) as exc:
+        avqclab.cli.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("schema error:")
 
 
 @pytest.mark.parametrize(

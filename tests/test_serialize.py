@@ -15,6 +15,7 @@ from avqclab import (
     Avqc,
     AvCqc,
     BipartiteSource,
+    BudgetExceeded,
     ClassicalAvc,
     CorrelatedCode,
     CqChannel,
@@ -40,7 +41,7 @@ from avqclab import (
     write_document,
 )
 
-from avqclab.serialize import _matrix_from_json
+from avqclab.serialize import _matrix_from_json, field
 
 from helpers import (
     matrix_from_json_oracle,
@@ -298,6 +299,104 @@ class TestSchemaErrors:
     def test_semantic_errors_left_to_constructors(self):
         doc = {"kind": "density_matrix", "matrix": [[0.9, 0.0], [0.0, 0.9]]}
         with pytest.raises(ValidationError):
+            from_document(doc)
+
+
+def correlated_doc(**fields) -> dict:
+    words = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+    src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
+    povm = computational_povm(2)
+    doc = to_document(
+        CorrelatedCode(1, 1, src, {(0,): words, (1,): words}, {(0,): povm, (1,): povm})
+    )
+    return dict(json.loads(json.dumps(doc)), **fields)
+
+
+def _bool_sites():
+    """For each kind that held a number a bool could pass as: a document, where, the path."""
+    words = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+    det = DeterministicCode(1, words, computational_povm(2))
+    return {
+        "density_matrix": (to_document(words[0]), ("matrix", 1, 1), "$.matrix[1][1]"),
+        "povm": (
+            to_document(computational_povm(2)),
+            ("elements", 0, 0, 0, 1),
+            "$.elements[0][0][0]",
+        ),
+        "pure_state": (to_document(basis_state(2, 0)), ("amplitudes", 0), "$.amplitudes[0]"),
+        "random_code": (to_document(RandomCode((det,), [1.0])), ("weights", 0), "$.weights[0]"),
+        "bipartite_source": (
+            to_document(BipartiteSource((0, 1), (0, 1), np.eye(2) / 2)),
+            ("joint", 0, 1),
+            "$.joint[0][1]",
+        ),
+    }
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("kind", sorted(_bool_sites()))
+    def test_a_bool_is_not_a_number(self, kind, value):
+        doc, keys, at = _bool_sites()[kind]
+        doc = json.loads(json.dumps(doc))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(SchemaError) as err:
+            from_document(doc)
+        assert err.value.path == at
+
+    def test_an_int_beyond_the_float_range_is_not_finite(self):
+        doc = {"kind": "density_matrix", "matrix": [[10**400, 0], [0, 0]]}
+        with pytest.raises(SchemaError, match="finite") as err:
+            from_document(doc)
+        assert err.value.path == "$.matrix[0][0]"
+
+    def test_declared_dims_are_positive_integers(self):
+        # true == 1, so only the number rule rejects this
+        doc = {"kind": "channel", "dim_in": True, "dim_out": 1, "kraus": [[[1.0]]]}
+        with pytest.raises(SchemaError) as err:
+            from_document(doc)
+        assert err.value.path == "$.dim_in"
+
+
+class TestKindRule:
+    def test_kinds_are_checked_before_decoding(self):
+        doc = {"kind": "channel", "kraus": "not decoded"}
+        with pytest.raises(SchemaError) as err:
+            from_document(doc, kinds={"avqc"})
+        assert err.value.path == "$.kind"
+        assert "'channel'" in str(err.value)
+
+    def test_sub_documents_have_their_kind_checked(self):
+        doc = correlated_doc()
+        doc["decoders"][1]["povm"]["kind"] = "density_matrix"
+        with pytest.raises(SchemaError) as err:
+            from_document(doc)
+        assert err.value.path == "$.decoders[1].povm.kind"
+
+    def test_field_decodes_a_sub_document_at_its_path(self):
+        envelope = {"kind": "simulation_problem", "code": {"kind": "povm"}}
+        with pytest.raises(SchemaError) as err:
+            field(envelope, "code", "in.json:$", {"random_code"})
+        assert err.value.path == "in.json:$.code.kind"
+        with pytest.raises(SchemaError, match="missing field 'avqc'"):
+            field(envelope, "avqc", "in.json:$", {"avqc"})
+
+
+class TestObservationEntries:
+    @pytest.mark.parametrize("table, label", [("encoders", "x"), ("decoders", "y")])
+    def test_a_repeated_sequence_is_a_schema_error(self, table, label):
+        doc = correlated_doc()
+        doc[table].append(copy.deepcopy(doc[table][0]))
+        with pytest.raises(SchemaError, match="repeats") as err:
+            from_document(doc)
+        assert err.value.path == f"$.{table}[2].{label}"
+
+    def test_a_huge_block_length_fails_without_forming_the_power(self):
+        doc = correlated_doc(l=10**12)
+        with pytest.raises(BudgetExceeded, match="observation space"):
             from_document(doc)
 
 
