@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .config import ENUM_BUDGET, TOL_PROB
+from .config import DIM_CAP, ENUM_BUDGET, TOL_PROB
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import (
     DensityMatrix,
@@ -254,22 +254,23 @@ def build_associated_avcqc(
             "build_associated_avcqc: signal dims must equal the channel input dim"
         )
     signal_count = len(signals)
-    domain = len(source.x_alphabet) ** n
-    count = signal_count**domain
-    if count > budget:
+    x_count, y_count = len(source.x_alphabet), len(source.y_alphabet)
+    # each of the signal_count ** (x_count ** n) letters is a table over x_count ** n sequences
+    if power_exceeds(x_count, n, budget) or power_exceeds(signal_count, x_count**n, budget):
         raise BudgetExceeded(
-            f"build_associated_avcqc: {count} functions exceed budget {budget}"
+            f"build_associated_avcqc: {signal_count}^({x_count}^{n}) functions exceed budget {budget}"
         )
+    domain = x_count**n
     letters = list(itertools.product(range(signal_count), repeat=domain))
     seqs = avqc.state_sequences(n, budget=budget)
 
-    n_y = len(source.y_alphabet) ** n
+    if power_exceeds(y_count * avqc.dim_out, n, DIM_CAP):
+        raise ValidationError(
+            f"build_associated_avcqc: output dimension ({y_count}*{avqc.dim_out})^{n} exceeds the cap"
+        )
+    n_y = y_count**n
     d_block = avqc.dim_out**n
     dim_total = n_y * d_block
-    if dim_total > 4096:
-        raise ValidationError(
-            f"build_associated_avcqc: output dimension {dim_total} exceeds the cap"
-        )
     joint_n = source.joint_power(n)
 
     branches = {}

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .avqc import AvCqc
 from .errors import ValidationError
@@ -170,6 +169,8 @@ def _master(cuts: np.ndarray):
     bound, so they are solved to 1e-10: HiGHS's default 1e-7 leaves that
     bound up to about 1e-7 below the LP optimum, as wide as the target.
     """
+    from scipy.optimize import linprog  # here, so that importing avqclab loads no scipy
+
     n_cuts, n_s = cuts.shape
     res = linprog(
         np.r_[np.zeros(n_s), 1.0],

@@ -599,7 +599,9 @@ def evaluate_entanglement_code(
     and through it L=6 ran 1.7 times slower.
     """
     _check_enumerable(len(avqc.states), code.l, budget, "evaluate_entanglement_code")
-    d_in, d_out = avqc.dim_in**code.l, avqc.dim_out**code.l
+    # the code's own dimensions, so that dim ** l is formed only once it is known to be small
+    d_in = next(iter(code.encoders.values())).dim_out
+    d_out = next(iter(code.decoders.values())).dim_in
     for enc in code.encoders.values():
         _check_code_dims(avqc, code.l, enc.dim_out, d_out)
     for dec in code.decoders.values():

@@ -18,6 +18,7 @@ import numpy as np
 from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI, TOL_POS, TOL_PROB
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measures import mutual_information
+from .util import power_exceeds
 
 __all__ = [
     "BipartiteSource",
@@ -83,9 +84,9 @@ class BipartiteSource:
         """The i.i.d. block table p^(x)n over lexicographically ranked sequences."""
         if n < 1:
             raise ValidationError("joint_power: n must be >= 1")
-        size = (len(self.x_alphabet) * len(self.y_alphabet)) ** n
-        if size > budget:
-            raise BudgetExceeded(f"joint_power: {size} entries exceed budget {budget}")
+        pairs = len(self.x_alphabet) * len(self.y_alphabet)
+        if power_exceeds(pairs, n, budget):
+            raise BudgetExceeded(f"joint_power: {pairs}^{n} entries exceed budget {budget}")
         table = self.joint
         for _ in range(n - 1):
             table = np.kron(table, self.joint)
@@ -318,9 +319,9 @@ class CrFunctionsPair:
             raise ValidationError("CrFunctionsPair: l must be >= 1")
         if self.value_count < 1:
             raise ValidationError("CrFunctionsPair: value_count must be >= 1")
-        if len(x_alphabet) ** self.l > PAIR_ENUM_BUDGET:
+        if power_exceeds(len(x_alphabet), self.l, PAIR_ENUM_BUDGET):
             raise BudgetExceeded("CrFunctionsPair: sender domain exceeds budget")
-        if len(y_alphabet) ** self.l > PAIR_ENUM_BUDGET:
+        if power_exceeds(len(y_alphabet), self.l, PAIR_ENUM_BUDGET):
             raise BudgetExceeded("CrFunctionsPair: receiver domain exceeds budget")
         f_table = dict(self.f_table)
         g_table = dict(self.g_table)

@@ -97,8 +97,15 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``mat``."""
-    return float(np.linalg.eigvalsh(hermitize(mat))[0])
+    """Smallest eigenvalue of the Hermitian part of ``mat``; -inf if ``mat`` is not finite.
+
+    The halves of M and M† are summed, which is exact and, unlike M + M†,
+    cannot overflow on entries near the float range.
+    """
+    if not np.isfinite(mat).all():
+        return -math.inf
+    half = 0.5 * mat
+    return float(np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))[0])
 
 
 def _hermitian_basis(dim: int):
@@ -127,12 +134,13 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _as_square(self.matrix, "DensityMatrix")
         _check_dim(mat.shape[0], "DensityMatrix")
-        herm_defect = _max_abs(mat - mat.conj().T)
+        with np.errstate(over="ignore"):  # a defect beyond the float range reads inf
+            herm_defect = _max_abs(mat - mat.conj().T)
+            trace_defect = abs(complex(np.trace(mat)) - 1.0)
         if herm_defect > TOL_HERM:
             raise ValidationError(
                 f"DensityMatrix: not Hermitian (max deviation {herm_defect:.3e})"
             )
-        trace_defect = abs(complex(np.trace(mat)) - 1.0)
         if trace_defect > TOL_TRACE:
             raise ValidationError(
                 f"DensityMatrix: trace deviates from 1 by {trace_defect:.3e}"
@@ -255,14 +263,17 @@ class Povm:
                 _check_dim(dim, "Povm")
             elif op.shape[0] != dim:
                 raise ValidationError("Povm: elements have mixed dimensions")
-            if _max_abs(op - op.conj().T) > TOL_HERM:
+            with np.errstate(over="ignore"):  # a defect beyond the float range reads inf
+                herm_defect = _max_abs(op - op.conj().T)
+            if herm_defect > TOL_HERM:
                 raise ValidationError(f"Povm: element {idx} is not Hermitian")
             lo = min_eigenvalue(op)
             if lo < -TOL_PSD:
                 raise ValidationError(
                     f"Povm: element {idx} has eigenvalue {lo:.3e} below -{TOL_PSD}"
                 )
-        defect = _max_abs(sum(ops) - np.eye(dim))
+        with np.errstate(over="ignore"):
+            defect = _max_abs(sum(ops) - np.eye(dim))
         if defect > TOL_POVM:
             raise ValidationError(
                 f"Povm: elements deviate from a resolution of identity by {defect:.3e}"

@@ -27,14 +27,17 @@ whole document to ``json.dumps``, so the bytes or the exception are the
 same. A matrix whose rows are lists of one width, holding only plain numbers
 or only plain number pairs, decodes in one ``np.array`` call; any other
 input goes through the per-entry walk, which applies the number rule and
-names the offending path. Parsing, decoding and encoding run with the
-cyclic garbage collector paused.
+names the offending path. Equal ``encoders`` or ``decoders`` entries of a
+correlated code, the repeats the writer renders once, are decoded once and
+share one object (:func:`_observations`). Parsing, decoding and encoding run
+with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import marshal
 import math
 from contextlib import contextmanager
 from functools import partial
@@ -63,6 +66,29 @@ __all__ = [
 # Exact leaf types of the fast paths. Each is a number by ``_is_number``; a bool,
 # or any subclass of int or float, takes the per-entry walk.
 _NUMBERS = frozenset((int, float))
+
+# Types that marshal writes by exact type. It writes any other object that
+# exposes a buffer (bytes, a numpy scalar) as its raw bytes, so np.float64(1.0)
+# and the int64 of the same bits write alike; values holding such objects are
+# kept out of the memo of ``_observations``.
+_SEQUENCES = frozenset((list, tuple))
+_CONTAINERS = _SEQUENCES | {dict}
+_MARSHAL_EXACT = _CONTAINERS | {str, int, float, bool, type(None)}
+
+
+def _marshal_exact(value: Any) -> bool:
+    """Whether ``value`` is built of ``_MARSHAL_EXACT`` types alone, one nesting level at a time."""
+    level = [value]
+    while True:
+        kinds = set(map(type, level))
+        if not kinds <= _MARSHAL_EXACT:
+            return False
+        if kinds.isdisjoint(_CONTAINERS):
+            return True
+        if not kinds <= _SEQUENCES:
+            level = [v for v in level if type(v) in _CONTAINERS]
+            level += [v.values() for v in level if type(v) is dict]
+        level = list(chain.from_iterable(level))
 
 
 def _complex_to_json(arr) -> list:
@@ -433,13 +459,23 @@ def _decode_random_code(doc: Any, path: str) -> RandomCode:
     return RandomCode(tuple(support), np.array(_each(*_at(doc, "weights", path), _finite)))
 
 
-def _observations(doc: Any, key: str, label: str, path: str, decode) -> dict:
-    """``decode(entry, at)`` of each entry of ``doc[key]``, keyed by its observation sequence.
+def _observations(doc: Any, key: str, label: str, name: str, path: str, decode) -> dict:
+    """``decode(entry[name], at)`` of each entry of ``doc[key]``, keyed by its observation sequence.
 
     An entry's ``label`` field holds its sequence, an array of labels; no two
-    entries may hold the same one.
+    entries may hold the same one. An entry's ``name`` field equal to one
+    already decoded gets that same object. Equality is that of the
+    ``marshal`` bytes, which tell bool, int and float apart and, unlike
+    ``==``, never let ``true`` stand for ``1``. Only values that decoded
+    enter the memo, so every error is raised at its own entry's path. A
+    first copy is shared only once it is found to be made of
+    ``_MARSHAL_EXACT`` types alone, which is checked at its first repeat, so
+    a table without repeats pays for no check; a value that marshal refuses
+    is decoded on its own.
     """
     table: dict = {}
+    firsts: dict = {}  # marshal bytes -> (value, decoded object) of the first copy
+    shared: set = set()  # marshal bytes whose first copy passed _marshal_exact
 
     def read(entry: Any, at: str) -> None:
         seq, seq_at = _at(entry, label, at)
@@ -447,7 +483,19 @@ def _observations(doc: Any, key: str, label: str, path: str, decode) -> dict:
             raise SchemaError("expected an array of labels", path=seq_at)
         if tuple(seq) in table:
             raise SchemaError("repeats an earlier observation sequence", path=seq_at)
-        table[tuple(seq)] = decode(entry, at)
+        value, value_at = _at(entry, name, at)
+        try:
+            content = marshal.dumps(value, 2)
+        except ValueError:
+            content = None
+        first = firsts.get(content)
+        if first is not None and (content in shared or _marshal_exact(first[0])):
+            shared.add(content)
+            table[tuple(seq)] = first[1]
+            return
+        table[tuple(seq)] = decoded = decode(value, value_at)
+        if content is not None:
+            firsts.setdefault(content, (value, decoded))
 
     _each(*_at(doc, key, path), read)
     return table
@@ -458,12 +506,8 @@ def _decode_correlated_code(doc: Any, path: str) -> CorrelatedCode:
         positive_int(doc, "l", path),
         positive_int(doc, "r", path),
         _decode(*_at(doc, "source", path), {"bipartite_source"}),
-        _observations(
-            doc, "encoders", "x", path, lambda e, at: _densities(*_at(e, "states", at))
-        ),
-        _observations(
-            doc, "decoders", "y", path, lambda e, at: _decode(*_at(e, "povm", at), {"povm"})
-        ),
+        _observations(doc, "encoders", "x", "states", path, _densities),
+        _observations(doc, "decoders", "y", "povm", path, partial(_decode, kinds={"povm"})),
     )
 
 

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .avqc import Avqc, AvCqc, ClassicalAvc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
@@ -132,6 +130,16 @@ def _check_lp_budget(k: int, n_states: int, dim: int, what: str) -> None:
         )
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first solve so that importing avqclab loads no scipy.
+
+    The LP solve goes through this module-level name, which ``bench/tracer.py`` times.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def _min_violation_lp(
     values: np.ndarray,
     columns: np.ndarray,
@@ -155,6 +163,8 @@ def _min_violation_lp(
     renormalized, one per row; and the optimal t, the negated dual optimum
     clamped at zero.
     """
+    from scipy import sparse
+
     n_blocks, dim, m = values.shape
     size = n_x // groups
     n_u = 2 * n_blocks * dim  # one dual column per primal inequality row

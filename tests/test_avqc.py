@@ -151,6 +151,12 @@ class TestAssociatedConstruction:
         with pytest.raises(DimensionMismatch):
             build_associated_avcqc(two_family(), 1, src, [maximally_mixed(3)])
 
+    @pytest.mark.parametrize("family", [two_family(), Avqc(("b",), {"b": bit_flip_channel(0.3)})])
+    def test_a_huge_block_length_is_rejected_without_its_power(self, family):
+        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        with pytest.raises(BudgetExceeded, match="functions exceed"):
+            build_associated_avcqc(family, 10**12, src, [KET0, KET1])
+
 
 class TestClassicalReduction:
     def test_identity_channel_orthogonal_signals(self):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -156,6 +158,45 @@ class TestValidate:
         assert code == 2
         assert captured.err.startswith("schema error:")
         assert f"{path}:{at}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"kind": "density_matrix", "matrix": [[1e308, -1e308], [1e308, 0]]},
+                "not Hermitian (max deviation inf)",
+            ),
+            (
+                {"kind": "density_matrix", "matrix": [[1e308, 0], [0, 1e308]]},
+                "trace deviates from 1 by inf",
+            ),
+            (
+                {"kind": "density_matrix", "matrix": [[1e308, 0, 0], [0, -1e308, 0], [0, 0, 1]]},
+                "negative eigenvalue -1.000e+308",
+            ),
+            (
+                {"kind": "povm", "elements": [[[1e308, -1e308], [1e308, 0]]]},
+                "element 0 is not Hermitian",
+            ),
+            (
+                {"kind": "povm", "elements": [[[1e308, 0], [0, 1]], [[1e308, 0], [0, 0]]]},
+                "resolution of identity by inf",
+            ),
+            (
+                {"kind": "channel", "kraus": [[[1e200, 0], [0, 1]]]},
+                "Gram matrix has eigenvalue -inf",
+            ),
+        ],
+    )
+    def test_huge_finite_entries_fail_without_a_warning(self, tmp_path, capsys, doc, message):
+        # the suite turns a RuntimeWarning into an error, so a leaked overflow fails here
+        path = write(tmp_path, "doc.json", doc)
+        code, captured = run_json(capsys, ["validate", "--input", path])
+        assert code == 2
+        assert captured.err.startswith("validation error:")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_missing_file(self, tmp_path, capsys):
@@ -590,6 +631,36 @@ def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys):
         avqclab.cli.main()
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("schema error:")
+
+
+def run_python(*args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports this avqclab."""
+    src = os.path.dirname(os.path.dirname(avqclab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["avqclab", "avqclab.cli"])
+def test_python_dash_m_runs_the_command_line(tmp_path, module):
+    path = write(tmp_path, "doc.json", {"kind": []})
+    done = run_python("-m", module, "validate", "--input", path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("schema error:")
+    assert "Traceback" not in done.stderr
+    good = write(tmp_path, "ch.json", to_document(identity_channel(2)))
+    done = run_python("-m", module, "validate", "--input", good)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["valid"] is True
+
+
+def test_importing_the_command_line_loads_no_scipy_solver():
+    done = run_python(
+        "-c", "import sys, avqclab.cli; print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize(

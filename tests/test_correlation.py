@@ -57,6 +57,12 @@ class TestBipartiteSource:
         assert full.in_relative_interior()
         assert not border.in_relative_interior()
 
+    def test_a_huge_block_power_is_rejected_without_forming_it(self):
+        # 4**(10**12) is never formed: the test returns only if it is not
+        src = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
+        with pytest.raises(BudgetExceeded, match=r"4\^1000000000000 entries"):
+            src.joint_power(10**12)
+
 
 class TestBinaryReduction:
     def test_perfectly_correlated_binary(self):
@@ -244,6 +250,11 @@ class TestCrPairStatistics:
         pair = CrFunctionsPair((0, 1), (0, 1), 3, 1, f, dict(f))
         with pytest.raises(BudgetExceeded):
             cr_pair_statistics(src, pair, budget=63)
+
+    @pytest.mark.parametrize("sides, side", [(((0, 1), (0,)), "sender"), (((0,), (0, 1)), "receiver")])
+    def test_a_huge_block_length_is_rejected_without_its_domain(self, sides, side):
+        with pytest.raises(BudgetExceeded, match=f"{side} domain"):
+            CrFunctionsPair(*sides, 10**12, 2, {}, {})
 
 
 class TestCodeDistributionDiagnostics:

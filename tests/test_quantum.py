@@ -75,6 +75,11 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(np.eye(8192, dtype=complex) / 8192)
 
+    def test_rejects_non_finite_entries(self):
+        # nan - nan passes every comparison, so only the eigenvalue check can catch this
+        with pytest.raises(ValidationError, match="eigenvalue -inf"):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_matrix_is_frozen(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
@@ -247,6 +252,10 @@ class TestPovmValidation:
     def test_zero_element_allowed(self):
         povm = Povm((np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
         assert povm.outcome_count == 2
+
+    def test_rejects_non_finite_elements(self):
+        with pytest.raises(ValidationError, match="eigenvalue -inf"):
+            Povm((np.diag([np.nan, 1.0]), np.diag([np.nan, 0.0])))
 
 
 class TestSlotApplication:

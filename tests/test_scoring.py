@@ -27,6 +27,7 @@ from avqclab import (
     loads_document,
     to_document,
 )
+from avqclab.util import content_key
 
 from helpers import (
     entanglement_fidelity_oracle,
@@ -179,6 +180,7 @@ def test_exact_ties_report_the_first_searched_sequence(seed, l, mode):
 
 
 def test_round_tripped_correlated_code_groups_like_the_original():
+    """Equal but distinct encoders and decoders group by content; read back, they are one object."""
     rng = rng_for(13)
     source = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
     heads = [random_det(rng, 1, 2, 2, 2) for _ in range(2)]
@@ -190,17 +192,30 @@ def test_round_tripped_correlated_code_groups_like_the_original():
         tuple(random_det(rng, 2, 2, 2, 2) for _ in range(2)), np.array([0.5, 0.5])
     )
     composed = compose_two_phase(cr_code, payload, 3)
-    back = from_document(loads_document(dumps_document(to_document(composed))))
-    assert back.encoders[(0, 0, 0)] is not back.encoders[(0, 1, 1)]
-    in_memory = codes._CorrelatedEvaluator(composed)
-    read_back = codes._CorrelatedEvaluator(back)
-    assert len(read_back.pair_weight) == len(in_memory.pair_weight) == 4
-    assert read_back.pair_weight == pytest.approx(in_memory.pair_weight)
-    avqc = Avqc(("u", "v"), {s: random_channel(rng, 2) for s in ("u", "v")})
-    assert evaluate_code(avqc, back) == evaluate_code(avqc, composed)
-    assert evaluate_code(avqc, back, mode="greedy") == evaluate_code(
-        avqc, composed, mode="greedy"
+    copies = CorrelatedCode(
+        composed.l, composed.r, composed.source,
+        {x: copied(enc) for x, enc in composed.encoders.items()},
+        {y: copied(dec) for y, dec in composed.decoders.items()},
     )
+    assert copies.encoders[(0, 0, 0)] is not copies.encoders[(0, 1, 1)]
+    back = from_document(loads_document(dumps_document(to_document(composed))))
+    for table in ("encoders", "decoders"):
+        by_content: dict = {}
+        for obj in getattr(back, table).values():
+            by_content.setdefault(content_key(obj), set()).add(id(obj))
+        assert len(by_content) == 2
+        assert all(len(ids) == 1 for ids in by_content.values())
+    assert back.encoders[(0, 0, 0)] is back.encoders[(0, 1, 1)]
+    in_memory = codes._CorrelatedEvaluator(composed)
+    avqc = Avqc(("u", "v"), {s: random_channel(rng, 2) for s in ("u", "v")})
+    for code in (copies, back):
+        grouped = codes._CorrelatedEvaluator(code)
+        assert len(grouped.pair_weight) == len(in_memory.pair_weight) == 4
+        assert grouped.pair_weight == pytest.approx(in_memory.pair_weight)
+        assert evaluate_code(avqc, code) == evaluate_code(avqc, composed)
+        assert evaluate_code(avqc, code, mode="greedy") == evaluate_code(
+            avqc, composed, mode="greedy"
+        )
 
 
 def random_entanglement_code(rng, l, dim_in, dim_out, code_dim):

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import json
 import math
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avqclab import (
+    AvqclabError,
     Avqc,
     AvCqc,
     BipartiteSource,
@@ -398,6 +400,134 @@ class TestObservationEntries:
         doc = correlated_doc(l=10**12)
         with pytest.raises(BudgetExceeded, match="observation space"):
             from_document(doc)
+
+    @pytest.mark.parametrize("table, name", [("encoders", "states"), ("decoders", "povm")])
+    def test_equal_entries_decode_to_one_object(self, table, name):
+        code = from_document(correlated_doc())
+        entries = getattr(code, table)
+        assert entries[(0,)] is entries[(1,)]
+
+    @pytest.mark.parametrize("part, flag", [(0, True), (1, False)])
+    @pytest.mark.parametrize(
+        "table, leaf, at",
+        [
+            ("encoders", ("states", 0, 0, 0), "states[0][0][0]"),
+            ("decoders", ("povm", "elements", 0, 0, 0), "povm.elements[0][0][0]"),
+        ],
+    )
+    def test_a_bool_in_a_later_copy_is_a_schema_error(self, table, leaf, at, part, flag):
+        # the entry [1, 0] equals [true, false] under ==, so only the number rule tells them apart
+        doc = correlated_doc()
+        for entry in doc[table]:
+            target = entry
+            for key in leaf[:-1]:
+                target = target[key]
+            target[leaf[-1]] = [1, 0]
+        from_document(doc)
+        target[leaf[-1]][part] = flag
+        with pytest.raises(SchemaError, match="expected a number") as err:
+            from_document(doc)
+        assert err.value.path == f"$.{table}[1].{at}"
+
+    @pytest.mark.parametrize(
+        "table, edit, at, message",
+        [
+            ("encoders", ("states", 1, 1), "states[1][1]", "row has 1 entries"),
+            ("decoders", ("povm", "elements", 1, 0, 0), "povm.elements[1][0][0]", "expected a number"),
+        ],
+    )
+    def test_a_later_malformed_entry_names_its_own_path(self, table, edit, at, message):
+        doc = correlated_doc()
+        target = doc[table][1]
+        for key in edit[:-1]:
+            target = target[key]
+        target[edit[-1]] = [[1.0, 0.0]] if table == "encoders" else "x"
+        with pytest.raises(SchemaError, match=message) as err:
+            from_document(doc)
+        assert err.value.path == f"$.{table}[1].{at}"
+
+    def test_a_buffer_that_shares_the_bytes_of_a_decoded_number_is_decoded(self):
+        # marshal writes both numpy scalars as their 8 raw bytes
+        doc = correlated_doc()
+        one = np.float64(1.0)
+        doc["encoders"][0]["states"][0][0][0] = [one, 0.0]
+        doc["encoders"][1]["states"][0][0][0] = [one.view(np.int64), 0.0]
+        with pytest.raises(SchemaError, match="expected a number") as err:
+            from_document(doc)
+        assert err.value.path == "$.encoders[1].states[0][0][0]"
+
+
+def _per_entry_code(doc) -> CorrelatedCode:
+    """The correlated code of ``doc`` with every observation entry decoded on its own."""
+    encoders = {
+        tuple(entry["x"]): from_document(
+            {"kind": "probe_set", "states": entry["states"]}, f"$.encoders[{i}]"
+        )
+        for i, entry in enumerate(doc["encoders"])
+    }
+    decoders = {
+        tuple(entry["y"]): from_document(entry["povm"], f"$.decoders[{i}].povm", {"povm"})
+        for i, entry in enumerate(doc["decoders"])
+    }
+    source = from_document(doc["source"], "$.source")
+    return CorrelatedCode(doc["l"], doc["r"], source, encoders, decoders)
+
+
+def _code_outcome(decode, doc):
+    try:
+        code = decode(doc)
+    except AvqclabError as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+    encoders = {x: [rho.matrix.tobytes() for rho in enc] for x, enc in code.encoders.items()}
+    decoders = {y: [op.tobytes() for op in povm.elements] for y, povm in code.decoders.items()}
+    return encoders, decoders
+
+
+@st.composite
+def repeated_correlated_docs(draw):
+    """A correlated code's JSON with a few distinct entries repeated, some copies then edited."""
+    rng = rng_for(draw(st.integers(0, 2**16)))
+    size, n = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    alphabet = tuple(range(size))
+    words = [(basis_state(2, 0).to_density(), basis_state(2, 1).to_density())]
+    words += [tuple(random_density(rng, 2) for _ in range(2)) for _ in range(2)]
+    povms = [computational_povm(2)] + [random_povm(rng, 2, 2) for _ in range(2)]
+    seqs = list(itertools.product(alphabet, repeat=n))
+    code = CorrelatedCode(
+        n, 1, BipartiteSource(alphabet, alphabet, np.full((size, size), 1.0 / size**2)),
+        {x: words[draw(st.integers(0, 2))] for x in seqs},
+        {y: povms[draw(st.integers(0, 2))] for y in seqs},
+    )
+    doc = json.loads(json.dumps(to_document(code)))
+    for _ in range(draw(st.integers(0, 3))):
+        table = draw(st.sampled_from(["encoders", "decoders"]))
+        entry = doc[table][draw(st.integers(0, len(seqs) - 1))]
+        matrices = entry["states"] if table == "encoders" else entry["povm"]["elements"]
+        pair = matrices[draw(st.integers(0, 1))][draw(st.integers(0, 1))][draw(st.integers(0, 1))]
+        part = draw(st.integers(0, 1))
+        value = pair[part]
+        pair[part] = draw(
+            st.sampled_from([int(value) if value.is_integer() else value, bool(value), value + 1.0, -value])
+        )
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(doc=repeated_correlated_docs())
+def test_memoized_observation_decode_matches_a_per_entry_decode(doc):
+    """The same matrices, or the same error at the same path, as decoding each entry alone;
+    entries share one object exactly when their JSON text is the same."""
+    outcome = _code_outcome(from_document, doc)
+    assert outcome == _code_outcome(_per_entry_code, doc)
+    if isinstance(outcome[0], type):
+        return
+    code = from_document(doc)
+    for table, label, name in (("encoders", "x", "states"), ("decoders", "y", "povm")):
+        entries = doc[table]
+        objs = [getattr(code, table)[tuple(entry[label])] for entry in entries]
+        for a, b in itertools.combinations(range(len(entries)), 2):
+            same_text = json.dumps(entries[a][name]) == json.dumps(entries[b][name])
+            assert (objs[a] is objs[b]) == same_text
 
 
 class TestDocumentIO:
