@@ -17,10 +17,11 @@ Blahut-Arimoto run gives an input p_j and two certificates:
   positively homogeneous function of q, so chi(p_j, W_q) >= g_j . q for its
   gradient g_j at q_j, and f(q) >= g_j . q.
 
-A small master LP minimizes max_j g_j . q over the simplex. Its dual weights
-lambda give the lower bound min_s (sum_j lambda_j g_j)_s on C, which by
-concavity in p is also a lower bound on min_q chi(sum_j lambda_j p_j, W_q);
-its minimizer is the next query.
+The master problem, min_q max_j g_j . q over the simplex, is a small matrix
+game (``_master``). For any probability vector lambda on the cuts,
+min_s (sum_j lambda_j g_j)_s is a lower bound on C and, by concavity in p, on
+min_q chi(sum_j lambda_j p_j, W_q); the master's dual weights give the best
+one, and its minimizer is the next query.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ _MAX_STEPS = 10_000
 # Each query is moved this far towards the uniform q, so that the outputs
 # W_q(z) contain the support of every member's and the gradient is finite.
 _INTERIOR = 1e-9
+# The master stops after _MAX_PIVOTS pivots (the benchmark's tables take at
+# most 12) and treats numbers within _PIVOT_TOL, relative to max|G|, as 0.
+_MAX_PIVOTS = 1000
+_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,28 +167,53 @@ def _gradient(branch: np.ndarray, p: np.ndarray, q: np.ndarray):
 
 
 def _master(cuts: np.ndarray):
-    """Kelley's master LP, min_{q, t} t subject to t >= g_j . q on the simplex.
+    """(q, lambda) for min_q max_j g_j . q over the simplex, solved as a matrix game.
 
-    Returns the minimizing q and the LP's dual weights on the cuts, clipped
-    and normalized to a probability vector. The weights make the lower
-    bound, so they are solved to 1e-10: HiGHS's default 1e-7 leaves that
-    bound up to about 1e-7 below the LP optimum, as wide as the target.
+    With G scaled and shifted to M = (G - min G) / max|G| + 1 > 0, the simplex
+    method solves max 1.y subject to M y <= 1, y >= 0 from the slack basis,
+    which is feasible, by Bland's rule. Each pivot re-solves the basic y_P
+    and the rows R of nonbasic slacks from M_RP (at most |S| x |S|), so
+    rounding does not build up over near-tied cuts. q = y / sum(y); lambda
+    solves M_RP^T x = 1, the slacks' negated reduced costs. Both are clipped
+    and normalized.
+
+    The certificate does not rest on this solve: for any probability vector
+    lambda, min_s (lambda^T G)_s <= min_q max_j g_j . q by weak duality, so
+    an inexact solve only widens the interval, and a solve that reaches the
+    pivot cap returns its current q and weights.
     """
-    from scipy.optimize import linprog  # here, so that importing avqclab loads no scipy
-
     n_cuts, n_s = cuts.shape
-    res = linprog(
-        np.r_[np.zeros(n_s), 1.0],
-        A_ub=np.hstack([cuts, -np.ones((n_cuts, 1))]),
-        b_ub=np.zeros(n_cuts),
-        A_eq=np.r_[np.ones(n_s), 0.0][None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * n_s + [(None, None)],
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    q = np.clip(res.x[:n_s], 0.0, None)
-    weights = np.clip(-res.ineqlin.marginals, 0.0, None)
+    shifted = (cuts - cuts.min()) / (np.abs(cuts).max() or 1.0) + 1.0
+    basic = np.arange(n_s + n_cuts) >= n_s  # y_0 .. y_{|S|-1}, then the slacks
+    for pivot in range(_MAX_PIVOTS + 1):
+        at_p, at_r = np.flatnonzero(basic[:n_s]), np.flatnonzero(~basic[n_s:])
+        core, ones = shifted[at_r][:, at_p], np.ones(len(at_r))  # at most |S| x |S|
+        y, duals = np.linalg.solve(core, ones), np.linalg.solve(core.T, ones)
+        reduced = np.zeros(n_s + n_cuts)
+        reduced[:n_s] = 1.0 - duals @ shifted[at_r]
+        reduced[n_s + at_r] = -duals
+        reduced[basic] = 0.0
+        enter = np.argmax(reduced > _PIVOT_TOL)  # Bland: the lowest index enters
+        if reduced[enter] <= _PIVOT_TOL or pivot == _MAX_PIVOTS:
+            break
+        column = shifted[:, enter] if enter < n_s else np.eye(1, n_cuts, enter - n_s)[0]
+        step = np.linalg.solve(core, column[at_r])
+        # each variable's value, and how fast it falls as the entering one grows
+        values, steps = np.zeros(n_s + n_cuts), np.zeros(n_s + n_cuts)
+        values[at_p], steps[at_p] = y, step
+        values[n_s:] = 1.0 - shifted[:, at_p] @ y
+        steps[n_s:] = column - shifted[:, at_p] @ step
+        moving = basic & (steps > _PIVOT_TOL)
+        if not moving.any():
+            break
+        # Bland: the lowest index of those whose leaving drives no value below
+        # -_PIVOT_TOL (Harris 1973); rounding below 0 would make a ratio negative
+        values = np.maximum(values, 0.0)
+        limit = ((values[moving] + _PIVOT_TOL) / steps[moving]).min()
+        leaving = np.argmax(moving & (values <= limit * steps))
+        basic[enter], basic[leaving] = True, False
+    q, weights = np.zeros(n_s), np.zeros(n_cuts)
+    q[at_p], weights[at_r] = np.clip(y, 0.0, None), np.clip(duals, 0.0, None)
     return q / q.sum(), weights / weights.sum()
 
 

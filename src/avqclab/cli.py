@@ -9,6 +9,7 @@ success, 2 on validation or schema failure, 3 on an exceeded budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -264,6 +265,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: building costs ~25 times a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avqclab",

@@ -140,7 +140,14 @@ def _set_observation_maps(code, what: str) -> None:
     sides = (("encoders", code.source.x_alphabet), ("decoders", code.source.y_alphabet))
     for side, alphabet in sides:
         mapping = dict(getattr(code, side))
-        if set(mapping) != set(itertools.product(alphabet, repeat=n)):
+        # distinct length-n words over the alphabet, |alphabet|^n of them, are
+        # all of them; nothing of length n is built (n can be 10**12 when
+        # |alphabet| = 1)
+        letters = set(alphabet)
+        if len(mapping) != len(alphabet) ** n or not all(
+            isinstance(key, tuple) and len(key) == n and letters.issuperset(key)
+            for key in mapping
+        ):
             raise ValidationError(f"{what} {side}: keys must be exactly the length-{n} sequences")
         object.__setattr__(code, side, mapping)
 
@@ -388,19 +395,27 @@ class _CorrelatedEvaluator:
 
     Encoders and decoders, of message or entanglement codes, are told apart
     by ``content_key``, so equal objects read back from separate JSON entries
-    fall into one pair. ``encs`` and ``decs`` hold those that carry mass, by
-    key, and ``pair_weight`` the summed p^n(x, y) of each key pair.
+    fall into one pair; an object held by several entries is hashed once.
+    ``encs`` and ``decs`` hold those that carry mass, by key, and
+    ``pair_weight`` the summed p^n(x, y) of each key pair.
     """
 
     def __init__(self, code):
         x_seqs = code.source.x_sequences(code.n)
         y_seqs = code.source.y_sequences(code.n)
         table = code.source.joint_power(code.n, budget=PAIR_ENUM_BUDGET)
-        dec_keys = [content_key(code.decoders[y]) for y in y_seqs]
+        keys = {}  # id -> content_key; the code keeps every object alive
+
+        def key_of(obj) -> bytes:
+            if id(obj) not in keys:
+                keys[id(obj)] = content_key(obj)
+            return keys[id(obj)]
+
+        dec_keys = [key_of(code.decoders[y]) for y in y_seqs]
         encs, decs, weight = {}, {}, {}
         for xi, x in enumerate(x_seqs):
             enc = code.encoders[x]
-            enc_key = content_key(enc)
+            enc_key = key_of(enc)
             for yi, y in enumerate(y_seqs):
                 mass = table[xi, yi]
                 if mass == 0.0:

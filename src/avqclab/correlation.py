@@ -87,6 +87,8 @@ class BipartiteSource:
         pairs = len(self.x_alphabet) * len(self.y_alphabet)
         if power_exceeds(pairs, n, budget):
             raise BudgetExceeded(f"joint_power: {pairs}^{n} entries exceed budget {budget}")
+        if pairs == 1:  # 1 ** n passes the budget for every n
+            return self.joint ** n
         table = self.joint
         for _ in range(n - 1):
             table = np.kron(table, self.joint)

@@ -299,6 +299,32 @@ def matrix_from_json_oracle(rows, path: str) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
+def linprog_master(cuts: np.ndarray):
+    """Oracle: Kelley's master, min_{q, t} t subject to t >= g_j . q on the simplex, by HiGHS.
+
+    Returns the minimizing q and the LP's dual weights on the cuts, clipped
+    and normalized to probability vectors, as ``capacity._master`` does. The
+    weights are solved to 1e-10; HiGHS's default 1e-7 leaves the bound they
+    give up to about 1e-7 below the optimum.
+    """
+    from scipy.optimize import linprog
+
+    n_cuts, n_s = cuts.shape
+    res = linprog(
+        np.r_[np.zeros(n_s), 1.0],
+        A_ub=np.hstack([cuts, -np.ones((n_cuts, 1))]),
+        b_ub=np.zeros(n_cuts),
+        A_eq=np.r_[np.ones(n_s), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n_s + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    q = np.clip(res.x[:n_s], 0.0, None)
+    weights = np.clip(-res.ineqlin.marginals, 0.0, None)
+    return q / q.sum(), weights / weights.sum()
+
+
 def branch_stack(avcqc: AvCqc) -> np.ndarray:
     """The family's outputs as an array (n_states, n_letters, d, d)."""
     return np.stack(

@@ -22,7 +22,14 @@ from avqclab import (
     simplex_grid,
 )
 
-from helpers import branch_stack, chi_table, random_density, random_pure, rng_for
+from helpers import (
+    branch_stack,
+    chi_table,
+    linprog_master,
+    random_density,
+    random_pure,
+    rng_for,
+)
 
 
 def binary_entropy(x):
@@ -337,3 +344,70 @@ def test_certificate_brackets_both_one_sided_problems(kind, seed, dim, n_z, n_s)
         assert (chi_table(branch, p0[None], qs)[0] >= qs @ grad - 1e-9).all()
     if finite:
         assert chi_table(branch, ps, q0[None]).max() <= div.max() + 1e-9
+
+
+def cut_table(kind, rng, n_cuts, n_s, scale):
+    """A random, integer-valued (ties everywhere), repeated-row or near-tied cut table.
+
+    Near-tied rows differ by 1e-9, so a master that stops at a larger
+    reduced cost leaves a gap far above rounding.
+    """
+    if kind == "random":
+        table = rng.normal(size=(n_cuts, n_s))
+    elif kind == "integer":
+        table = rng.integers(-3, 4, size=(n_cuts, n_s)).astype(float)
+    else:
+        rows = rng.normal(size=(int(rng.integers(1, 4)), n_s))
+        table = rows[rng.integers(0, len(rows), size=n_cuts)]
+        if kind == "near-tied":
+            table = table + 1e-9 * rng.normal(size=table.shape)
+    return scale * table
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["random", "integer", "repeated-row", "near-tied"]),
+    seed=st.integers(0, 2**16),
+    n_cuts=st.integers(1, 60),
+    n_s=st.integers(1, 5),
+    scale=st.floats(1e-3, 40.0),
+)
+def test_master_solves_the_game_to_rounding(kind, seed, n_cuts, n_s, scale):
+    cuts = cut_table(kind, rng_for(seed), n_cuts, n_s, scale)
+    size = np.abs(cuts).max()
+    q, weights = capacity._master(cuts)
+    for vec, n in ((q, n_s), (weights, n_cuts)):
+        assert vec.shape == (n,) and (vec >= 0.0).all()
+        assert abs(vec.sum() - 1.0) <= 1e-12
+    value = (cuts @ q).max()
+    oracle_q, _ = linprog_master(cuts)
+    assert abs(value - (cuts @ oracle_q).max()) <= 1e-12 * size
+    assert value - (weights @ cuts).min() <= 1e-12 * size
+
+
+def test_master_at_its_pivot_cap_returns_a_valid_bound(monkeypatch):
+    cuts = cut_table("random", rng_for(82), 30, 4, 1.0)
+    value = (cuts @ linprog_master(cuts)[0]).max()
+    monkeypatch.setattr(capacity, "_MAX_PIVOTS", 1)
+    q, weights = capacity._master(cuts)
+    for vec in (q, weights):
+        assert (vec >= 0.0).all() and abs(vec.sum() - 1.0) <= 1e-12
+    # one pivot is not optimal here, yet weak duality still brackets the value
+    assert (weights @ cuts).min() <= value <= (cuts @ q).max()
+    assert (cuts @ q).max() - (weights @ cuts).min() > 1e-3
+
+
+def test_any_master_output_still_brackets_the_saddle_value(monkeypatch):
+    # lower_bound holds for any dual weights and upper_bound at any query, so
+    # a master that ignores its cuts only widens the interval
+    rng = rng_for(80)
+    avcqc = AvCqc((0, 1), {s: random_branch(rng) for s in range(2)})
+    draws = rng_for(81)
+
+    def crude_master(cuts):
+        return draws.dirichlet(np.ones(cuts.shape[1])), np.full(len(cuts), 1.0 / len(cuts))
+
+    monkeypatch.setattr(capacity, "_master", crude_master)
+    result = cq_random_capacity(avcqc)
+    # the 48-grids make 2500 pairs, so assert_brackets computes the saddle outright
+    assert_brackets(branch_stack(avcqc), result, 48)

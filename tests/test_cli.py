@@ -32,6 +32,8 @@ from avqclab import (
 import avqclab.cli
 from avqclab.cli import run
 
+from helpers import random_density, rng_for
+
 COMP_WORDS = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
 
 
@@ -633,12 +635,23 @@ def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("schema error:")
 
 
-def run_python(*args, cwd=None):
-    """``python *args`` in a fresh interpreter that imports this avqclab."""
+def run_python(*args, cwd=None, address_space=None):
+    """``python *args`` in a fresh interpreter that imports this avqclab.
+
+    ``address_space`` caps the interpreter's virtual memory in bytes, so that
+    a runaway allocation fails in it rather than filling the machine.
+    """
     src = os.path.dirname(os.path.dirname(avqclab.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        preexec_fn=limit if address_space else None,
     )
 
 
@@ -661,6 +674,41 @@ def test_importing_the_command_line_loads_no_scipy_solver():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False"]
+
+
+def test_a_capacity_run_loads_no_scipy(tmp_path):
+    rng = rng_for(90)
+    family = AvCqc(
+        (0, 1),
+        {s: CqChannel((0, 1), {z: random_density(rng, 2) for z in (0, 1)}) for s in (0, 1)},
+    )
+    path = write(tmp_path, "family.json", to_document(family))
+    done = run_python(
+        "-c",
+        "import sys; from avqclab.cli import run; code = run(sys.argv[1:]); "
+        "print(code, 'scipy' in sys.modules)",
+        "capacity", "--input", path, "--out", str(tmp_path / "out.json"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
+    result = json.loads((tmp_path / "out.json").read_text())
+    assert 0.0 < result["certified_gap"] <= 1e-7
+
+
+def test_a_one_letter_correlated_code_of_huge_length_exits_2(tmp_path):
+    # 1 ** l passes every size budget, so the keys are checked against the
+    # block length before any length-l word is built; the address-space cap
+    # turns a build of 10**12 pointers into a MemoryError
+    source = BipartiteSource((0,), (0,), np.array([[1.0]]))
+    code = CorrelatedCode(1, 1, source, {(0,): COMP_WORDS}, {(0,): computational_povm(2)})
+    doc = to_document(code)
+    doc["l"] = 10**12
+    path = write(tmp_path, "huge.json", doc)
+    done = run_python("-m", "avqclab", "validate", "--input", path, address_space=4 << 30)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("validation error:")
+    assert "length-1000000000000 sequences" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,12 @@ class TestBipartiteSource:
         with pytest.raises(BudgetExceeded, match=r"4\^1000000000000 entries"):
             src.joint_power(10**12)
 
+    def test_a_one_by_one_power_takes_no_kron_steps(self):
+        # 1 ** n passes the budget for every n; n - 1 kron steps would never end
+        src = BipartiteSource((0,), (0,), np.array([[1.0]]))
+        assert src.joint_power(10**12).tolist() == [[1.0]]
+        assert src.joint_power(1).tolist() == [[1.0]]
+
 
 class TestBinaryReduction:
     def test_perfectly_correlated_binary(self):

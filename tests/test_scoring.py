@@ -218,6 +218,33 @@ def test_round_tripped_correlated_code_groups_like_the_original():
         )
 
 
+def test_the_evaluator_hashes_each_object_once(monkeypatch):
+    rng = rng_for(14)
+    source = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
+    heads = [random_det(rng, 1, 2, 2, 2) for _ in range(2)]
+    cr_code = CorrelatedCode(
+        1, 1, source, {(x,): heads[x].encoder for x in (0, 1)},
+        {(y,): heads[y].decoder for y in (0, 1)},
+    )
+    payload = RandomCode(
+        tuple(random_det(rng, 2, 2, 2, 2) for _ in range(2)), np.array([0.5, 0.5])
+    )
+    composed = compose_two_phase(cr_code, payload, 3)
+    back = from_document(loads_document(dumps_document(to_document(composed))))
+    objects = [*back.encoders.values(), *back.decoders.values()]
+    assert len(objects) == 16 and len({id(obj) for obj in objects}) == 4
+    hashed = []
+
+    def counted(obj):
+        hashed.append(id(obj))
+        return content_key(obj)
+
+    monkeypatch.setattr(codes, "content_key", counted)
+    grouped = codes._CorrelatedEvaluator(back)
+    assert sorted(hashed) == sorted({id(obj) for obj in objects})
+    assert grouped.pair_weight == codes._CorrelatedEvaluator(composed).pair_weight
+
+
 def random_entanglement_code(rng, l, dim_in, dim_out, code_dim):
     """Two distinct encoders and decoders spread over the observations as copies.
 
