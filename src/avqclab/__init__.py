@@ -18,7 +18,7 @@ from .avqc import (
     reduce_to_classical,
     reduce_to_classical_weighted,
 )
-from .capacity import MinimaxResult, chi_of_mixture, cq_random_capacity, simplex_grid
+from .capacity import MinimaxResult, cq_random_capacity
 from .codes import (
     CorrelatedCode,
     CorrelatedEntanglementCode,

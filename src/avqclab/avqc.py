@@ -77,12 +77,17 @@ class Avqc:
         return self.channels[self.states[0]].dim_out
 
     def state_sequences(self, l: int, budget: int = ENUM_BUDGET) -> list:
-        """All length-l label tuples in lexicographic order."""
+        """All length-l label tuples in lexicographic order.
+
+        The work is the count times l, so l above ``budget`` is rejected as
+        well, which a one-member family would otherwise pass at any l.
+        """
         if l < 1:
             raise ValidationError("state_sequences: l must be >= 1")
-        if power_exceeds(len(self.states), l, budget):
+        if power_exceeds(len(self.states), l, budget) or l > budget:
             raise BudgetExceeded(
-                f"state_sequences: {len(self.states)}^{l} sequences exceed budget {budget}"
+                f"state_sequences: {len(self.states)}^{l} sequences of length {l} "
+                f"exceed budget {budget}"
             )
         return list(itertools.product(self.states, repeat=l))
 

@@ -7,8 +7,9 @@ against the worst convex mixture of the family's branches,
 
 chi(p, W_q) is concave in p and convex in q, so by Sion's theorem C is the
 minimum over the q simplex of the convex f(q) = max_p chi(p, W_q). The solver
-is Kelley's cutting-plane method on f. At each query q_j an accelerated cq
-Blahut-Arimoto run gives an input p_j and two certificates:
+is Kelley's cutting-plane method on f. At each query q_j projected Newton
+steps on p, with a Blahut-Arimoto step wherever one does not raise chi
+(``_blahut_arimoto``), give an input p_j and two certificates for any p_j:
 
 - an upper bound: f(q_j) <= max_z D(W_{q_j}(z) || rho_j), with rho_j the
   p_j-average of the outputs, since chi(p, W) <= max_z D(W(z) || sigma) for
@@ -26,21 +27,18 @@ one, and its minimizer is the next query.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .avqc import AvCqc
-from .errors import ValidationError
-from .measures import holevo_chi
 from .quantum import hermitize
 
-__all__ = ["MinimaxResult", "simplex_grid", "chi_of_mixture", "cq_random_capacity"]
+__all__ = ["MinimaxResult", "cq_random_capacity"]
 
 # The loop stops when the certified interval is this narrow, or after
-# _MAX_CUTS queries; each Blahut-Arimoto run stops at its own gap, at most
+# _MAX_CUTS queries; each inner solve stops at its own gap, at most
 # max(_BA_GAP, a quarter of the interval), or after _MAX_STEPS steps.
 _GAP = 1e-7
 _MAX_CUTS = 200
@@ -49,6 +47,8 @@ _MAX_STEPS = 10_000
 # Each query is moved this far towards the uniform q, so that the outputs
 # W_q(z) contain the support of every member's and the gradient is finite.
 _INTERIOR = 1e-9
+_RIDGE = 1e-10  # times the Hessian's trace, added to its diagonal in a Newton step
+_HALVINGS = 8  # of a Newton step, before a Blahut-Arimoto step
 # The master stops after _MAX_PIVOTS pivots (the benchmark's tables take at
 # most 12) and treats numbers within _PIVOT_TOL, relative to max|G|, as 0.
 _MAX_PIVOTS = 1000
@@ -73,24 +73,6 @@ class MinimaxResult:
     upper_bound: float
 
 
-def simplex_grid(k: int, steps: int):
-    """All probability vectors with denominators ``steps`` on k outcomes."""
-    if k < 1 or steps < 1:
-        raise ValidationError("simplex_grid: k and steps must be positive")
-    for cuts in itertools.combinations(range(steps + k - 1), k - 1):
-        parts = []
-        prev = -1
-        for cut in cuts + (steps + k - 1,):
-            parts.append(cut - prev - 1)
-            prev = cut
-        yield np.array(parts, dtype=float) / steps
-
-
-def chi_of_mixture(avcqc: AvCqc, probs, weights) -> float:
-    """Holevo value of input distribution ``probs`` against the q-mixture."""
-    return holevo_chi(probs, avcqc.mixture(weights))
-
-
 def _log_on_support(vals: np.ndarray) -> np.ndarray:
     """log2 of eigenvalues above 1e-12, and 0 at or below it."""
     kept = vals > 1e-12
@@ -112,34 +94,92 @@ def _off_support(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _divergences(out: np.ndarray, ents: np.ndarray, p: np.ndarray):
-    """(D(W(z) || rho) for every letter, whether all are finite); rho = sum_z p_z W(z)."""
+    """(D(W(z) || rho), all finite?, eigenvalues of rho = sum_z p_z W(z), W(z) in their basis)."""
     vals, vecs = np.linalg.eigh(hermitize(np.einsum("z,zij->ij", p, out)))
-    weights = np.einsum("ia,zij,ja->za", vecs.conj(), out, vecs).real
-    return -ents - weights @ _log_on_support(vals), not _off_support(weights, vals).any()
+    rotated = vecs.conj().T @ out @ vecs
+    weights = np.einsum("zaa->za", rotated).real
+    div = -ents - weights @ _log_on_support(vals)
+    return div, not _off_support(weights, vals).any(), vals, rotated
+
+
+def _hessian(vals: np.ndarray, rotated: np.ndarray) -> np.ndarray:
+    """d^2 chi / dp_z dp_y = -tr(W(z) Dlog2(rho)[W(y)]), from ``_divergences``' last two values.
+
+    In rho's eigenbasis Dlog(rho) multiplies entrywise by the divided differences
+    (ln a - ln b) / (a - b), and by 1/a where a = b (Daleckii-Krein); eigenvalues
+    at or below 1e-12 count as 0."""
+    kept = vals > 1e-12
+    safe = np.where(kept, vals, 1.0)
+    rel = safe[:, None] / safe - 1.0
+    slope = np.divide(np.log1p(rel), rel, out=np.ones_like(rel), where=rel != 0.0) / safe
+    slope[~kept] = slope[:, ~kept] = 0.0
+    flat = rotated.reshape(len(rotated), -1)
+    return ((flat * slope.ravel()) @ flat.conj().T).real / -math.log(2.0)
+
+
+def _newton(p: np.ndarray, div: np.ndarray, hess: np.ndarray):
+    """A projected Newton step from ``p`` and its longest feasible length, at most 1.
+
+    Letters within min(1e-3, max_z D_z - chi) of 0 with D_z < chi step to 0
+    (Bertsekas 1982); the rest maximize chi's quadratic model on the tangent.
+    The ridge keeps a singular Hessian solvable and sends the step far along
+    its flat directions, so the longest feasible length drops a letter. A free
+    letter at 0 that the step would lower is held at 0 instead."""
+    chi = p @ div
+    free = (p > min(1e-3, div.max() - chi)) | (div >= chi)
+    while True:
+        n = int(free.sum())
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = -hess[free][:, free]
+        kkt.flat[: n * (n + 2) : n + 2] += _RIDGE * max(-np.trace(hess), 1e-300)
+        kkt[n, n] = 0.0
+        step = -p
+        step[free] = np.linalg.solve(kkt, np.append(div[free], p[~free].sum()))[:n]
+        blocked = free & (p <= 0.0) & (step < 0.0)
+        if not blocked.any():
+            break
+        free &= ~blocked
+    falling = step < 0.0
+    return step, (p[falling] / -step[falling]).min(initial=1.0)
 
 
 def _blahut_arimoto(out: np.ndarray, ents: np.ndarray, p: np.ndarray, gap: float):
-    """Accelerated cq Blahut-Arimoto from ``p``: (p, divergences, finite).
+    """max_p chi(p, W) from ``p`` by projected Newton steps: (p, divergences, finite).
 
-    The step p <- p * 2^(mu D) (Nagaoka 1998 at mu = 1) doubles mu while
-    chi = p . D rises and halves it, down to 1, when chi would fall (Matz &
-    Duhamel 2004). It stops once max_z D_z - chi <= ``gap``. The multiplicative
-    step keeps every letter of a positive p in use.
+    A ``_newton`` step is halved until chi rises, at most _HALVINGS times;
+    then the accelerated cq Blahut-Arimoto step p <- p * 2^(mu D) (Nagaoka
+    1998) runs instead, mu doubling while chi rises and halving, down to 1,
+    when it would fall (Matz & Duhamel 2004). No step makes a finite
+    divergence infinite. The run stops once max_z D_z - chi <= ``gap``, or
+    once neither step can be taken.
     """
-    div, finite = _divergences(out, ents, p)
+    state = _divergences(out, ents, p)
     mu = 1.0
     for _ in range(_MAX_STEPS):
-        if div.max() - p @ div <= gap:
+        div, finite = state[:2]
+        chi = p @ div
+        if div.max() - chi <= gap:
             break
-        cand = p * np.exp2(mu * (div - div.max()))
-        cand /= cand.sum()
-        cand_div, cand_finite = _divergences(out, ents, cand)
-        if cand @ cand_div >= p @ div or mu == 1.0:
-            p, div, finite = cand, cand_div, cand_finite
-            mu *= 2.0
+        step, alpha = _newton(p, div, _hessian(*state[2:]))
+        for length in alpha * 0.5 ** np.arange(_HALVINGS):
+            cand = np.maximum(p + length * step, 0.0)
+            cand /= cand.sum()
+            cand_state = _divergences(out, ents, cand)
+            if (cand_state[1] or not finite) and cand @ cand_state[0] > chi:
+                break
         else:
-            mu = max(1.0, mu / 2.0)
-    return p, div, finite
+            cand = p * np.exp2(mu * (div - div.max()))
+            cand /= cand.sum()
+            cand_state = _divergences(out, ents, cand)
+            if (cand_state[1] or not finite) and (cand @ cand_state[0] >= chi or mu == 1.0):
+                mu *= 2.0
+            elif mu == 1.0:
+                break
+            else:
+                mu = max(1.0, mu / 2.0)
+                continue
+        p, state = cand, cand_state
+    return p, state[0], state[1]
 
 
 def _gradient(branch: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -220,12 +260,12 @@ def _master(cuts: np.ndarray):
 def cq_random_capacity(avcqc: AvCqc) -> MinimaxResult:
     """max_p min_q chi(p, W_q) by cutting planes over q, with a certified interval.
 
-    Each query warm-starts Blahut-Arimoto from the previous p. The loop
+    Each query warm-starts the inner solve from the previous p. The loop
     stops when ``upper_bound - lower_bound`` <= 1e-7, or after a fixed
     number of cuts with the wider interval, which is still certified.
     ``argmax_p`` is the dual-weighted average of the queries' inputs that
     gives the best lower bound, and ``argmin_q`` the query with the best
-    upper bound. With one member, Blahut-Arimoto runs alone.
+    upper bound. With one member, the inner solve runs alone.
     """
     branch = np.array(
         [[avcqc.branches[s].outputs[z].matrix for z in avcqc.alphabet] for s in avcqc.states]

@@ -571,6 +571,10 @@ def evaluate_code(
     _check_code_dims(avqc, l, d_in, d_out)
     if mode not in ("auto", "exhaustive", "greedy"):
         raise ValidationError(f"evaluate_code: unknown mode {mode!r}")
+    if l > ENUM_BUDGET:
+        # one member passes every sequence count at any l, yet each sequence,
+        # greedy's too, holds l labels
+        raise BudgetExceeded(f"evaluate_code: sequences of length {l} exceed the enumeration budget")
     if mode == "auto":
         mode = "greedy" if power_exceeds(len(avqc.states), l, budget) else "exhaustive"
     if mode == "exhaustive":

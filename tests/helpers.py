@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,9 +19,11 @@ from avqclab import (
     QuantumChannel,
     RandomCode,
     SchemaError,
+    ValidationError,
     apply_channel_to_slot_batch,
     compose_channels,
     entanglement_fidelity,
+    holevo_chi,
     maximally_mixed,
     tensor_channel,
 )
@@ -349,3 +352,21 @@ def chi_table(branch: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     mixed = np.einsum("qs,szij->qzij", qs, branch)
     avg = np.einsum("pz,qzij->pqij", ps, mixed)
     return _entropy_bits(avg) - ps @ _entropy_bits(mixed).T
+
+
+def simplex_grid(k: int, steps: int):
+    """All probability vectors with denominators ``steps`` on k outcomes."""
+    if k < 1 or steps < 1:
+        raise ValidationError("simplex_grid: k and steps must be positive")
+    for cuts in itertools.combinations(range(steps + k - 1), k - 1):
+        parts = []
+        prev = -1
+        for cut in cuts + (steps + k - 1,):
+            parts.append(cut - prev - 1)
+            prev = cut
+        yield np.array(parts, dtype=float) / steps
+
+
+def chi_of_mixture(avcqc: AvCqc, probs, weights) -> float:
+    """Holevo value of input distribution ``probs`` against the q-mixture."""
+    return holevo_chi(probs, avcqc.mixture(weights))

@@ -67,6 +67,16 @@ class TestAvqcValidation:
         with pytest.raises(BudgetExceeded):
             two_family().state_sequences(10**12)
 
+    def test_one_member_at_a_huge_block_length_is_rejected_by_the_length(self):
+        # 1 ** l passes every count, so l itself is held to the budget; the
+        # test returns only if no length-l tuple is built
+        fam = Avqc(("a",), {"a": identity_channel(2)})
+        assert fam.state_sequences(7, budget=7) == [("a",) * 7]
+        with pytest.raises(BudgetExceeded, match="of length 8 exceed budget 7"):
+            fam.state_sequences(8, budget=7)
+        with pytest.raises(BudgetExceeded):
+            fam.state_sequences(10**12)
+
 
 def test_power_exceeds_decides_the_power_against_the_limit():
     for base, exp in itertools.product(range(6), range(12)):

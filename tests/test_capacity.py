@@ -15,20 +15,20 @@ from avqclab import (
     ValidationError,
     basis_state,
     check_symmetrizable_cq,
-    chi_of_mixture,
     cq_random_capacity,
     holevo_chi,
     maximally_mixed,
-    simplex_grid,
 )
 
 from helpers import (
     branch_stack,
+    chi_of_mixture,
     chi_table,
     linprog_master,
     random_density,
     random_pure,
     rng_for,
+    simplex_grid,
 )
 
 
@@ -155,7 +155,8 @@ class TestCapacityAnchors:
         avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
         result = cq_random_capacity(avcqc)
         assert result.value == pytest.approx(0.0, abs=1e-6)
-        # Blahut-Arimoto keeps p interior, so the interval closes on 0
+        # at the first query, the uniform q, every output is I/2 and the inner
+        # solve keeps the uniform p, so the interval closes on 0
         assert result.lower_bound == 0.0
         assert result.certified_gap <= 1e-6
 
@@ -336,7 +337,7 @@ def test_certificate_brackets_both_one_sided_problems(kind, seed, dim, n_z, n_s)
         p0, q0 = (rng.multinomial(4, np.ones(n) / n) / 4.0 for n in branch.shape[1::-1])
         grad = capacity._gradient(branch, p0, q0)
         out = np.einsum("s,szij->zij", q0, branch)
-        div, finite = capacity._divergences(out, capacity._entropies(out), p0)
+        div, finite = capacity._divergences(out, capacity._entropies(out), p0)[:2]
     assert_brackets(branch, result, 48)
     qs = np.array(list(simplex_grid(branch.shape[0], 48)))
     ps = np.array(list(simplex_grid(branch.shape[1], 48)))
@@ -344,6 +345,105 @@ def test_certificate_brackets_both_one_sided_problems(kind, seed, dim, n_z, n_s)
         assert (chi_table(branch, p0[None], qs)[0] >= qs @ grad - 1e-9).all()
     if finite:
         assert chi_table(branch, ps, q0[None]).max() <= div.max() + 1e-9
+
+
+def tangent_hessian_by_differences(branch, q, p, step):
+    """Oracle: chi's Hessian on the simplex's tangent, basis e_z - e_last, by central differences.
+
+    chi comes from ``chi_table``, which shares no code with the library.
+    """
+    n_z = len(p)
+    basis = np.eye(n_z)[:, :-1] - np.eye(n_z)[:, -1:]
+    signs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+    table = np.empty((n_z - 1, n_z - 1))
+    for i in range(n_z - 1):
+        for j in range(n_z - 1):
+            ps = p + step * (signs[:, :1] * basis[:, i] + signs[:, 1:] * basis[:, j])
+            values = chi_table(branch, ps, q[None])[:, 0]
+            table[i, j] = (values[0] - values[1] - values[2] + values[3]) / (4.0 * step**2)
+    return basis, table
+
+
+def assert_hessian_matches_differences(branch, q, p):
+    out = np.einsum("s,szij->zij", q, branch)
+    vals, rotated = capacity._divergences(out, capacity._entropies(out), p)[2:]
+    hess = capacity._hessian(vals, rotated)
+    assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-12 * np.abs(hess).max())
+    basis, table = tangent_hessian_by_differences(branch, q, p, 1e-3 * p.min())
+    exact = basis.T @ hess @ basis
+    # the differences' rounding and truncation errors are about 5e-7 of the largest entry
+    assert np.abs(exact - table).max() <= 1e-5 * np.abs(exact).max()
+    return vals
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["random", "pure", "twin-letter"]),
+    seed=st.integers(0, 2**16),
+    dim=st.integers(2, 3),
+    n_z=st.integers(2, 4),
+    n_s=st.integers(1, 2),
+)
+def test_hessian_matches_central_differences(kind, seed, dim, n_z, n_s):
+    # a twin letter, or more letters than rho has room for, makes the
+    # Hessian singular; it still equals the differences
+    rng = rng_for(seed)
+    branch = branch_stack(family_of_kind(kind, rng, dim, n_z, n_s))
+    p = 0.5 / branch.shape[1] + 0.5 * rng.dirichlet(np.ones(branch.shape[1]))
+    assert_hessian_matches_differences(branch, rng.dirichlet(np.ones(branch.shape[0])), p)
+
+
+def test_hessian_at_a_repeated_eigenvalue():
+    # the four BB84 states at equal weights average to I/2 exactly, so every
+    # divided difference is the equal-eigenvalue one, 1/lambda
+    plus, minus = np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0)
+    states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.outer(plus, plus), np.outer(minus, minus)]
+    branch = np.array([states], dtype=complex)
+    vals = assert_hessian_matches_differences(branch, np.ones(1), np.full(4, 0.25))
+    assert vals[0] == vals[1] == 0.5
+
+
+@pytest.mark.parametrize(
+    "kind, dim, n_z, n_s, seed",
+    [
+        ("orthogonal", 3, 3, 3, 9),
+        ("random", 2, 5, 3, 25),
+        ("pure", 2, 3, 3, 0),
+        ("random", 3, 4, 4, 3),
+    ],
+)
+def test_the_slowest_scan_seeds_certify(kind, dim, n_z, n_s, seed):
+    # the slowest seed of each kind in the 160-family scan (kinds x sizes,
+    # seeds 0-39); the Blahut-Arimoto tail took 75-105 s on orthogonal seed
+    # 9 and still ended above 1e-7
+    result = cq_random_capacity(family_of_kind(kind, np.random.default_rng(seed), dim, n_z, n_s))
+    assert result.certified_gap <= 1e-7
+    assert result.lower_bound <= result.value <= result.upper_bound
+    if kind == "orthogonal":
+        # every output is a basis state; at the worst q = (1/2, 0, 1/2) the
+        # family is a Z channel with crossover 1/2, of capacity log2(5/4)
+        assert abs(result.value - math.log2(5.0 / 4.0)) <= 1e-7
+
+
+def test_a_step_never_makes_a_finite_divergence_infinite():
+    # letter 0 alone reaches one basis state, through the 1e-9 mixing towards
+    # the uniform q; once p_0 * 3.3e-10 falls to 1e-12 that eigenvalue of rho
+    # counts as 0, and a step there would leave no cut and end the search
+    # with the interval [0, 0.28]
+    family = family_of_kind("orthogonal", np.random.default_rng(10), 3, 3, 3)
+    result = cq_random_capacity(family)
+    assert result.certified_gap <= 1e-7
+    assert result.lower_bound <= result.value <= result.upper_bound
+
+
+def test_blahut_arimoto_steps_alone_still_certify(monkeypatch):
+    # a Newton step that never raises chi leaves every step to the fallback
+    monkeypatch.setattr(capacity, "_newton", lambda p, div, hess: (np.zeros_like(p), 1.0))
+    rng = rng_for(83)
+    avcqc = AvCqc((0, 1), {s: random_branch(rng, letters=(0, 1, 2)) for s in range(2)})
+    result = cq_random_capacity(avcqc)
+    assert result.certified_gap <= 1e-7
+    assert_brackets(branch_stack(avcqc), result, 24)
 
 
 def cut_table(kind, rng, n_cuts, n_s, scale):

@@ -16,8 +16,10 @@ from avqclab import (
     ClassicalAvc,
     CorrelatedCode,
     CqChannel,
+    DensityMatrix,
     DeterministicCode,
     Povm,
+    QuantumChannel,
     RandomCode,
     basis_state,
     bit_flip_channel,
@@ -709,6 +711,25 @@ def test_a_one_letter_correlated_code_of_huge_length_exits_2(tmp_path):
     assert done.stderr.startswith("validation error:")
     assert "length-1000000000000 sequences" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "greedy"])
+def test_a_one_member_simulation_of_huge_length_exits_cleanly(tmp_path, capsys, mode):
+    # 1 ** l passes the sequence budget and the code's dimension checks, so
+    # the block length itself is checked before any length-l sequence is built
+    one = np.eye(1)
+    family = Avqc(("s0",), {"s0": QuantumChannel((one,))})
+    code = to_document(DeterministicCode(1, (DensityMatrix(one),), Povm((one,))))
+    code["l"] = 10**12
+    path = write(
+        tmp_path,
+        "huge.json",
+        {"kind": "simulation_problem", "avqc": to_document(family), "code": code},
+    )
+    code, captured = run_json(capsys, ["simulate", "--input", path, "--mode", mode])
+    assert code in (2, 3), captured.err
+    assert "length 1000000000000" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
