@@ -2,42 +2,30 @@
 
 An ``Avqc`` is a finite family of channels with common input and output
 dimensions, indexed by state labels. The adversary picks one label per
-channel use; block-length-l behaviour is the l-fold product family. Derived
-constructions: classical-quantum families with flagged side information
-built from a bipartite source, and fully classical families obtained by
-fixing signal states and measurements.
+channel use; block-length-l behaviour is the l-fold product family. Beside
+it sit classical-quantum families (``AvCqc``), classical kernel families
+(``ClassicalAvc``), and the classical family obtained by fixing weighted
+signal states and measurements (``reduce_to_classical_weighted``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DIM_CAP, ENUM_BUDGET, TOL_PROB
+from .config import ENUM_BUDGET, TOL_PROB
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .quantum import (
-    DensityMatrix,
-    Povm,
-    apply_channel_to_slot_batch,
-    apply_product_channel,
-    tensor_channel,
-)
+from .quantum import DensityMatrix, apply_channel_to_slot_batch
 from .util import power_exceeds
-
-if TYPE_CHECKING:
-    from .correlation import BipartiteSource
 
 __all__ = [
     "Avqc",
     "CqChannel",
     "AvCqc",
     "ClassicalAvc",
-    "product_avqc",
-    "build_associated_avcqc",
-    "reduce_to_classical",
     "reduce_to_classical_weighted",
 ]
 
@@ -209,101 +197,6 @@ class ClassicalAvc:
             kernels[s] = mat
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "kernels", kernels)
-
-    @property
-    def input_count(self) -> int:
-        return self.kernels[self.states[0]].shape[0]
-
-    @property
-    def output_count(self) -> int:
-        return self.kernels[self.states[0]].shape[1]
-
-
-def product_avqc(avqc: Avqc, l: int, budget: int = ENUM_BUDGET) -> Avqc:
-    """The l-fold product family, indexed by label tuples in lex order."""
-    seqs = avqc.state_sequences(l, budget=budget)
-    channels = {
-        seq: tensor_channel([avqc.channels[s] for s in seq]) for seq in seqs
-    }
-    return Avqc(tuple(seqs), channels)
-
-
-def build_associated_avcqc(
-    avqc: Avqc,
-    n: int,
-    source: "BipartiteSource",
-    signals: Sequence[DensityMatrix],
-    budget: int = ENUM_BUDGET,
-) -> AvCqc:
-    """The flagged cq family attached to a channel family and a source.
-
-    For block length ``n``, a bipartite source and ``K`` signal states turn
-    each state sequence into a cq channel whose input letters are all
-    functions from sender observations to signal indices. The channel output
-    appends an orthonormal flag recording the receiver observation:
-
-        W_seq(f) = sum_{x,y} p^n(x, y) |rank(y)><rank(y)| (x) N_seq(rho_f(x))
-
-    States are the length-n label tuples. Letters are value tables (tuples
-    of 0-based signal indices) over the lexicographically ordered sender
-    sequences. Output dimension is |Y|^n * dim_out^n, with the flag block
-    first.
-    """
-    signals = tuple(signals)
-    if len(signals) < 1:
-        raise ValidationError("build_associated_avcqc: needs at least one signal")
-    if n < 1:
-        raise ValidationError("build_associated_avcqc: n must be >= 1")
-    if {sig.dim for sig in signals} != {avqc.dim_in}:
-        raise DimensionMismatch(
-            "build_associated_avcqc: signal dims must equal the channel input dim"
-        )
-    signal_count = len(signals)
-    x_count, y_count = len(source.x_alphabet), len(source.y_alphabet)
-    # each of the signal_count ** (x_count ** n) letters is a table over x_count ** n sequences
-    if power_exceeds(x_count, n, budget) or power_exceeds(signal_count, x_count**n, budget):
-        raise BudgetExceeded(
-            f"build_associated_avcqc: {signal_count}^({x_count}^{n}) functions exceed budget {budget}"
-        )
-    domain = x_count**n
-    letters = list(itertools.product(range(signal_count), repeat=domain))
-    seqs = avqc.state_sequences(n, budget=budget)
-
-    if power_exceeds(y_count * avqc.dim_out, n, DIM_CAP):
-        raise ValidationError(
-            f"build_associated_avcqc: output dimension ({y_count}*{avqc.dim_out})^{n} exceeds the cap"
-        )
-    n_y = y_count**n
-    d_block = avqc.dim_out**n
-    dim_total = n_y * d_block
-    joint_n = source.joint_power(n)
-
-    branches = {}
-    for seq in seqs:
-        factors = [avqc.channels[s] for s in seq]
-        images = [apply_product_channel(factors, sig).matrix for sig in signals]
-        outputs = {}
-        for f in letters:
-            # mass[k, y] = sum over sender sequences mapped to signal k
-            mass = np.zeros((signal_count, n_y))
-            for x_rank, k in enumerate(f):
-                mass[k] += joint_n[x_rank]
-            w = np.zeros((dim_total, dim_total), dtype=complex)
-            for y_rank in range(n_y):
-                block = sum(mass[k, y_rank] * images[k] for k in range(signal_count))
-                lo = y_rank * d_block
-                hi = lo + d_block
-                w[lo:hi, lo:hi] = block
-            outputs[f] = DensityMatrix(w)
-        branches[seq] = CqChannel(tuple(letters), outputs)
-    return AvCqc(tuple(seqs), branches)
-
-
-def reduce_to_classical(
-    avqc: Avqc, signals: Sequence[DensityMatrix], povm: Povm
-) -> ClassicalAvc:
-    """Classical kernels U_t(j|i) = tr(D_j N_t(rho_i)) from fixed signals and POVM."""
-    return reduce_to_classical_weighted(avqc, [(signals, povm, 1.0)])
 
 
 def reduce_to_classical_weighted(

@@ -49,7 +49,6 @@ __all__ = [
     "random_code_reduction",
     "compose_two_phase",
     "compose_two_phase_entanglement",
-    "two_phase_schedule",
     "projective_decoder",
 ]
 
@@ -746,25 +745,6 @@ def random_code_reduction(
     sampled_mean = success[draws].mean(axis=0)
     verified = bool(sampled_mean.min() >= 1.0 - eps - 1e-12)
     return [code.support[j] for j in draws], verified
-
-
-def two_phase_schedule(l: int, c: float) -> tuple[int, int]:
-    """Block split (m, l - m) with m = floor((2 / c) * log2 l).
-
-    ``c`` is the rate constant of the first-phase code; the schedule keeps
-    the first phase long enough to ship l^2 messages at rate c/2 while its
-    share of the block vanishes with l.
-    """
-    if c <= 0.0:
-        raise ValidationError("two_phase_schedule: c must be positive")
-    if l < 2:
-        raise ValidationError("two_phase_schedule: l must be >= 2")
-    m = int(math.floor((2.0 / c) * math.log2(l)))
-    if m < 1 or m >= l:
-        raise ValidationError(
-            f"two_phase_schedule: degenerate split m={m} for l={l}, c={c}"
-        )
-    return m, l - m
 
 
 def _extend_observations(

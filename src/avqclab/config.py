@@ -38,6 +38,3 @@ EXHAUSTIVE_BUDGET = 4096
 # Cap on enumerated sequence pairs in exact common-randomness statistics.
 PAIR_ENUM_BUDGET = 2**20
 
-# Cap on total Kraus-operator entries of an explicitly built product channel.
-KRAUS_ENTRY_BUDGET = 2**22
-

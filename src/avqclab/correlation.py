@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,12 +27,10 @@ __all__ = [
     "WitsenhausenSplit",
     "CrFunctionsPair",
     "CrPairStatistics",
-    "CodeDistributionDiagnostics",
     "binary_reduction",
     "cr_extractable",
     "witsenhausen_binarize",
     "cr_pair_statistics",
-    "code_distribution_diagnostics",
 ]
 
 
@@ -387,37 +385,3 @@ def cr_pair_statistics(
         [table[np.ix_(f_ranks == v, g_ranks == v)].sum() for v in range(k)]
     )
     return CrPairStatistics(a, b, c, float(c.sum()))
-
-
-@dataclass(frozen=True)
-class CodeDistributionDiagnostics:
-    """Concentration diagnostics of a joint value table."""
-
-    max_joint: float
-    max_marginal_a: float
-    max_marginal_b: float
-    diagonal_mass: float
-
-
-def code_distribution_diagnostics(gamma_table) -> CodeDistributionDiagnostics:
-    """Largest joint and marginal masses plus the diagonal agreement mass.
-
-    ``gamma_table`` is a square joint probability table over a shared value
-    alphabet, typically the (f, g) value pair distribution of a
-    common-randomness code. Callers compare the maxima against their target
-    uniformity threshold and the diagonal mass against their agreement
-    target.
-    """
-    table = np.asarray(gamma_table, dtype=float)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ValidationError("code_distribution_diagnostics: table must be square")
-    if np.any(table < -TOL_PROB):
-        raise ValidationError("code_distribution_diagnostics: negative entry")
-    if abs(float(table.sum()) - 1.0) > TOL_PROB:
-        raise ValidationError("code_distribution_diagnostics: total mass is not 1")
-    return CodeDistributionDiagnostics(
-        float(table.max()),
-        float(table.sum(axis=1).max()),
-        float(table.sum(axis=0).max()),
-        float(np.trace(table)),
-    )

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "AvqclabError",
+    "ValidationError",
+    "DimensionMismatch",
+    "SchemaError",
+    "BudgetExceeded",
+]
+
 
 class AvqclabError(Exception):
     """Base class for all package errors."""

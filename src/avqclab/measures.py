@@ -21,12 +21,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "shannon_entropy",
-    "binary_entropy",
     "von_neumann_entropy",
     "holevo_chi",
     "mutual_information",
     "entanglement_fidelity",
-    "entanglement_fidelity_purification",
 ]
 
 
@@ -42,10 +40,6 @@ def shannon_entropy(probs) -> float:
     if not np.isfinite(value):
         raise ValidationError("shannon_entropy: non-finite result")
     return value
-
-
-def binary_entropy(p: float) -> float:
-    return shannon_entropy([p, 1.0 - p])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -100,8 +94,9 @@ def entanglement_fidelity(rho: DensityMatrix, ch: QuantumChannel) -> float:
     """F_e(rho, N) = sum_k |tr(rho K_k)|^2 over the Kraus family of ``N``.
 
     Requires a square channel acting on the space of ``rho``. Agrees with
-    the purification definition; see ``entanglement_fidelity_purification``
-    for the independent form.
+    the purification definition <psi|(id ⊗ N)(|psi><psi|)|psi>, which
+    ``entanglement_fidelity_purification`` in ``tests/helpers.py`` evaluates
+    as an independent oracle.
     """
     if ch.dim_in != ch.dim_out:
         raise DimensionMismatch("entanglement_fidelity: channel must be square")
@@ -112,43 +107,3 @@ def entanglement_fidelity(rho: DensityMatrix, ch: QuantumChannel) -> float:
     traces = np.einsum("kij,ji->k", ch.stacked, rho.matrix)
     value = float(np.sum(np.abs(traces) ** 2))
     return value
-
-
-def entanglement_fidelity_purification(
-    rho: DensityMatrix, ch: QuantumChannel, scheme: str = "eigen"
-) -> float:
-    """F_e via an explicit purification <psi|(id ⊗ N)(|psi><psi|)|psi>.
-
-    ``scheme`` picks the purification: ``"eigen"`` uses the spectral form
-    sum_i sqrt(lambda_i) |i>|e_i>, ``"embed"`` uses (I ⊗ sqrt(rho)) applied
-    to the unnormalized maximally entangled vector. Both give the same value;
-    this function exists as an independent route to ``entanglement_fidelity``.
-    """
-    if ch.dim_in != ch.dim_out or ch.dim_in != rho.dim:
-        raise DimensionMismatch("entanglement_fidelity_purification: dims must agree")
-    d = rho.dim
-    if scheme == "eigen":
-        vals, vecs = np.linalg.eigh(hermitize(np.asarray(rho.matrix)))
-        psi = np.zeros(d * d, dtype=complex)
-        for i in range(d):
-            lam = max(float(vals[i]), 0.0)
-            if lam == 0.0:
-                continue
-            basis = np.zeros(d, dtype=complex)
-            basis[i] = 1.0
-            psi += np.sqrt(lam) * np.kron(basis, vecs[:, i])
-        psi /= np.linalg.norm(psi)
-    elif scheme == "embed":
-        vals, vecs = np.linalg.eigh(hermitize(np.asarray(rho.matrix)))
-        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-        omega = np.eye(d, dtype=complex).reshape(-1)  # sum_i |i>|i>
-        psi = np.kron(np.eye(d), root) @ omega
-        psi /= np.linalg.norm(psi)
-    else:
-        raise ValidationError(f"unknown purification scheme {scheme!r}")
-    pure = np.outer(psi, psi.conj())
-    # apply id ⊗ N on the second slot
-    six = pure.reshape(d, d, d, d)  # (ref, sys, ref', sys')
-    out = np.einsum("kxy,aybz,kwz->axbw", ch.stacked, six, ch.stacked.conj())
-    out = out.reshape(d * d, d * d)
-    return float(np.real(psi.conj() @ out @ psi))

@@ -24,16 +24,14 @@ import numpy as np
 
 from .config import (
     DIM_CAP,
-    KRAUS_ENTRY_BUDGET,
     TOL_CPTP,
     TOL_HERM,
     TOL_NORM,
     TOL_POVM,
-    TOL_PROB,
     TOL_PSD,
     TOL_TRACE,
 )
-from .errors import BudgetExceeded, DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError
 
 __all__ = [
     "DensityMatrix",
@@ -42,29 +40,17 @@ __all__ = [
     "Povm",
     "apply_channel",
     "apply_channel_to_slot_batch",
-    "apply_product_channel",
-    "tensor_channel",
-    "compose_channels",
-    "mix_channels",
-    "measure",
     "identity_channel",
-    "unitary_channel",
     "bit_flip_channel",
     "phase_flip_channel",
     "completely_depolarizing_channel",
     "constant_channel",
     "computational_povm",
-    "projective_povm",
     "basis_state",
-    "tensor_states",
     "maximally_mixed",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -359,28 +345,13 @@ def apply_channel_to_slot_batch(
     return out
 
 
-def apply_product_channel(
-    channels: Sequence[QuantumChannel], rho: DensityMatrix
-) -> DensityMatrix:
-    """Apply the tensor product of ``channels`` without building its Kraus set.
-
-    Equivalent to ``apply_channel(tensor_channel(channels), rho)``; factor
-    channels act on consecutive slots in the given order.
-    """
-    size = math.prod(ch.dim_in for ch in channels)
-    if rho.dim != size:
-        raise DimensionMismatch(
-            f"apply_product_channel: state dim {rho.dim} vs product input dim {size}"
-        )
-    return DensityMatrix(apply_product_to_matrix(channels, rho.matrix[None])[0])
-
-
 def apply_product_to_matrix(channels: Sequence[QuantumChannel], mats: np.ndarray) -> np.ndarray:
-    """Raw-matrix core of ``apply_product_channel``: one slot at a time.
+    """Apply the tensor product of ``channels`` to a stack, one slot at a time.
 
-    ``mats`` is an (M, N, N) stack of square matrices on the product input
-    space. Any square matrix will do (the symmetrizability images feed it
-    non-PSD Hermitian probes).
+    Factor channels act on consecutive slots in the given order, and no
+    Kraus set of the product is built. ``mats`` is an (M, N, N) stack of
+    square matrices on the product input space. Any square matrix will do
+    (the symmetrizability images feed it non-PSD Hermitian probes).
     """
     dims = [ch.dim_in for ch in channels]
     out = mats
@@ -390,113 +361,8 @@ def apply_product_to_matrix(channels: Sequence[QuantumChannel], mats: np.ndarray
     return out
 
 
-def tensor_channel(channels: Sequence[QuantumChannel]) -> QuantumChannel:
-    """Kraus form of the tensor product, factors in the given order.
-
-    Kraus operators are all products, ordered lexicographically in the
-    component indices. Raises ``BudgetExceeded`` when the explicit family
-    would be too large; ``apply_product_channel`` covers that regime.
-    """
-    channels = list(channels)
-    if not channels:
-        raise ValidationError("tensor_channel: empty channel list")
-    count = math.prod(len(ch.kraus) for ch in channels)
-    dim_in = math.prod(ch.dim_in for ch in channels)
-    dim_out = math.prod(ch.dim_out for ch in channels)
-    _check_dim(dim_in, "tensor_channel input")
-    _check_dim(dim_out, "tensor_channel output")
-    if count * dim_in * dim_out > KRAUS_ENTRY_BUDGET:
-        raise BudgetExceeded(
-            f"tensor_channel: {count} Kraus operators of shape "
-            f"({dim_out}, {dim_in}) exceed the entry budget"
-        )
-    kraus = []
-    for combo in itertools.product(*(ch.kraus for ch in channels)):
-        op = combo[0]
-        for factor in combo[1:]:
-            op = np.kron(op, factor)
-        kraus.append(op)
-    return QuantumChannel(tuple(kraus))
-
-
-def compose_channels(*channels: QuantumChannel) -> QuantumChannel:
-    """Composition ``channels[0] ∘ channels[1] ∘ ...`` in Kraus form."""
-    if not channels:
-        raise ValidationError("compose_channels: empty channel list")
-    chain = list(channels)
-    for outer, inner in zip(chain, chain[1:]):
-        if outer.dim_in != inner.dim_out:
-            raise DimensionMismatch(
-                f"compose_channels: cannot feed dim {inner.dim_out} into "
-                f"dim {outer.dim_in}"
-            )
-    count = math.prod(len(ch.kraus) for ch in chain)
-    dim_in = chain[-1].dim_in
-    dim_out = chain[0].dim_out
-    if count * dim_in * dim_out > KRAUS_ENTRY_BUDGET:
-        raise BudgetExceeded("compose_channels: Kraus entry budget exceeded")
-    kraus = []
-    for combo in itertools.product(*(ch.kraus for ch in chain)):
-        op = combo[0]
-        for factor in combo[1:]:
-            op = op @ factor
-        kraus.append(op)
-    return QuantumChannel(tuple(kraus))
-
-
-def mix_channels(channels: Sequence[QuantumChannel], weights) -> QuantumChannel:
-    """Convex mixture sum_s q(s) N_s as a single channel.
-
-    Kraus operators of channel ``s`` are scaled by sqrt(q_s); zero-weight
-    channels are dropped.
-    """
-    channels = list(channels)
-    q = np.asarray(weights, dtype=float)
-    if q.ndim != 1 or q.size != len(channels):
-        raise DimensionMismatch("mix_channels: weight count must match channel count")
-    if q.size == 0:
-        raise ValidationError("mix_channels: empty mixture")
-    if np.any(q < 0):
-        raise ValidationError("mix_channels: negative weight")
-    if abs(float(q.sum()) - 1.0) > TOL_PROB:
-        raise ValidationError(f"mix_channels: weights sum to {q.sum()!r}, not 1")
-    dims = {(ch.dim_in, ch.dim_out) for ch in channels}
-    if len(dims) != 1:
-        raise DimensionMismatch("mix_channels: channels have mixed dimensions")
-    kraus = []
-    for weight, ch in zip(q, channels):
-        if weight == 0.0:
-            continue
-        root = math.sqrt(float(weight))
-        kraus.extend(root * op for op in ch.kraus)
-    return QuantumChannel(tuple(kraus))
-
-
-def measure(povm: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Outcome distribution tr(D_i rho) as a float vector."""
-    if povm.dim != rho.dim:
-        raise DimensionMismatch(
-            f"measure: POVM dim {povm.dim} vs state dim {rho.dim}"
-        )
-    probs = np.array(
-        [float(np.einsum("ij,ji->", op, rho.matrix).real) for op in povm.elements]
-    )
-    if np.any(probs < -TOL_PROB):
-        raise ValidationError(f"measure: negative outcome probability {probs.min():.3e}")
-    if abs(float(probs.sum()) - 1.0) > TOL_PROB:
-        raise ValidationError(f"measure: probabilities sum to {probs.sum()!r}")
-    return probs
-
-
 def identity_channel(dim: int) -> QuantumChannel:
     return QuantumChannel((np.eye(dim, dtype=complex),))
-
-
-def unitary_channel(unitary) -> QuantumChannel:
-    u = _as_square(unitary, "unitary_channel")
-    if _max_abs(u.conj().T @ u - np.eye(u.shape[0])) > TOL_CPTP:
-        raise ValidationError("unitary_channel: matrix is not unitary")
-    return QuantumChannel((u,))
 
 
 def bit_flip_channel(p: float) -> QuantumChannel:
@@ -555,39 +421,12 @@ def computational_povm(dim: int) -> Povm:
     return Povm(tuple(np.outer(eye[:, i], eye[:, i].conj()) for i in range(dim)))
 
 
-def projective_povm(states: Sequence[PureState], pad: bool = True) -> Povm:
-    """POVM of rank-one projectors onto ``states``.
-
-    With ``pad`` the deficiency I - sum(projectors) is appended as a final
-    reject element; the states must then have projector sum at most identity.
-    """
-    if not states:
-        raise ValidationError("projective_povm: no states")
-    dim = states[0].dim
-    elements = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in states]
-    total = sum(elements)
-    if pad:
-        rest = np.eye(dim) - total
-        if min_eigenvalue(rest) < -TOL_PSD:
-            raise ValidationError("projective_povm: projectors exceed identity")
-        elements.append(hermitize(rest))
-    return Povm(tuple(elements))
-
-
 def basis_state(dim: int, index: int) -> PureState:
     if not 0 <= index < dim:
         raise ValidationError(f"basis_state: index {index} out of range for dim {dim}")
     vec = np.zeros(dim, dtype=complex)
     vec[index] = 1.0
     return PureState(vec)
-
-
-def tensor_states(states: Sequence[DensityMatrix]) -> DensityMatrix:
-    mats = [s.matrix for s in states]
-    out = mats[0]
-    for mat in mats[1:]:
-        out = np.kron(out, mat)
-    return DensityMatrix(out)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

@@ -59,7 +59,6 @@ __all__ = [
     "probes_to_document",
     "dumps_document",
     "loads_document",
-    "read_document",
     "write_document",
 ]
 
@@ -707,12 +706,6 @@ def loads_document(text: str | bytes, origin: str = "<string>") -> Any:
         raise SchemaError(
             f"malformed JSON: {exc.msg}", path=f"{origin}:{exc.lineno}:{exc.colno}"
         ) from exc
-
-
-def read_document(filename: str) -> Any:
-    with open(filename, "rb") as handle:
-        raw = handle.read()
-    return loads_document(raw, origin=filename)
 
 
 def write_document(doc: dict, filename: str) -> None:

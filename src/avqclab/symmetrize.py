@@ -7,9 +7,8 @@ state sequences with
     sum_seq p_j(seq) N_seq(A_i) = sum_seq p_i(seq) N_seq(A_j)   for all i, j,
 
 i.e. each probe processed under the mixture attached to another probe is
-indistinguishable from the reverse pairing. The same pairwise-mixture
-program covers classical kernel families and classical-quantum families, so
-all three checks share one feasibility core.
+indistinguishable from the reverse pairing. ``check_symmetrizable`` is the
+one check; ``check_symmetrizable_pure`` hands it rank-one probes.
 
 The core poses min t subject to the normalization equalities and all
 pairwise equality coordinates relaxed to |...| <= t, with every variable
@@ -34,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .avqc import Avqc, AvCqc, ClassicalAvc
+from .avqc import Avqc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import DensityMatrix, PureState, _hermitian_basis, apply_product_to_matrix
@@ -46,11 +45,8 @@ __all__ = [
     "check_symmetrizable",
     "check_lp_size",
     "check_symmetrizable_pure",
-    "check_symmetrizable_classical",
-    "check_symmetrizable_cq",
     "extend_family",
     "hermitian_probe_frame",
-    "convex_representation",
     "symmetrization_residual",
 ]
 
@@ -108,7 +104,7 @@ class SymmetrizabilityVerdict:
     feasible: bool
     residual: float
     witness: SymmetrizingFamily | None
-    degenerate_pairs: tuple = ()
+    degenerate_pairs: tuple
 
 
 def _pairwise_residual(images: np.ndarray, dist: np.ndarray) -> float:
@@ -144,19 +140,18 @@ def _min_violation_lp(
     values: np.ndarray,
     columns: np.ndarray,
     n_x: int,
-    goal: np.ndarray | None,
     groups: int,
     what: str,
 ) -> tuple[np.ndarray, float]:
-    """Solve min t over x >= 0 with |A_b @ x - goal[b]| <= t for every block b.
+    """Solve min t over x >= 0 with |A_b @ x| <= t for every block b.
 
     Row d of block A_b holds ``values[b, d]`` in the sorted columns
     ``columns[b]`` of x (length n_x) and zeros elsewhere. With z = (x, t)
-    the primal reads G z <= g, H z = 1: block b adds the rows
-    [A_b, -1; -A_b, -1] against [goal[b]; -goal[b]] (zero when ``goal`` is
-    None), and H sums each of ``groups`` equal contiguous groups of x.
+    the primal reads G z <= 0, H z = 1: block b adds the rows
+    [A_b, -1; -A_b, -1], and H sums each of ``groups`` equal contiguous
+    groups of x.
 
-    HiGHS solves the dual, min g.u - 1.v over u >= 0 and free v subject to
+    HiGHS solves the dual, min -1.v over u >= 0 and free v subject to
     [-G^T H^T] (u, v) <= (0, ..., 0, 1). The CSC arrays of -G^T are the CSR
     arrays of -G, written here block by block. Returns the primal groups,
     read as the negated marginals of the dual's rows, clipped and
@@ -187,11 +182,7 @@ def _min_violation_lp(
     matrix = sparse.csc_array((data, index, indptr), shape=(n_x + 1, n_u + groups))
     matrix.eliminate_zeros()
 
-    if goal is None:
-        g_rhs = np.zeros(n_u)
-    else:
-        g_rhs = np.stack([goal, -goal], axis=1).reshape(-1)
-    cost = np.concatenate([g_rhs, -np.ones(groups)])
+    cost = np.concatenate([np.zeros(n_u), -np.ones(groups)])
     rhs = np.zeros(n_x + 1)
     rhs[-1] = 1.0
     bounds = np.zeros((n_u + groups, 2))
@@ -229,7 +220,7 @@ def _pairwise_mixture_feasibility(
         [first[:, None] * n_states + span, second[:, None] * n_states + span], axis=1
     )
     dist, optimum = _min_violation_lp(
-        values, columns, k * n_states, None, k, "symmetrizability check"
+        values, columns, k * n_states, k, "symmetrizability check"
     )
     residual = _pairwise_residual(images, dist)
     if residual <= tol:
@@ -337,51 +328,6 @@ def check_symmetrizable_pure(
     )
 
 
-def check_symmetrizable_classical(
-    cavc: ClassicalAvc, tol: float = TOL_FEAS
-) -> SymmetrizabilityVerdict:
-    """Symmetrizability of a classical kernel family over its input letters.
-
-    Feasible when rows can be cross-mixed: sum_t sigma(t|i') U_t(.|i) equals
-    sum_t sigma(t|i) U_t(.|i') for every input pair.
-    """
-    if cavc.input_count < 2:
-        raise ValidationError("check_symmetrizable_classical: needs >= 2 inputs")
-    images = np.stack(
-        [
-            np.stack([cavc.kernels[s][i] for s in cavc.states])
-            for i in range(cavc.input_count)
-        ]
-    )
-    feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
-    witness = SymmetrizingFamily(tuple(cavc.states), dist) if feasible else None
-    return SymmetrizabilityVerdict(feasible, residual, witness)
-
-
-def check_symmetrizable_cq(
-    avcqc: AvCqc, tol: float = TOL_FEAS, letters: Sequence | None = None
-) -> SymmetrizabilityVerdict:
-    """Symmetrizability of a cq family over its input letters.
-
-    ``letters`` restricts the check to a sub-alphabet (the full function
-    alphabets of associated constructions grow fast).
-    """
-    letters = list(avcqc.alphabet if letters is None else letters)
-    if len(letters) < 2:
-        raise ValidationError("check_symmetrizable_cq: needs >= 2 letters")
-    unknown = [z for z in letters if z not in avcqc.alphabet]
-    if unknown:
-        raise ValidationError(f"check_symmetrizable_cq: unknown letters {unknown}")
-    images = _hvec(
-        np.array(
-            [[avcqc.branches[s].outputs[z].matrix for s in avcqc.states] for z in letters]
-        )
-    )
-    feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
-    witness = SymmetrizingFamily(tuple(avcqc.states), dist) if feasible else None
-    return SymmetrizabilityVerdict(feasible, residual, witness)
-
-
 def symmetrization_residual(
     avqc: Avqc,
     l: int,
@@ -478,27 +424,3 @@ def hermitian_probe_frame(dim: int) -> list:
     frame = [center + scale * op for op in basis]
     frame.append(center - scale * sum(basis))
     return frame
-
-
-def convex_representation(
-    target, points: Sequence, tol: float = 1e-9
-) -> np.ndarray | None:
-    """Convex weights writing ``target`` over ``points``, or None.
-
-    Solves the same relaxed feasibility program as the symmetrizability
-    core: minimize the max-norm mismatch over the simplex of weights and
-    accept when it drops below ``tol``.
-    """
-    t_mat = np.asarray(getattr(target, "matrix", target), dtype=complex)
-    mats = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in points]
-    coords = _hvec(np.stack(mats + [t_mat]))
-    coords, goal = coords[:-1], coords[-1]
-    n = len(coords)
-    dist, _ = _min_violation_lp(
-        coords.T[None], np.arange(n)[None], n, goal[None], 1, "convex_representation"
-    )
-    weights = dist[0]
-    mismatch = float(np.max(np.abs(coords.T @ weights - goal)))
-    if mismatch <= tol:
-        return weights
-    return None

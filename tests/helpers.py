@@ -18,16 +18,19 @@ from avqclab import (
     PureState,
     QuantumChannel,
     RandomCode,
+    BudgetExceeded,
+    DimensionMismatch,
     SchemaError,
     ValidationError,
     apply_channel_to_slot_batch,
-    compose_channels,
     entanglement_fidelity,
     holevo_chi,
     maximally_mixed,
-    tensor_channel,
 )
 from avqclab.quantum import hermitize
+
+# Cap on total Kraus-operator entries of an explicitly built product or composition.
+KRAUS_ENTRY_BUDGET = 2**22
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -95,6 +98,94 @@ def apply_channel_to_slot(ch: QuantumChannel, mat: np.ndarray, slot: int, dims) 
     out = np.einsum("kxy,aybczd,kwz->axbcwd", ch.stacked, six, ch.stacked.conj())
     new_total = left * ch.dim_out * right
     return out.reshape(new_total, new_total)
+
+
+def tensor_channel(channels) -> QuantumChannel:
+    """Oracle: Kraus form of the tensor product, factors in the given order.
+
+    Kraus operators are all kron products, ordered lexicographically in the
+    component indices. The library applies products slot by slot
+    (``quantum.apply_product_to_matrix``) and never builds this family.
+    """
+    channels = list(channels)
+    if not channels:
+        raise ValidationError("tensor_channel: empty channel list")
+    count = math.prod(len(ch.kraus) for ch in channels)
+    dim_in = math.prod(ch.dim_in for ch in channels)
+    dim_out = math.prod(ch.dim_out for ch in channels)
+    if count * dim_in * dim_out > KRAUS_ENTRY_BUDGET:
+        raise BudgetExceeded(
+            f"tensor_channel: {count} Kraus operators of shape "
+            f"({dim_out}, {dim_in}) exceed the entry budget"
+        )
+    kraus = []
+    for combo in itertools.product(*(ch.kraus for ch in channels)):
+        op = combo[0]
+        for factor in combo[1:]:
+            op = np.kron(op, factor)
+        kraus.append(op)
+    return QuantumChannel(tuple(kraus))
+
+
+def compose_channels(*channels: QuantumChannel) -> QuantumChannel:
+    """Oracle: composition ``channels[0] ∘ channels[1] ∘ ...`` in Kraus form."""
+    if not channels:
+        raise ValidationError("compose_channels: empty channel list")
+    chain = list(channels)
+    for outer, inner in zip(chain, chain[1:]):
+        if outer.dim_in != inner.dim_out:
+            raise DimensionMismatch(
+                f"compose_channels: cannot feed dim {inner.dim_out} into "
+                f"dim {outer.dim_in}"
+            )
+    count = math.prod(len(ch.kraus) for ch in chain)
+    if count * chain[-1].dim_in * chain[0].dim_out > KRAUS_ENTRY_BUDGET:
+        raise BudgetExceeded("compose_channels: Kraus entry budget exceeded")
+    kraus = []
+    for combo in itertools.product(*(ch.kraus for ch in chain)):
+        op = combo[0]
+        for factor in combo[1:]:
+            op = op @ factor
+        kraus.append(op)
+    return QuantumChannel(tuple(kraus))
+
+
+def entanglement_fidelity_purification(
+    rho: DensityMatrix, ch: QuantumChannel, scheme: str = "eigen"
+) -> float:
+    """Oracle: F_e via an explicit purification <psi|(id ⊗ N)(|psi><psi|)|psi>.
+
+    ``scheme`` picks the purification: ``"eigen"`` uses the spectral form
+    sum_i sqrt(lambda_i) |i>|e_i>, ``"embed"`` uses (I ⊗ sqrt(rho)) applied
+    to the unnormalized maximally entangled vector. Both give the same
+    value, by a route independent of ``measures.entanglement_fidelity``.
+    """
+    if ch.dim_in != ch.dim_out or ch.dim_in != rho.dim:
+        raise DimensionMismatch("entanglement_fidelity_purification: dims must agree")
+    d = rho.dim
+    vals, vecs = np.linalg.eigh(hermitize(np.asarray(rho.matrix)))
+    if scheme == "eigen":
+        psi = np.zeros(d * d, dtype=complex)
+        for i in range(d):
+            lam = max(float(vals[i]), 0.0)
+            if lam == 0.0:
+                continue
+            basis = np.zeros(d, dtype=complex)
+            basis[i] = 1.0
+            psi += np.sqrt(lam) * np.kron(basis, vecs[:, i])
+    elif scheme == "embed":
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        omega = np.eye(d, dtype=complex).reshape(-1)  # sum_i |i>|i>
+        psi = np.kron(np.eye(d), root) @ omega
+    else:
+        raise ValidationError(f"unknown purification scheme {scheme!r}")
+    psi /= np.linalg.norm(psi)
+    pure = np.outer(psi, psi.conj())
+    # apply id ⊗ N on the second slot
+    six = pure.reshape(d, d, d, d)  # (ref, sys, ref', sys')
+    out = np.einsum("kxy,aybz,kwz->axbw", ch.stacked, six, ch.stacked.conj())
+    out = out.reshape(d * d, d * d)
+    return float(np.real(psi.conj() @ out @ psi))
 
 
 def _images(avqc: Avqc, seq, encoder) -> list:
@@ -231,7 +322,12 @@ def reference_pairwise_lp(avqc: Avqc, l: int, probes) -> dict:
 
 
 def reference_convex_lp(target, points) -> dict:
-    """Reference layout of the ``convex_representation`` LP, built by hand."""
+    """Convex weights writing ``target`` over ``points`` as ``linprog`` arguments.
+
+    Minimizes the max-norm mismatch t of sum_i w_i points[i] - target over
+    the simplex of weights w, coordinates taken on the Hermitian upper
+    triangle; the optimum is 0 exactly when ``target`` lies in the hull.
+    """
     coords = np.stack([_hvec_reference(np.asarray(p, dtype=complex)) for p in points])
     goal = _hvec_reference(np.asarray(getattr(target, "matrix", target), dtype=complex))
     n, dim = coords.shape

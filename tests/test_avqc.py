@@ -1,4 +1,4 @@
-"""Channel families, products, the flagged cq construction, classical reduction."""
+"""Channel families, cq and classical families, classical reduction."""
 
 import itertools
 import math
@@ -9,22 +9,16 @@ import pytest
 from avqclab import (
     Avqc,
     AvCqc,
-    BipartiteSource,
     BudgetExceeded,
     ClassicalAvc,
     CqChannel,
     DimensionMismatch,
     ValidationError,
-    apply_channel,
     basis_state,
     bit_flip_channel,
-    build_associated_avcqc,
     completely_depolarizing_channel,
     computational_povm,
     identity_channel,
-    maximally_mixed,
-    product_avqc,
-    reduce_to_classical,
     reduce_to_classical_weighted,
 )
 
@@ -91,97 +85,20 @@ def test_power_exceeds_never_forms_a_power_above_the_limit():
     assert not power_exceeds(7, 10**400, math.inf)
 
 
-class TestProductAvqc:
-    def test_state_count(self):
-        prod = product_avqc(two_family(), 3)
-        assert len(prod.states) == 8
-
-    def test_singleton_square(self):
-        fam = Avqc(("x",), {"x": bit_flip_channel(0.25)})
-        prod = product_avqc(fam, 2)
-        assert prod.states == (("x", "x"),)
-        out = apply_channel(prod.channels[("x", "x")], KET0.tensor(KET0))
-        expect = np.diag([0.75 * 0.75, 0.75 * 0.25, 0.25 * 0.75, 0.25 * 0.25])
-        assert np.allclose(out.matrix, expect, atol=1e-12)
-
-    def test_depolarizing_component(self):
-        prod = product_avqc(two_family(), 2)
-        rho = random_density(rng_for(21), 4)
-        out = apply_channel(prod.channels[("d", "d")], rho)
-        assert np.allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
-
-
-class TestAssociatedConstruction:
-    def test_function_alphabet_count(self):
-        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        fam = two_family()
-        avcqc = build_associated_avcqc(fam, 1, src, [KET0, KET1])
-        # K=2 signals, |X|=2, n=1: 2^2 = 4 function letters
-        assert len(avcqc.alphabet) == 4
-
-    def test_outputs_are_valid_states(self):
-        src = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
-        avcqc = build_associated_avcqc(two_family(), 1, src, [KET0, KET1])
-        for s in avcqc.states:
-            for z in avcqc.alphabet:
-                out = avcqc.branches[s].outputs[z]
-                assert abs(float(np.trace(out.matrix).real) - 1.0) <= 1e-9
-
-    def test_constant_function_on_correlated_source(self):
-        # uniform perfectly correlated binary source, f constant at signal 1:
-        # output is sum_y (1/2) flag_y (x) N_s(rho_1), independent of x
-        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        fam = Avqc(("b",), {"b": bit_flip_channel(0.3)})
-        avcqc = build_associated_avcqc(fam, 1, src, [KET0, KET1])
-        f_const_one = (1, 1)
-        out = avcqc.branches[("b",)].outputs[f_const_one].matrix
-        image = apply_channel(bit_flip_channel(0.3), KET1).matrix
-        expect = np.zeros((4, 4), dtype=complex)
-        expect[0:2, 0:2] = 0.5 * image
-        expect[2:4, 2:4] = 0.5 * image
-        assert np.allclose(out, expect, atol=1e-12)
-
-    def test_product_source_factorizes(self):
-        px = np.array([0.3, 0.7])
-        py = np.array([0.6, 0.4])
-        src = BipartiteSource((0, 1), (0, 1), np.outer(px, py))
-        fam = Avqc(("b",), {"b": bit_flip_channel(0.2)})
-        avcqc = build_associated_avcqc(fam, 1, src, [KET0, KET1])
-        f = (0, 1)  # f(x) = x
-        out = avcqc.branches[("b",)].outputs[f].matrix
-        signal_avg = sum(
-            px[x] * apply_channel(bit_flip_channel(0.2), [KET0, KET1][x]).matrix
-            for x in range(2)
-        )
-        expect = np.kron(np.diag(py).astype(complex), signal_avg)
-        assert np.allclose(out, expect, atol=1e-12)
-
-    def test_signal_dim_mismatch(self):
-        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        with pytest.raises(DimensionMismatch):
-            build_associated_avcqc(two_family(), 1, src, [maximally_mixed(3)])
-
-    @pytest.mark.parametrize("family", [two_family(), Avqc(("b",), {"b": bit_flip_channel(0.3)})])
-    def test_a_huge_block_length_is_rejected_without_its_power(self, family):
-        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        with pytest.raises(BudgetExceeded, match="functions exceed"):
-            build_associated_avcqc(family, 10**12, src, [KET0, KET1])
-
-
 class TestClassicalReduction:
     def test_identity_channel_orthogonal_signals(self):
         fam = Avqc(("e",), {"e": identity_channel(2)})
-        avc = reduce_to_classical(fam, [KET0, KET1], computational_povm(2))
+        avc = reduce_to_classical_weighted(fam, [([KET0, KET1], computational_povm(2), 1.0)])
         assert np.allclose(avc.kernels["e"], np.eye(2), atol=1e-12)
 
     def test_depolarizing_rows_uniform(self):
         fam = Avqc(("d",), {"d": completely_depolarizing_channel(2)})
-        avc = reduce_to_classical(fam, [KET0, KET1], computational_povm(2))
+        avc = reduce_to_classical_weighted(fam, [([KET0, KET1], computational_povm(2), 1.0)])
         assert np.allclose(avc.kernels["d"], np.full((2, 2), 0.5), atol=1e-12)
 
     def test_bit_flip_kernel(self):
         fam = Avqc(("b",), {"b": bit_flip_channel(0.3)})
-        avc = reduce_to_classical(fam, [KET0, KET1], computational_povm(2))
+        avc = reduce_to_classical_weighted(fam, [([KET0, KET1], computational_povm(2), 1.0)])
         assert np.allclose(
             avc.kernels["b"], np.array([[0.7, 0.3], [0.3, 0.7]]), atol=1e-12
         )
@@ -190,7 +107,7 @@ class TestClassicalReduction:
         rng = rng_for(22)
         fam = two_family()
         signals = [random_density(rng, 2), random_density(rng, 2)]
-        avc = reduce_to_classical(fam, signals, computational_povm(2))
+        avc = reduce_to_classical_weighted(fam, [(signals, computational_povm(2), 1.0)])
         for s in fam.states:
             rows = avc.kernels[s]
             assert np.all(rows >= -1e-9)

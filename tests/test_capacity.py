@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avqclab.capacity as capacity
+import avqclab.symmetrize as symmetrize
+from avqclab.config import TOL_FEAS
 from avqclab import (
     AvCqc,
     CqChannel,
     ValidationError,
     basis_state,
-    check_symmetrizable_cq,
     cq_random_capacity,
     holevo_chi,
     maximally_mixed,
@@ -228,9 +229,14 @@ class TestCapacityProperties:
 
     def test_symmetrizable_swap_pair_consistency(self):
         avcqc = AvCqc((0, 1), {0: orthogonal_branch(), 1: swapped_branch()})
-        verdict = check_symmetrizable_cq(avcqc)
+        # images[z, s]: the real coordinates of letter z's output under member s
+        outputs = [
+            [avcqc.branches[s].outputs[z].matrix for s in avcqc.states] for z in avcqc.alphabet
+        ]
+        images = symmetrize._hvec(np.array(outputs))
+        feasible, _, _ = symmetrize._pairwise_mixture_feasibility(images, TOL_FEAS)
         result = cq_random_capacity(avcqc)
-        assert verdict.feasible
+        assert feasible
         assert result.value <= 1e-9
 
     def test_grid_step_validation(self):

@@ -18,6 +18,7 @@ from avqclab import (
     DimensionMismatch,
     Povm,
     PureState,
+    QuantumChannel,
     RandomCode,
     ValidationError,
     basis_state,
@@ -36,12 +37,16 @@ from avqclab import (
     phase_flip_channel,
     projective_decoder,
     random_code_reduction,
-    tensor_channel,
-    two_phase_schedule,
-    unitary_channel,
 )
 
-from helpers import per_message_success, random_avqc, random_density, random_povm, rng_for
+from helpers import (
+    per_message_success,
+    random_avqc,
+    random_density,
+    random_povm,
+    rng_for,
+    tensor_channel,
+)
 
 COMP_WORDS = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
 COMP_POVM = computational_povm(2)
@@ -369,25 +374,6 @@ class TestRandomCodeReduction:
         assert time.perf_counter() - t0 < 0.05
 
 
-class TestTwoPhaseSchedule:
-    def test_reference_split(self):
-        assert two_phase_schedule(16, 2.0) == (4, 12)
-
-    def test_other_splits(self):
-        assert two_phase_schedule(8, 1.0) == (6, 2)
-        assert two_phase_schedule(2, 2.0) == (1, 1)
-
-    def test_degenerate_splits_rejected(self):
-        with pytest.raises(ValidationError):
-            two_phase_schedule(2, 0.5)  # m = 4 >= l
-        with pytest.raises(ValidationError):
-            two_phase_schedule(2, 10.0)  # m = 0
-        with pytest.raises(ValidationError):
-            two_phase_schedule(1, 2.0)
-        with pytest.raises(ValidationError):
-            two_phase_schedule(16, -1.0)
-
-
 def basic_cr_code():
     return CorrelatedCode(
         1,
@@ -494,7 +480,7 @@ class TestComposeTwoPhaseEntanglement:
         assert report.worst_fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_index_error_cross_term(self):
-        x_gate = unitary_channel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        x_gate = QuantumChannel((np.array([[0.0, 1.0], [1.0, 0.0]]),))
         blocks = [(identity_channel(2), identity_channel(2)), (x_gate, x_gate)]
         ent = compose_two_phase_entanglement(basic_cr_code(), blocks, 2)
         avqc = Avqc((0, 1), {0: bit_flip_channel(0.2), 1: identity_channel(2)})

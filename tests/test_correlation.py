@@ -12,7 +12,6 @@ from avqclab import (
     CrFunctionsPair,
     ValidationError,
     binary_reduction,
-    code_distribution_diagnostics,
     cr_extractable,
     cr_pair_statistics,
     mutual_information,
@@ -261,30 +260,3 @@ class TestCrPairStatistics:
     def test_a_huge_block_length_is_rejected_without_its_domain(self, sides, side):
         with pytest.raises(BudgetExceeded, match=f"{side} domain"):
             CrFunctionsPair(*sides, 10**12, 2, {}, {})
-
-
-class TestCodeDistributionDiagnostics:
-    def test_normalized_delta(self):
-        n = 5
-        gamma = np.eye(n) / n
-        diag = code_distribution_diagnostics(gamma)
-        assert diag.max_joint == pytest.approx(1 / n)
-        assert diag.max_marginal_a == pytest.approx(1 / n)
-        assert diag.max_marginal_b == pytest.approx(1 / n)
-        assert diag.diagonal_mass == pytest.approx(1.0)
-
-    def test_point_mass(self):
-        gamma = np.zeros((3, 3))
-        gamma[1, 1] = 1.0
-        diag = code_distribution_diagnostics(gamma)
-        assert diag.max_joint == 1.0
-        assert diag.max_marginal_a == 1.0
-        assert diag.diagonal_mass == 1.0
-
-    def test_uniform_product_table(self):
-        gamma = np.full((4, 4), 1 / 16)
-        diag = code_distribution_diagnostics(gamma)
-        assert diag.max_joint == pytest.approx(1 / 16)
-        assert diag.max_marginal_a == pytest.approx(1 / 4)
-        assert diag.max_marginal_b == pytest.approx(1 / 4)
-        assert diag.diagonal_mass == pytest.approx(1 / 4)

@@ -1,4 +1,4 @@
-"""Core quantum objects: validation, channel application, measurement."""
+"""Core quantum objects: validation, channel application, constructors."""
 
 import math
 
@@ -15,21 +15,12 @@ from avqclab import (
     QuantumChannel,
     ValidationError,
     apply_channel,
-    apply_product_channel,
     basis_state,
     bit_flip_channel,
     completely_depolarizing_channel,
-    compose_channels,
-    computational_povm,
     identity_channel,
     maximally_mixed,
-    measure,
-    mix_channels,
     phase_flip_channel,
-    projective_povm,
-    tensor_channel,
-    tensor_states,
-    unitary_channel,
 )
 from avqclab.quantum import (
     PAULI_Z,
@@ -41,11 +32,13 @@ from avqclab.quantum import (
 
 from helpers import (
     apply_channel_to_slot,
+    compose_channels,
     random_channel,
     random_density,
     random_povm,
     random_pure,
     rng_for,
+    tensor_channel,
 )
 
 
@@ -180,66 +173,6 @@ class TestTensorChannel:
         assert np.allclose(joint.matrix, split.matrix, atol=1e-9)
 
 
-class TestMixChannels:
-    def test_single_channel_unchanged(self):
-        ch = bit_flip_channel(0.2)
-        mixed = mix_channels([ch], [1.0])
-        rho = random_density(rng_for(6), 2)
-        assert np.allclose(
-            apply_channel(mixed, rho).matrix, apply_channel(ch, rho).matrix, atol=1e-12
-        )
-
-    def test_constant_mixture_gives_maximally_mixed(self):
-        mixed = mix_channels(
-            [constant_channel(KET0), constant_channel(KET1)], [0.5, 0.5]
-        )
-        rho = random_density(rng_for(7), 2)
-        assert np.allclose(apply_channel(mixed, rho).matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_identity_bitflip_mixture(self):
-        mixed = mix_channels([identity_channel(2), bit_flip_channel(1.0)], [0.75, 0.25])
-        out = apply_channel(mixed, KET0)
-        assert np.allclose(out.matrix, np.diag([0.75, 0.25]), atol=1e-12)
-
-    def test_action_equals_weighted_sum(self):
-        rng = rng_for(8)
-        chs = [random_channel(rng, 2) for _ in range(3)]
-        q = np.array([0.5, 0.3, 0.2])
-        rho = random_density(rng, 2)
-        direct = apply_channel(mix_channels(chs, q), rho).matrix
-        summed = sum(w * apply_channel(c, rho).matrix for w, c in zip(q, chs))
-        assert np.allclose(direct, summed, atol=1e-9)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValidationError):
-            mix_channels([identity_channel(2)], [0.5])
-        with pytest.raises(DimensionMismatch):
-            mix_channels([identity_channel(2)], [0.5, 0.5])
-
-
-class TestMeasure:
-    def test_computational_on_ket0(self):
-        assert np.allclose(measure(computational_povm(2), KET0), [1.0, 0.0])
-
-    def test_computational_on_maximally_mixed(self):
-        assert np.allclose(measure(computational_povm(2), maximally_mixed(2)), [0.5, 0.5])
-
-    def test_hadamard_basis_on_ket0(self):
-        plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
-        minus = PureState(np.array([1.0, -1.0]) / np.sqrt(2))
-        povm = projective_povm([plus, minus], pad=False)
-        assert np.allclose(measure(povm, KET0), [0.5, 0.5], atol=1e-12)
-
-    def test_probabilities_sum_to_one(self):
-        for seed in range(5):
-            rng = rng_for(200 + seed)
-            povm = random_povm(rng, 3, 4)
-            rho = random_density(rng, 3)
-            probs = measure(povm, rho)
-            assert abs(probs.sum() - 1.0) <= 1e-9
-            assert np.all(probs >= -1e-9)
-
-
 class TestPovmValidation:
     def test_rejects_not_summing_to_identity(self):
         with pytest.raises(ValidationError):
@@ -272,8 +205,8 @@ class TestSlotApplication:
         chs = [random_channel(rng, 2), random_channel(rng, 2)]
         rho = random_density(rng, 4)
         explicit = apply_channel(tensor_channel(chs), rho)
-        slotwise = apply_product_channel(chs, rho)
-        assert np.allclose(explicit.matrix, slotwise.matrix, atol=1e-10)
+        slotwise = apply_product_to_matrix(chs, rho.matrix[None])[0]
+        assert np.allclose(explicit.matrix, slotwise, atol=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -369,7 +302,7 @@ class TestComposeAndConstructors:
         rng = rng_for(12)
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u, _ = np.linalg.qr(g)
-        ch = compose_channels(unitary_channel(u.conj().T), unitary_channel(u))
+        ch = compose_channels(QuantumChannel((u.conj().T,)), QuantumChannel((u,)))
         rho = random_density(rng, 2)
         assert np.allclose(apply_channel(ch, rho).matrix, rho.matrix, atol=1e-10)
 
@@ -384,11 +317,11 @@ class TestComposeAndConstructors:
         assert np.allclose(apply_channel(ch, rho).matrix, tgt.matrix, atol=1e-10)
 
     def test_unitary_channel_z_action(self):
-        out = apply_channel(unitary_channel(PAULI_Z), PLUS)
+        out = apply_channel(QuantumChannel((PAULI_Z,)), PLUS)
         assert np.allclose(out.matrix, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-12)
 
     def test_tensor_states(self):
-        prod = tensor_states([KET0, KET1, KET0])
+        prod = KET0.tensor(KET1).tensor(KET0)
         assert prod.dim == 8
         assert prod.matrix[2, 2] == pytest.approx(1.0)
 

@@ -38,7 +38,6 @@ from avqclab import (
     identity_channel,
     loads_document,
     probes_to_document,
-    read_document,
     to_document,
     write_document,
 )
@@ -536,21 +535,12 @@ class TestDocumentIO:
         doc = to_document(random_density(rng, 2))
         target = tmp_path / "state.json"
         write_document(doc, str(target))
-        assert read_document(str(target)) == doc
+        assert loads_document(target.read_bytes(), origin=str(target)) == doc
 
-    def test_read_reports_filename(self, tmp_path):
-        target = tmp_path / "broken.json"
-        target.write_text("{]")
+    def test_read_rejects_text_that_is_not_utf8(self):
         with pytest.raises(SchemaError) as err:
-            read_document(str(target))
-        assert str(target) in err.value.path
-
-    def test_read_rejects_text_that_is_not_utf8(self, tmp_path):
-        target = tmp_path / "utf16.json"
-        target.write_bytes(b"\xff\xfe{\x00}\x00")
-        with pytest.raises(SchemaError) as err:
-            read_document(str(target))
-        assert err.value.path == str(target)
+            loads_document(b"\xff\xfe{\x00}\x00", origin="utf16.json")
+        assert err.value.path == "utf16.json"
         assert "UTF-8" in str(err.value)
 
     def test_codec_leaves_the_collector_as_it_found_it(self):

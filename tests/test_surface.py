@@ -1,0 +1,152 @@
+"""The public surface: what ``avqclab`` exports, and what reaches it.
+
+A public name stays in ``src/`` when the command line, a document kind, an
+acceptance criterion, the benchmark, the README or an open ROADMAP item
+reaches it; a test oracle belongs in ``tests/helpers.py``. These tests keep
+that rule, keep every import of a library module in use, and run the
+README's quick start.
+"""
+
+import ast
+import contextlib
+import io
+import pathlib
+import re
+import types
+
+import avqclab
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "avqclab"
+
+# Public names that no other library module, acceptance criterion or
+# benchmark file names, with what keeps each of them.
+KEPT_BY = {
+    "MinimaxResult": "result of cq_random_capacity (avqclab capacity)",
+    "ErrorReport": "result of evaluate_code (avqclab simulate)",
+    "FidelityReport": "result of evaluate_entanglement_code (ROADMAP items 2 and 7)",
+    "CorrelatedEntanglementCode": "ROADMAP items 2 and 7: factored images, scored by phase",
+    "evaluate_entanglement_code": "ROADMAP items 2 and 7: the L=7 entanglement wall",
+    "compose_two_phase_entanglement": "ROADMAP item 7: factored like compose_two_phase",
+    "reduce_to_classical_weighted": "ROADMAP item 2: the transfer-matrix kernel stays for it",
+    "BinaryReduction": "result of binary_reduction (avqclab cr)",
+    "CrExtractability": "result of cr_extractable (avqclab cr)",
+    "WitsenhausenSplit": "result of witsenhausen_binarize (acceptance criterion 8)",
+    "CrFunctionsPair": "ROADMAP item 9: the maximal-correlation bound is checked on pairs",
+    "CrPairStatistics": "ROADMAP item 9: reports rho and the bound",
+    "cr_pair_statistics": "ROADMAP item 9: the bound is checked through it",
+    "shannon_entropy": "README module table: measures provides the entropies",
+    "von_neumann_entropy": "README module table: measures provides the entropies",
+    "identity_channel": "README quick start",
+    "probes_to_document": "writes the probe_set kind that avqclab symcheck --probes reads",
+    "SymmetrizabilityVerdict": "result of check_symmetrizable (avqclab symcheck)",
+    "SymmetrizingFamily": "witness of check_symmetrizable (avqclab symcheck)",
+}
+
+
+def _identifiers(path: pathlib.Path) -> set:
+    """Every name, attribute, imported name and identifier-like string in a file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():  # attributes patched by name
+                found.add(node.value)
+    return found
+
+
+def _owners() -> dict:
+    return {
+        name: module.__name__.rsplit(".", 1)[1]
+        for module in avqclab._MODULES
+        for name in module.__all__
+    }
+
+
+def test_no_module_is_exported():
+    assert len(avqclab.__all__) == len(set(avqclab.__all__))
+    modules = [n for n in avqclab.__all__ if isinstance(getattr(avqclab, n), types.ModuleType)]
+    assert modules == []
+    namespace = {}
+    exec("from avqclab import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == sorted(avqclab.__all__)
+
+
+def test_every_public_name_is_reached():
+    owners = _owners()
+    outside = {path.stem: _identifiers(path) for path in SRC.glob("*.py")}
+    reached = _identifiers(ROOT / "tests" / "test_acceptance.py")
+    for path in (ROOT / "bench").glob("*.py"):
+        reached |= _identifiers(path)
+    unreached = []
+    for name, owner in owners.items():
+        in_src = any(
+            name in names for stem, names in outside.items() if stem not in (owner, "__init__")
+        )
+        if not (in_src or name in reached or name in KEPT_BY):
+            unreached.append(name)
+    assert unreached == [], "reach these from the CLI or a test oracle, or delete them"
+    assert sorted(set(KEPT_BY) - set(owners)) == []
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")  # such as "BipartiteSource"
+                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in used
+        ]
+    assert unused == []
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Quick start:\s*```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    feasible, success = out.getvalue().split()
+    assert feasible == "False"
+    assert abs(float(success) - 0.75) <= 1e-12

@@ -12,10 +12,7 @@ from scipy.optimize import linprog
 
 from avqclab import (
     Avqc,
-    AvCqc,
     BudgetExceeded,
-    ClassicalAvc,
-    CqChannel,
     DensityMatrix,
     PureState,
     SymmetrizingFamily,
@@ -23,11 +20,8 @@ from avqclab import (
     basis_state,
     bit_flip_channel,
     check_symmetrizable,
-    check_symmetrizable_classical,
-    check_symmetrizable_cq,
     check_symmetrizable_pure,
     constant_channel,
-    convex_representation,
     extend_family,
     hermitian_probe_frame,
     identity_channel,
@@ -36,6 +30,7 @@ from avqclab import (
 )
 
 import avqclab.symmetrize as symmetrize
+from avqclab.config import TOL_FEAS
 from helpers import (
     random_avqc,
     random_channel,
@@ -216,83 +211,78 @@ class TestWitnessSoundness:
             symmetrization_residual(avqc, 1, [maximally_mixed(2)] * 2, family)
 
 
+def kernel_row_verdict(kernels):
+    """The one feasibility core on a classical family: images[i, s] = kernels[s][i]."""
+    kernels = [np.asarray(k, dtype=float) for k in kernels]
+    images = np.stack([[k[i] for k in kernels] for i in range(len(kernels[0]))])
+    return symmetrize._pairwise_mixture_feasibility(images, TOL_FEAS)
+
+
+def cq_output_verdict(outputs):
+    """The one feasibility core on a cq family: outputs[s][z] is letter z's state under s."""
+    mats = [[rho.matrix for rho in row] for row in outputs]
+    images = symmetrize._hvec(np.array(mats).transpose(1, 0, 2, 3))
+    return symmetrize._pairwise_mixture_feasibility(images, TOL_FEAS)
+
+
 class TestClassicalCheck:
+    """Classical kernel rows, mixed across inputs, through the feasibility core."""
+
     def test_complementary_flip_pair_feasible(self):
-        cavc = ClassicalAvc(
-            (0, 1),
-            {0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])},
-        )
-        verdict = check_symmetrizable_classical(cavc)
-        assert verdict.feasible
+        kernels = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        feasible, dist, _ = kernel_row_verdict(kernels)
+        assert feasible
         # substitute the witness into the defining cross-mixing equalities
-        dist = verdict.witness.distributions
-        kernels = [cavc.kernels[s] for s in cavc.states]
-        for i, j in ((0, 1),):
-            lhs = sum(dist[j, t] * kernels[t][i] for t in range(2))
-            rhs = sum(dist[i, t] * kernels[t][j] for t in range(2))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-7
+        lhs = sum(dist[1, t] * kernels[t][0] for t in range(2))
+        rhs = sum(dist[0, t] * kernels[t][1] for t in range(2))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-7
 
     def test_known_witness_accepted(self):
         # swapping the kernel index with the input reproduces the images
-        cavc = ClassicalAvc(
-            (0, 1),
-            {0: np.eye(2), 1: np.array([[0.0, 1.0], [1.0, 0.0]])},
-        )
-        verdict = check_symmetrizable_classical(cavc)
+        kernels = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        _, _, residual = kernel_row_verdict(kernels)
         sigma = np.array([[1.0, 0.0], [0.0, 1.0]])
-        kernels = [cavc.kernels[s] for s in cavc.states]
         lhs = sum(sigma[1, t] * kernels[t][0] for t in range(2))
         rhs = sum(sigma[0, t] * kernels[t][1] for t in range(2))
         assert np.max(np.abs(lhs - rhs)) == 0.0
-        assert verdict.residual <= 1e-8
+        assert residual <= 1e-8
 
     def test_noisy_singleton_infeasible(self):
-        cavc = ClassicalAvc((0,), {0: np.array([[0.9, 0.1], [0.1, 0.9]])})
-        verdict = check_symmetrizable_classical(cavc)
-        assert not verdict.feasible
-        assert verdict.residual == pytest.approx(0.8, abs=1e-7)
+        feasible, dist, residual = kernel_row_verdict([np.array([[0.9, 0.1], [0.1, 0.9]])])
+        assert not feasible and dist is None
+        assert residual == pytest.approx(0.8, abs=1e-7)
 
     def test_uniform_singleton_feasible(self):
-        cavc = ClassicalAvc((0,), {0: np.full((2, 2), 0.5)})
-        verdict = check_symmetrizable_classical(cavc)
-        assert verdict.feasible
-        assert verdict.residual <= 1e-9
+        feasible, _, residual = kernel_row_verdict([np.full((2, 2), 0.5)])
+        assert feasible
+        assert residual <= 1e-9
 
 
 class TestCqCheck:
+    """Classical-quantum outputs, mixed across letters, through the feasibility core."""
+
     def test_constant_branches_feasible(self):
         rng = rng_for(59)
         rho = random_density(rng, 2)
         tau = random_density(rng, 2)
-        branch_a = CqChannel((0, 1), {0: rho, 1: rho})
-        branch_b = CqChannel((0, 1), {0: tau, 1: tau})
-        verdict = check_symmetrizable_cq(AvCqc(("s", "t"), {"s": branch_a, "t": branch_b}))
-        assert verdict.feasible
+        feasible, _, _ = cq_output_verdict([[rho, rho], [tau, tau]])
+        assert feasible
 
     def test_singleton_distinct_outputs_infeasible(self):
-        branch = CqChannel(
-            (0, 1),
-            {0: basis_state(2, 0).to_density(), 1: basis_state(2, 1).to_density()},
-        )
-        verdict = check_symmetrizable_cq(AvCqc((0,), {0: branch}))
-        assert not verdict.feasible
+        ket0, ket1 = basis_state(2, 0).to_density(), basis_state(2, 1).to_density()
+        feasible, _, _ = cq_output_verdict([[ket0, ket1]])
+        assert not feasible
 
     def test_swap_pair_matches_grid_oracle(self):
         rng = rng_for(60)
         rho = random_density(rng, 2)
         tau = random_density(rng, 2)
-        branch_a = CqChannel((0, 1), {0: rho, 1: tau})
-        branch_b = CqChannel((0, 1), {0: tau, 1: rho})
-        avcqc = AvCqc((0, 1), {0: branch_a, 1: branch_b})
-        verdict = check_symmetrizable_cq(avcqc)
-        assert verdict.feasible
+        outputs = [[rho, tau], [tau, rho]]
+        feasible, _, residual = cq_output_verdict(outputs)
+        assert feasible
 
-        images = np.stack(
-            [
-                np.stack([np.asarray(avcqc.branches[s].outputs[z].matrix) for s in (0, 1)])
-                for z in (0, 1)
-            ]
-        )
+        # images[z][s]: letter z's output under member s
+        images = [[np.asarray(outputs[s][z].matrix) for s in (0, 1)] for z in (0, 1)]
         qs = np.linspace(0.0, 1.0, 101)
         best = np.inf
         for q1 in qs:
@@ -301,20 +291,7 @@ class TestCqCheck:
                 rhs = q1 * images[0][0] + (1 - q1) * images[0][1]
                 best = min(best, float(np.max(np.abs(lhs - rhs))))
         assert best <= 1e-9
-        assert verdict.residual <= 1e-7
-
-    def test_letter_restriction(self):
-        rng = rng_for(61)
-        rho = random_density(rng, 2)
-        tau = random_density(rng, 2)
-        branch = CqChannel((0, 1, 2), {0: rho, 1: tau, 2: rho})
-        avcqc = AvCqc((0,), {0: branch})
-        restricted = check_symmetrizable_cq(avcqc, letters=(0, 2))
-        assert restricted.feasible
-        with pytest.raises(ValidationError):
-            check_symmetrizable_cq(avcqc, letters=(0, 7))
-        with pytest.raises(ValidationError):
-            check_symmetrizable_cq(avcqc, letters=(0,))
+        assert residual <= 1e-7
 
 
 class TestExtendFamily:
@@ -395,19 +372,20 @@ class TestProbeFrame:
             frame = hermitian_probe_frame(dim)
             for _ in range(5):
                 rho = random_density(rng, dim)
-                weights = convex_representation(rho, frame, tol=1e-8)
-                assert weights is not None
-                recon = sum(w * op for w, op in zip(weights, frame))
+                res = linprog(method="highs", **reference_convex_lp(rho, frame))
+                assert res.status == 0 and res.fun <= 1e-8
+                recon = sum(w * op for w, op in zip(res.x[:-1], frame))
                 assert np.max(np.abs(recon - rho.matrix)) <= 1e-7
 
     def test_outside_point_has_no_representation(self):
         frame = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         target = np.diag([2.0, -1.0]).astype(complex)
-        assert convex_representation(target, frame, tol=1e-8) is None
+        res = linprog(method="highs", **reference_convex_lp(target, frame))
+        assert res.status == 0 and res.fun > 1e-8
 
 
 class TestLpLayout:
-    """Both LP callers hand HiGHS the dual of the reference layouts, bit for bit."""
+    """The pairwise check hands HiGHS the dual of the reference layout, bit for bit."""
 
     @staticmethod
     def capture(monkeypatch) -> list:
@@ -458,15 +436,6 @@ class TestLpLayout:
         check_symmetrizable(avqc, 2, frame)
         assert len(calls) == 1
         want = self.reference_dual(reference_pairwise_lp(avqc, 2, frame))
-        self.assert_bits_equal(calls[0], want)
-
-    def test_convex_representation(self, monkeypatch):
-        frame = hermitian_probe_frame(3)
-        rho = random_density(rng_for(137), 3)
-        calls = self.capture(monkeypatch)
-        assert convex_representation(rho, frame, tol=1e-8) is not None
-        assert len(calls) == 1
-        want = self.reference_dual(reference_convex_lp(rho, frame))
         self.assert_bits_equal(calls[0], want)
 
 
@@ -579,7 +548,7 @@ class TestVerdictConsistency:
         monkeypatch.setattr(symmetrize, "linprog", shifted)
         # one zero block over two groups of two: the optimum is t = 0
         _, optimum = symmetrize._min_violation_lp(
-            np.zeros((1, 1, 4)), np.array([[0, 1, 2, 3]]), 4, None, 2, "test"
+            np.zeros((1, 1, 4)), np.array([[0, 1, 2, 3]]), 4, 2, "test"
         )
         assert optimum == 0.0 and str(optimum) == "0.0"
 
@@ -602,7 +571,7 @@ class TestLevelThree:
         assert time.perf_counter() - t0 < 0.05
 
     def test_core_budget_on_images(self):
-        # classical and cq checks reach the core with their images only
+        # the core checks its budget on the images alone, before any LP is built
         images = np.broadcast_to(0.0, (200, 64, 64))
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceeded):
