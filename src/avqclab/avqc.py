@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ENUM_BUDGET, TOL_PROB
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .quantum import DensityMatrix, apply_channel_to_slot_batch
+from .quantum import apply_channel_to_slot_batch
 from .util import power_exceeds
 
 __all__ = [
@@ -144,21 +144,6 @@ class AvCqc:
     @property
     def dim(self) -> int:
         return self.branches[self.states[0]].dim
-
-    def mixture(self, weights) -> CqChannel:
-        """The averaged branch sum_s q(s) W_s as a cq channel."""
-        q = np.asarray(weights, dtype=float)
-        if q.size != len(self.states):
-            raise DimensionMismatch("mixture: weight count must match state count")
-        if np.any(q < 0) or abs(float(q.sum()) - 1.0) > TOL_PROB:
-            raise ValidationError("mixture: weights must be a probability vector")
-        outputs = {}
-        for z in self.alphabet:
-            acc = np.zeros((self.dim, self.dim), dtype=complex)
-            for weight, s in zip(q, self.states):
-                acc += weight * self.branches[s].outputs[z].matrix
-            outputs[z] = DensityMatrix(acc)
-        return CqChannel(self.alphabet, outputs)
 
 
 @dataclass(frozen=True, eq=False)

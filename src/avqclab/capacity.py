@@ -8,7 +8,7 @@ against the worst convex mixture of the family's branches,
 chi(p, W_q) is concave in p and convex in q, so by Sion's theorem C is the
 minimum over the q simplex of the convex f(q) = max_p chi(p, W_q). The solver
 is Kelley's cutting-plane method on f. At each query q_j projected Newton
-steps on p, with a Blahut-Arimoto step wherever one does not raise chi
+steps on p, with a plain Blahut-Arimoto step wherever one does not raise chi
 (``_blahut_arimoto``), give an input p_j and two certificates for any p_j:
 
 - an upper bound: f(q_j) <= max_z D(W_{q_j}(z) || rho_j), with rho_j the
@@ -147,14 +147,11 @@ def _blahut_arimoto(out: np.ndarray, ents: np.ndarray, p: np.ndarray, gap: float
     """max_p chi(p, W) from ``p`` by projected Newton steps: (p, divergences, finite).
 
     A ``_newton`` step is halved until chi rises, at most _HALVINGS times;
-    then the accelerated cq Blahut-Arimoto step p <- p * 2^(mu D) (Nagaoka
-    1998) runs instead, mu doubling while chi rises and halving, down to 1,
-    when it would fall (Matz & Duhamel 2004). No step makes a finite
-    divergence infinite. The run stops once max_z D_z - chi <= ``gap``, or
-    once neither step can be taken.
+    then the cq Blahut-Arimoto step p <- p * 2^D, normalized (Nagaoka 1998),
+    runs instead. No step makes a finite divergence infinite. The run stops
+    once max_z D_z - chi <= ``gap``, or once neither step can be taken.
     """
     state = _divergences(out, ents, p)
-    mu = 1.0
     for _ in range(_MAX_STEPS):
         div, finite = state[:2]
         chi = p @ div
@@ -168,16 +165,11 @@ def _blahut_arimoto(out: np.ndarray, ents: np.ndarray, p: np.ndarray, gap: float
             if (cand_state[1] or not finite) and cand @ cand_state[0] > chi:
                 break
         else:
-            cand = p * np.exp2(mu * (div - div.max()))
+            cand = p * np.exp2(div - div.max())
             cand /= cand.sum()
             cand_state = _divergences(out, ents, cand)
-            if (cand_state[1] or not finite) and (cand @ cand_state[0] >= chi or mu == 1.0):
-                mu *= 2.0
-            elif mu == 1.0:
+            if finite and not cand_state[1]:
                 break
-            else:
-                mu = max(1.0, mu / 2.0)
-                continue
         p, state = cand, cand_state
     return p, state[0], state[1]
 

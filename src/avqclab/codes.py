@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .avqc import Avqc
-from .config import ENUM_BUDGET, EXHAUSTIVE_BUDGET, PAIR_ENUM_BUDGET, TOL_PROB
-from .correlation import BipartiteSource
+from .config import ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_PROB
+from .correlation import BipartiteSource, covers_words
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import (
     DensityMatrix,
@@ -139,14 +139,7 @@ def _set_observation_maps(code, what: str) -> None:
     sides = (("encoders", code.source.x_alphabet), ("decoders", code.source.y_alphabet))
     for side, alphabet in sides:
         mapping = dict(getattr(code, side))
-        # distinct length-n words over the alphabet, |alphabet|^n of them, are
-        # all of them; nothing of length n is built (n can be 10**12 when
-        # |alphabet| = 1)
-        letters = set(alphabet)
-        if len(mapping) != len(alphabet) ** n or not all(
-            isinstance(key, tuple) and len(key) == n and letters.issuperset(key)
-            for key in mapping
-        ):
+        if not covers_words(mapping, alphabet, n):
             raise ValidationError(f"{what} {side}: keys must be exactly the length-{n} sequences")
         object.__setattr__(code, side, mapping)
 
@@ -252,8 +245,8 @@ class FidelityReport:
     method: str
 
 
-def projective_decoder(codewords: Sequence[PureState], absorb: int = 0) -> Povm:
-    """Projector decoder with the leftover identity mass folded into one element."""
+def projective_decoder(codewords: Sequence[PureState]) -> Povm:
+    """Projector decoder with the leftover identity mass folded into message 0's element."""
     if not codewords:
         raise ValidationError("projective_decoder: no codewords")
     dim = codewords[0].dim
@@ -261,7 +254,7 @@ def projective_decoder(codewords: Sequence[PureState], absorb: int = 0) -> Povm:
     rest = np.eye(dim, dtype=complex) - sum(elements)
     if min_eigenvalue(rest) < -1e-9:
         raise ValidationError("projective_decoder: codeword projectors exceed identity")
-    elements[absorb] = hermitize(elements[absorb] + rest)
+    elements[0] = hermitize(elements[0] + rest)
     return Povm(tuple(elements))
 
 
@@ -402,7 +395,7 @@ class _CorrelatedEvaluator:
     def __init__(self, code):
         x_seqs = code.source.x_sequences(code.n)
         y_seqs = code.source.y_sequences(code.n)
-        table = code.source.joint_power(code.n, budget=PAIR_ENUM_BUDGET)
+        table = code.source.joint_power(code.n)
         keys = {}  # id -> content_key; the code keeps every object alive
 
         def key_of(obj) -> bytes:

@@ -23,9 +23,6 @@ TOL_FEAS = 1e-7
 # Threshold below which a mutual information is treated as zero.
 TOL_MI = 1e-9
 
-# Strict-positivity threshold for relative-interior tests on sources.
-TOL_POS = 1e-12
-
 # Hard cap on any total Hilbert-space dimension.
 DIM_CAP = 4096
 

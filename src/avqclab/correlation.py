@@ -5,6 +5,11 @@ functions here decide whether perfect common randomness is extractable from
 its support structure, reduce correlated sources to maximally informative
 binary quantizations, and turn near-agreeing function pairs into balanced
 binary ones with certified masses.
+
+Block objects are bounded by ``PAIR_ENUM_BUDGET`` before anything is listed:
+a function pair's domains and block length, and a block table's entries.
+``covers_words`` checks that a table's keys are exactly the length-n words
+without forming any, for function pairs here and correlated codes alike.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI, TOL_POS, TOL_PROB
+from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI, TOL_PROB
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measures import mutual_information
 from .util import power_exceeds
@@ -66,25 +71,15 @@ class BipartiteSource:
         object.__setattr__(self, "y_alphabet", y_alphabet)
         object.__setattr__(self, "joint", joint)
 
-    @property
-    def marginal_x(self) -> np.ndarray:
-        return self.joint.sum(axis=1)
-
-    @property
-    def marginal_y(self) -> np.ndarray:
-        return self.joint.sum(axis=0)
-
-    def in_relative_interior(self, tol: float = TOL_POS) -> bool:
-        """True when every joint entry is strictly positive (above ``tol``)."""
-        return bool(np.all(self.joint > tol))
-
-    def joint_power(self, n: int, budget: int = PAIR_ENUM_BUDGET) -> np.ndarray:
+    def joint_power(self, n: int) -> np.ndarray:
         """The i.i.d. block table p^(x)n over lexicographically ranked sequences."""
         if n < 1:
             raise ValidationError("joint_power: n must be >= 1")
         pairs = len(self.x_alphabet) * len(self.y_alphabet)
-        if power_exceeds(pairs, n, budget):
-            raise BudgetExceeded(f"joint_power: {pairs}^{n} entries exceed budget {budget}")
+        if power_exceeds(pairs, n, PAIR_ENUM_BUDGET):
+            raise BudgetExceeded(
+                f"joint_power: {pairs}^{n} entries exceed budget {PAIR_ENUM_BUDGET}"
+            )
         if pairs == 1:  # 1 ** n passes the budget for every n
             return self.joint ** n
         table = self.joint
@@ -108,7 +103,7 @@ class BinaryReduction:
     bits: float
 
 
-def binary_reduction(src: BipartiteSource, tol_mi: float = TOL_MI) -> BinaryReduction:
+def binary_reduction(src: BipartiteSource) -> BinaryReduction:
     """Exhaustively maximize I(f(X); g(Y)) over binary partitions of each side.
 
     Tables are reported as 0/1 tuples aligned with the alphabets. Candidates
@@ -121,7 +116,7 @@ def binary_reduction(src: BipartiteSource, tol_mi: float = TOL_MI) -> BinaryRedu
     n_x, n_y = joint.shape
     if 2**n_x * 2**n_y > ENUM_BUDGET:
         raise BudgetExceeded("binary_reduction: too many partition pairs")
-    if mutual_information(joint) <= tol_mi:
+    if mutual_information(joint) <= TOL_MI:
         raise ValidationError(
             "binary_reduction: source is a product distribution, no informative "
             "binary pair exists"
@@ -301,6 +296,19 @@ def witsenhausen_binarize(a, b, c, sigma: float, eps: float) -> WitsenhausenSpli
     return WitsenhausenSplit(m_hat, mass_a, mass_b, 1.0 - eps, theta)
 
 
+def covers_words(mapping: Mapping, alphabet: tuple, n: int) -> bool:
+    """Whether the keys of ``mapping`` are exactly the length-n words over ``alphabet``.
+
+    Distinct length-n words over the alphabet, |alphabet|^n of them, are all
+    of them, so no word is built; the caller bounds |alphabet|^n, while n can
+    be 10**12 when |alphabet| = 1.
+    """
+    letters = set(alphabet)
+    return len(mapping) == len(alphabet) ** n and all(
+        isinstance(key, tuple) and len(key) == n and letters.issuperset(key) for key in mapping
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CrFunctionsPair:
     """Block functions f: X^l -> values and g: Y^l -> values over a shared range."""
@@ -319,18 +327,20 @@ class CrFunctionsPair:
             raise ValidationError("CrFunctionsPair: l must be >= 1")
         if self.value_count < 1:
             raise ValidationError("CrFunctionsPair: value_count must be >= 1")
-        if power_exceeds(len(x_alphabet), self.l, PAIR_ENUM_BUDGET):
-            raise BudgetExceeded("CrFunctionsPair: sender domain exceeds budget")
-        if power_exceeds(len(y_alphabet), self.l, PAIR_ENUM_BUDGET):
-            raise BudgetExceeded("CrFunctionsPair: receiver domain exceeds budget")
+        for side, alphabet in (("sender", x_alphabet), ("receiver", y_alphabet)):
+            if power_exceeds(len(alphabet), self.l, PAIR_ENUM_BUDGET):
+                raise BudgetExceeded(f"CrFunctionsPair: {side} domain exceeds budget")
+        # each word holds l letters, so l above the budget is rejected as well,
+        # which one-letter alphabets would otherwise pass at any l
+        if self.l > PAIR_ENUM_BUDGET:
+            raise BudgetExceeded(f"CrFunctionsPair: length {self.l} exceeds budget")
         f_table = dict(self.f_table)
         g_table = dict(self.g_table)
         for name, table, alphabet in (
             ("f_table", f_table, x_alphabet),
             ("g_table", g_table, y_alphabet),
         ):
-            domain = list(itertools.product(alphabet, repeat=self.l))
-            if set(table) != set(domain):
+            if not covers_words(table, alphabet, self.l):
                 raise ValidationError(
                     f"CrFunctionsPair: {name} must cover exactly the length-"
                     f"{self.l} sequences"
@@ -356,22 +366,19 @@ class CrPairStatistics:
     agreement: float
 
 
-def cr_pair_statistics(
-    src: BipartiteSource,
-    pair: CrFunctionsPair,
-    budget: int = PAIR_ENUM_BUDGET,
-) -> CrPairStatistics:
+def cr_pair_statistics(src: BipartiteSource, pair: CrFunctionsPair) -> CrPairStatistics:
     """Exact value-distribution and agreement masses by block enumeration.
 
     a(k) and b(k) are the pushforward masses of f and g on the i.i.d. block
     source; c(k) is the joint mass of both parties computing value k. The
-    joint enumeration costs (|X| |Y|)^l table entries, guarded by ``budget``.
+    joint enumeration costs (|X| |Y|)^l table entries, guarded by
+    ``PAIR_ENUM_BUDGET``.
     """
     if tuple(pair.x_alphabet) != tuple(src.x_alphabet) or tuple(
         pair.y_alphabet
     ) != tuple(src.y_alphabet):
         raise ValidationError("cr_pair_statistics: pair and source alphabets differ")
-    table = src.joint_power(pair.l, budget=budget)
+    table = src.joint_power(pair.l)
     f_ranks = np.array(
         [pair.f_table[seq] for seq in src.x_sequences(pair.l)], dtype=int
     )

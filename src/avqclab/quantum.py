@@ -142,9 +142,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        return DensityMatrix(np.kron(self.matrix, other.matrix))
-
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -398,19 +395,16 @@ def completely_depolarizing_channel(dim: int = 2) -> QuantumChannel:
     return QuantumChannel(tuple(kraus))
 
 
-def constant_channel(sigma: DensityMatrix, dim_in: int | None = None) -> QuantumChannel:
-    """The channel rho -> sigma regardless of input."""
-    if dim_in is None:
-        dim_in = sigma.dim
-    _check_dim(dim_in, "constant_channel")
+def constant_channel(sigma: DensityMatrix) -> QuantumChannel:
+    """The channel rho -> sigma regardless of input, on sigma's dimension."""
     vals, vecs = np.linalg.eigh(hermitize(np.asarray(sigma.matrix)))
     kraus = []
     for r in range(vals.size):
         if vals[r] <= 0.0:
             continue
         col = math.sqrt(float(vals[r])) * vecs[:, r]
-        for j in range(dim_in):
-            op = np.zeros((sigma.dim, dim_in), dtype=complex)
+        for j in range(sigma.dim):
+            op = np.zeros((sigma.dim, sigma.dim), dtype=complex)
             op[:, j] = col
             kraus.append(op)
     return QuantumChannel(tuple(kraus))

@@ -356,12 +356,11 @@ def extend_family(
     base_family: SymmetrizingFamily,
     new_points: Sequence,
     mixing,
-    tol: float = 1e-9,
 ) -> SymmetrizingFamily:
     """Extend a symmetrizing family to convex combinations of its probes.
 
-    Each new point must be the stated convex combination of the base points;
-    its distribution is the same combination of the base distributions,
+    Each new point must be the stated convex combination of the base points,
+    to 1e-9 in every entry; its distribution is the same combination of the base distributions,
     which preserves every pairwise equality. ``mixing`` is row-stochastic,
     either one row of base-point coefficients per new point, or the full
     square matrix whose leading block is the identity.
@@ -395,7 +394,7 @@ def extend_family(
     for idx, point in enumerate(new):
         combo = sum(r[idx, j] * base[j] for j in range(k))
         defect = float(np.max(np.abs(combo - point)))
-        if defect > tol:
+        if defect > 1e-9:
             raise ValidationError(
                 f"extend_family: new point {idx} deviates from its convex "
                 f"representation by {defect:.3e}"

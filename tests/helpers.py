@@ -11,6 +11,7 @@ from avqclab import (
     AvCqc,
     Avqc,
     CorrelatedCode,
+    CqChannel,
     CorrelatedEntanglementCode,
     DensityMatrix,
     DeterministicCode,
@@ -27,6 +28,7 @@ from avqclab import (
     holevo_chi,
     maximally_mixed,
 )
+from avqclab.config import TOL_PROB
 from avqclab.quantum import hermitize
 
 # Cap on total Kraus-operator entries of an explicitly built product or composition.
@@ -463,6 +465,22 @@ def simplex_grid(k: int, steps: int):
         yield np.array(parts, dtype=float) / steps
 
 
+def mixture(avcqc: AvCqc, weights) -> CqChannel:
+    """Oracle: the averaged branch sum_s q(s) W_s as a cq channel."""
+    q = np.asarray(weights, dtype=float)
+    if q.size != len(avcqc.states):
+        raise DimensionMismatch("mixture: weight count must match state count")
+    if np.any(q < 0) or abs(float(q.sum()) - 1.0) > TOL_PROB:
+        raise ValidationError("mixture: weights must be a probability vector")
+    outputs = {}
+    for z in avcqc.alphabet:
+        acc = np.zeros((avcqc.dim, avcqc.dim), dtype=complex)
+        for weight, s in zip(q, avcqc.states):
+            acc += weight * avcqc.branches[s].outputs[z].matrix
+        outputs[z] = DensityMatrix(acc)
+    return CqChannel(avcqc.alphabet, outputs)
+
+
 def chi_of_mixture(avcqc: AvCqc, probs, weights) -> float:
     """Holevo value of input distribution ``probs`` against the q-mixture."""
-    return holevo_chi(probs, avcqc.mixture(weights))
+    return holevo_chi(probs, mixture(avcqc, weights))

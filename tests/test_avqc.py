@@ -24,7 +24,14 @@ from avqclab import (
 
 from avqclab.util import power_exceeds
 
-from helpers import apply_channel_to_slot, random_channel, random_density, random_povm, rng_for
+from helpers import (
+    apply_channel_to_slot,
+    mixture,
+    random_channel,
+    random_density,
+    random_povm,
+    rng_for,
+)
 
 KET0 = basis_state(2, 0).to_density()
 KET1 = basis_state(2, 1).to_density()
@@ -163,6 +170,6 @@ class TestClassicalAvcAndCq:
         w1 = CqChannel((0, 1), {0: KET0, 1: KET1})
         w2 = CqChannel((0, 1), {0: KET1, 1: KET0})
         fam = AvCqc(("a", "b"), {"a": w1, "b": w2})
-        mixed = fam.mixture([0.5, 0.5])
+        mixed = mixture(fam, [0.5, 0.5])
         for z in (0, 1):
             assert np.allclose(mixed.outputs[z].matrix, np.eye(2) / 2, atol=1e-12)

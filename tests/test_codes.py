@@ -76,7 +76,7 @@ class TestProjectiveDecoder:
         assert np.allclose(povm.elements[1], np.diag([0.0, 1.0]))
 
     def test_leftover_absorbed(self):
-        povm = projective_decoder((basis_state(3, 0), basis_state(3, 1)), absorb=0)
+        povm = projective_decoder((basis_state(3, 0), basis_state(3, 1)))
         assert np.allclose(povm.elements[0], np.diag([1.0, 0.0, 1.0]))
         assert np.allclose(povm.elements[1], np.diag([0.0, 1.0, 0.0]))
 

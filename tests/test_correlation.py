@@ -45,17 +45,6 @@ class TestBipartiteSource:
         with pytest.raises(ValidationError):
             BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.1], [0.1, 0.4]]))
 
-    def test_marginals(self):
-        src = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
-        assert np.allclose(src.marginal_x, [0.5, 0.5])
-        assert np.allclose(src.marginal_y, [0.5, 0.5])
-
-    def test_relative_interior(self):
-        full = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
-        border = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        assert full.in_relative_interior()
-        assert not border.in_relative_interior()
-
     def test_a_huge_block_power_is_rejected_without_forming_it(self):
         # 4**(10**12) is never formed: the test returns only if it is not
         src = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
@@ -250,13 +239,22 @@ class TestCrPairStatistics:
         assert stats.agreement == pytest.approx(0.68, abs=1e-12)
 
     def test_budget_guard(self):
+        # each side's 2**11 words pass, but the 4**11 pairs exceed PAIR_ENUM_BUDGET
         src = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
-        f = {seq: 0 for seq in itertools.product((0, 1), repeat=3)}
-        pair = CrFunctionsPair((0, 1), (0, 1), 3, 1, f, dict(f))
-        with pytest.raises(BudgetExceeded):
-            cr_pair_statistics(src, pair, budget=63)
+        f = {seq: 0 for seq in itertools.product((0, 1), repeat=11)}
+        pair = CrFunctionsPair((0, 1), (0, 1), 11, 1, f, dict(f))
+        with pytest.raises(BudgetExceeded, match=r"4\^11 entries"):
+            cr_pair_statistics(src, pair)
 
-    @pytest.mark.parametrize("sides, side", [(((0, 1), (0,)), "sender"), (((0,), (0, 1)), "receiver")])
-    def test_a_huge_block_length_is_rejected_without_its_domain(self, sides, side):
-        with pytest.raises(BudgetExceeded, match=f"{side} domain"):
+    @pytest.mark.parametrize(
+        "sides, reason",
+        [
+            (((0, 1), (0,)), "sender domain"),
+            (((0,), (0, 1)), "receiver domain"),
+            # 1 ** l passes any power budget; the length alone is rejected
+            (((0,), (0,)), "length 1000000000000"),
+        ],
+    )
+    def test_a_huge_block_length_is_rejected_without_its_domain(self, sides, reason):
+        with pytest.raises(BudgetExceeded, match=reason):
             CrFunctionsPair(*sides, 10**12, 2, {}, {})

@@ -79,7 +79,7 @@ class TestDensityMatrix:
             rho.matrix[0, 0] = 9.0
 
     def test_tensor(self):
-        prod = KET0.tensor(KET1)
+        prod = DensityMatrix(np.kron(KET0.matrix, KET1.matrix))
         expect = np.zeros((4, 4))
         expect[1, 1] = 1.0
         assert np.allclose(prod.matrix, expect)
@@ -168,9 +168,10 @@ class TestTensorChannel:
         rng = rng_for(5)
         ch_a, ch_b = random_channel(rng, 2), random_channel(rng, 2)
         rho_a, rho_b = random_density(rng, 2), random_density(rng, 2)
-        joint = apply_channel(tensor_channel([ch_a, ch_b]), rho_a.tensor(rho_b))
-        split = apply_channel(ch_a, rho_a).tensor(apply_channel(ch_b, rho_b))
-        assert np.allclose(joint.matrix, split.matrix, atol=1e-9)
+        rho_ab = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix))
+        joint = apply_channel(tensor_channel([ch_a, ch_b]), rho_ab)
+        split = np.kron(apply_channel(ch_a, rho_a).matrix, apply_channel(ch_b, rho_b).matrix)
+        assert np.allclose(joint.matrix, split, atol=1e-9)
 
 
 class TestPovmValidation:
@@ -321,7 +322,7 @@ class TestComposeAndConstructors:
         assert np.allclose(out.matrix, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-12)
 
     def test_tensor_states(self):
-        prod = KET0.tensor(KET1).tensor(KET0)
+        prod = DensityMatrix(np.kron(np.kron(KET0.matrix, KET1.matrix), KET0.matrix))
         assert prod.dim == 8
         assert prod.matrix[2, 2] == pytest.approx(1.0)
 

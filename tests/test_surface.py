@@ -3,8 +3,9 @@
 A public name stays in ``src/`` when the command line, a document kind, an
 acceptance criterion, the benchmark, the README or an open ROADMAP item
 reaches it; a test oracle belongs in ``tests/helpers.py``. These tests keep
-that rule, keep every import of a library module in use, and run the
-README's quick start.
+that rule for exported names and for the public methods and properties of
+exported classes, keep every ``config`` constant read and every import of a
+library module in use, and run the README's quick start.
 """
 
 import ast
@@ -18,9 +19,11 @@ import avqclab
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "avqclab"
+BENCH = ROOT / "bench"
 
 # Public names that no other library module, acceptance criterion or
-# benchmark file names, with what keeps each of them.
+# benchmark file names, with what keeps each of them; a method or property
+# takes a "Class.attr" key.
 KEPT_BY = {
     "MinimaxResult": "result of cq_random_capacity (avqclab capacity)",
     "ErrorReport": "result of evaluate_code (avqclab simulate)",
@@ -81,7 +84,7 @@ def test_every_public_name_is_reached():
     owners = _owners()
     outside = {path.stem: _identifiers(path) for path in SRC.glob("*.py")}
     reached = _identifiers(ROOT / "tests" / "test_acceptance.py")
-    for path in (ROOT / "bench").glob("*.py"):
+    for path in BENCH.glob("*.py"):
         reached |= _identifiers(path)
     unreached = []
     for name, owner in owners.items():
@@ -91,7 +94,45 @@ def test_every_public_name_is_reached():
         if not (in_src or name in reached or name in KEPT_BY):
             unreached.append(name)
     assert unreached == [], "reach these from the CLI or a test oracle, or delete them"
-    assert sorted(set(KEPT_BY) - set(owners)) == []
+    assert sorted({key for key in KEPT_BY if "." not in key} - set(owners)) == []
+
+
+def _public_methods() -> list:
+    """"Class.attr" for each public method and property of each exported class."""
+    found = []
+    for module in avqclab._MODULES:
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in module.__all__:
+                found += [
+                    f"{cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                ]
+    return found
+
+
+def test_every_public_method_is_reached():
+    # a method is reached through the objects that library code holds, so its
+    # own module counts; an attribute is matched by name, whatever its class
+    reached = set()
+    for path in [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *BENCH.glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reached |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    methods = _public_methods()
+    unreached = [m for m in methods if m.split(".")[1] not in reached and m not in KEPT_BY]
+    assert unreached == [], "reach these from the CLI or a test oracle, or delete them"
+    assert sorted(key for key in KEPT_BY if "." in key and key not in methods) == []
+
+
+def test_every_config_constant_is_read():
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    constants = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.stem != "config":
+            read |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert [name for name in constants if name not in read] == []
 
 
 def _imported_names(tree: ast.Module) -> dict:
