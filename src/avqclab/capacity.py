@@ -19,10 +19,11 @@ steps on p, with a plain Blahut-Arimoto step wherever one does not raise chi
   gradient g_j at q_j, and f(q) >= g_j . q.
 
 The master problem, min_q max_j g_j . q over the simplex, is a small matrix
-game (``_master``). For any probability vector lambda on the cuts,
-min_s (sum_j lambda_j g_j)_s is a lower bound on C and, by concavity in p, on
-min_q chi(sum_j lambda_j p_j, W_q); the master's dual weights give the best
-one, and its minimizer is the next query.
+game (``_master``), each call warm-started from the last call's basis. For
+any probability vector lambda on the cuts, min_s (sum_j lambda_j g_j)_s is a
+lower bound on C and, by concavity in p, on min_q chi(sum_j lambda_j p_j, W_q);
+the master's cut weights give the best one, and its minimizer is the next
+query.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ _MAX_CUTS = 200
 _BA_GAP = 1e-9
 _MAX_STEPS = 10_000
 # Each query is moved this far towards the uniform q, so that the outputs
-# W_q(z) contain the support of every member's and the gradient is finite.
+# W_q(z) contain the support of every member's and the gradient is finite;
+# where rounding still leaves a partial infinite, it moves halfway there.
 _INTERIOR = 1e-9
 _RIDGE = 1e-10  # times the Hessian's trace, added to its diagonal in a Newton step
 _HALVINGS = 8  # of a Newton step, before a Blahut-Arimoto step
-# The master stops after _MAX_PIVOTS pivots (the benchmark's tables take at
-# most 12) and treats numbers within _PIVOT_TOL, relative to max|G|, as 0.
+# The master stops after _MAX_PIVOTS pivots (warm-started, the benchmark's
+# calls take at most 4) and treats numbers within _PIVOT_TOL, relative to
+# max|G|, as 0.
 _MAX_PIVOTS = 1000
 _PIVOT_TOL = 1e-12
 
@@ -198,16 +201,21 @@ def _gradient(branch: np.ndarray, p: np.ndarray, q: np.ndarray):
     )
 
 
-def _master(cuts: np.ndarray):
-    """(q, lambda) for min_q max_j g_j . q over the simplex, solved as a matrix game.
+def _master(cuts: np.ndarray, basis: np.ndarray | None):
+    """(q, lambda, basis) for min_q max_j g_j . q over the simplex, solved as a matrix game.
 
-    With G scaled and shifted to M = (G - min G) / max|G| + 1 > 0, the simplex
-    method solves max 1.y subject to M y <= 1, y >= 0 from the slack basis,
-    which is feasible, by Bland's rule. Each pivot re-solves the basic y_P
-    and the rows R of nonbasic slacks from M_RP (at most |S| x |S|), so
-    rounding does not build up over near-tied cuts. q = y / sum(y); lambda
-    solves M_RP^T x = 1, the slacks' negated reduced costs. Both are clipped
-    and normalized.
+    With G scaled and shifted to M = (G - min G) / max|G| + 1 > 0, the primal
+    simplex method solves the cut-weight form min 1.x subject to M^T x >= 1,
+    x >= 0 by Bland's rule. A basis is the sorted indices of its |S| basic
+    variables: member s's surplus (M^T x)_s - 1 is variable s, and cut j's
+    weight x_j is variable |S| + j, so appending a cut moves no index.
+    ``basis`` is the previous call's, or None for the first cut alone, tight
+    at its smallest member. Either is feasible: an appended cut starts at
+    x_j = 0, and a basis's feasibility and optimality are unchanged under
+    M -> aM + b with a > 0, which is how a longer table's rescaling acts.
+    Each pivot re-solves x and the duals y (the surpluses' reduced costs)
+    from the basis columns, taken afresh from M, so rounding does not build
+    up over near-tied cuts. lambda = x / sum(x) and q = y / sum(y), clipped.
 
     The certificate does not rest on this solve: for any probability vector
     lambda, min_s (lambda^T G)_s <= min_q max_j g_j . q by weak duality, so
@@ -216,26 +224,21 @@ def _master(cuts: np.ndarray):
     """
     n_cuts, n_s = cuts.shape
     shifted = (cuts - cuts.min()) / (np.abs(cuts).max() or 1.0) + 1.0
-    basic = np.arange(n_s + n_cuts) >= n_s  # y_0 .. y_{|S|-1}, then the slacks
+    columns, costs = np.hstack([-np.eye(n_s), shifted.T]), np.repeat([0.0, 1.0], [n_s, n_cuts])
+    if basis is None:
+        basis = np.r_[np.delete(np.arange(n_s), shifted[0].argmin()), n_s]
     for pivot in range(_MAX_PIVOTS + 1):
-        at_p, at_r = np.flatnonzero(basic[:n_s]), np.flatnonzero(~basic[n_s:])
-        core, ones = shifted[at_r][:, at_p], np.ones(len(at_r))  # at most |S| x |S|
-        y, duals = np.linalg.solve(core, ones), np.linalg.solve(core.T, ones)
-        reduced = np.zeros(n_s + n_cuts)
-        reduced[:n_s] = 1.0 - duals @ shifted[at_r]
-        reduced[n_s + at_r] = -duals
-        reduced[basic] = 0.0
-        enter = np.argmax(reduced > _PIVOT_TOL)  # Bland: the lowest index enters
-        if reduced[enter] <= _PIVOT_TOL or pivot == _MAX_PIVOTS:
+        core = columns[:, basis]  # |S| x |S|
+        values, duals = np.linalg.solve(core, np.ones(n_s)), np.linalg.solve(core.T, costs[basis])
+        # over sum(y): q_s for a surplus, and (value - g_j . q) / max|G| for a cut
+        reduced = (costs - duals @ columns) / duals.sum()
+        reduced[basis] = 0.0
+        enter = np.argmax(reduced < -_PIVOT_TOL)  # Bland: the lowest index enters
+        if reduced[enter] >= -_PIVOT_TOL or pivot == _MAX_PIVOTS:
             break
-        column = shifted[:, enter] if enter < n_s else np.eye(1, n_cuts, enter - n_s)[0]
-        step = np.linalg.solve(core, column[at_r])
-        # each variable's value, and how fast it falls as the entering one grows
-        values, steps = np.zeros(n_s + n_cuts), np.zeros(n_s + n_cuts)
-        values[at_p], steps[at_p] = y, step
-        values[n_s:] = 1.0 - shifted[:, at_p] @ y
-        steps[n_s:] = column - shifted[:, at_p] @ step
-        moving = basic & (steps > _PIVOT_TOL)
+        # how fast each basic value falls as the entering one grows
+        steps = np.linalg.solve(core, columns[:, enter])
+        moving = steps > _PIVOT_TOL
         if not moving.any():
             break
         # Bland: the lowest index of those whose leaving drives no value below
@@ -243,19 +246,20 @@ def _master(cuts: np.ndarray):
         values = np.maximum(values, 0.0)
         limit = ((values[moving] + _PIVOT_TOL) / steps[moving]).min()
         leaving = np.argmax(moving & (values <= limit * steps))
-        basic[enter], basic[leaving] = True, False
-    q, weights = np.zeros(n_s), np.zeros(n_cuts)
-    q[at_p], weights[at_r] = np.clip(y, 0.0, None), np.clip(duals, 0.0, None)
-    return q / q.sum(), weights / weights.sum()
+        basis = np.sort(np.r_[np.delete(basis, leaving), enter])
+    q, weights = np.clip(duals, 0.0, None), np.zeros(n_cuts)
+    weights[basis[basis >= n_s] - n_s] = np.clip(values[basis >= n_s], 0.0, None)
+    return q / q.sum(), weights / weights.sum(), basis
 
 
 def cq_random_capacity(avcqc: AvCqc) -> MinimaxResult:
     """max_p min_q chi(p, W_q) by cutting planes over q, with a certified interval.
 
-    Each query warm-starts the inner solve from the previous p. The loop
-    stops when ``upper_bound - lower_bound`` <= 1e-7, or after a fixed
-    number of cuts with the wider interval, which is still certified.
-    ``argmax_p`` is the dual-weighted average of the queries' inputs that
+    Each query warm-starts the inner solve from the previous p, and each
+    master call the simplex from the previous basis. The loop stops when
+    ``upper_bound - lower_bound`` <= 1e-7, or after a fixed number of
+    queries with the wider interval, which is still certified.
+    ``argmax_p`` is the cut-weighted average of the queries' inputs that
     gives the best lower bound, and ``argmin_q`` the query with the best
     upper bound. With one member, the inner solve runs alone.
     """
@@ -267,7 +271,7 @@ def cq_random_capacity(avcqc: AvCqc) -> MinimaxResult:
     q = q_best = np.full(n_s, 1.0 / n_s)
     # chi >= 0, and chi <= log2 min(d, |Z|) by Holevo's bound
     lower, upper = 0.0, math.log2(min(branch.shape[-1], n_z))
-    cuts, inputs = [], []
+    cuts, inputs, basis = [], [], None
     for _ in range(_MAX_CUTS):
         out = np.einsum("s,szij->zij", q, branch)
         ents = _entropies(out)
@@ -279,12 +283,13 @@ def cq_random_capacity(avcqc: AvCqc) -> MinimaxResult:
             lower, p_bar = float(p @ div), p
             break
         grad = _gradient(branch, p, q)
-        if grad is None:
-            break
+        if grad is None:  # an eigenvalue of a W_q(z) fell to 1e-12: query further inside
+            q = 0.5 * (q + 1.0 / n_s)
+            continue
         cuts.append(grad)
         inputs.append(p)
         table = np.array(cuts)
-        q_next, weights = _master(table)
+        q_next, weights, basis = _master(table, basis)
         bound = float((weights @ table).min())
         if bound > lower:
             lower, p_bar = bound, weights @ np.array(inputs)

@@ -209,7 +209,7 @@ class TestCapacityProperties:
         letters = (0, 1, 2)
         avcqc = AvCqc((0,), {0: random_branch(rng, dim=3, letters=letters)})
 
-        def no_master(cuts):
+        def no_master(cuts, basis):
             raise AssertionError("the master LP ran for a one-member family")
 
         monkeypatch.setattr(capacity, "_master", no_master)
@@ -431,6 +431,27 @@ def test_the_slowest_scan_seeds_certify(kind, dim, n_z, n_s, seed):
         assert abs(result.value - math.log2(5.0 / 4.0)) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "dim, n_z, n_s, seed", [(2, 2, 2, 51), (2, 3, 2, 30), (3, 3, 3, 5), (3, 3, 3, 7)]
+)
+def test_an_infinite_partial_derivative_does_not_end_the_search(monkeypatch, dim, n_z, n_s, seed):
+    # the second query sits at a vertex mixed 1e-9 towards the uniform q, where
+    # a W_q(z) eigenvalue of about 5e-13 counts as 0, so there is no cut; the
+    # search used to stop there with a gap of 0.07-0.26 bits
+    gradient, infinite = capacity._gradient, []
+
+    def counted(*args):
+        grad = gradient(*args)
+        infinite.append(grad is None)
+        return grad
+
+    monkeypatch.setattr(capacity, "_gradient", counted)
+    result = cq_random_capacity(family_of_kind("pure", np.random.default_rng(seed), dim, n_z, n_s))
+    assert any(infinite)
+    assert result.certified_gap <= 1e-7
+    assert result.lower_bound <= result.value <= result.upper_bound
+
+
 def test_a_step_never_makes_a_finite_divergence_infinite():
     # letter 0 alone reaches one basis state, through the 1e-9 mixing towards
     # the uniform q; once p_0 * 3.3e-10 falls to 1e-12 that eigenvalue of rho
@@ -470,6 +491,14 @@ def cut_table(kind, rng, n_cuts, n_s, scale):
     return scale * table
 
 
+def assert_master_solves(cuts, q, weights):
+    """q and the weights are probability vectors with a duality gap of at most 1e-12 * max|G|."""
+    for vec, n in ((q, cuts.shape[1]), (weights, len(cuts))):
+        assert vec.shape == (n,) and (vec >= 0.0).all()
+        assert abs(vec.sum() - 1.0) <= 1e-12
+    assert (cuts @ q).max() - (weights @ cuts).min() <= 1e-12 * np.abs(cuts).max()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["random", "integer", "repeated-row", "near-tied"]),
@@ -480,22 +509,43 @@ def cut_table(kind, rng, n_cuts, n_s, scale):
 )
 def test_master_solves_the_game_to_rounding(kind, seed, n_cuts, n_s, scale):
     cuts = cut_table(kind, rng_for(seed), n_cuts, n_s, scale)
-    size = np.abs(cuts).max()
-    q, weights = capacity._master(cuts)
-    for vec, n in ((q, n_s), (weights, n_cuts)):
-        assert vec.shape == (n,) and (vec >= 0.0).all()
-        assert abs(vec.sum() - 1.0) <= 1e-12
-    value = (cuts @ q).max()
+    q, weights, _ = capacity._master(cuts, None)
+    assert_master_solves(cuts, q, weights)
     oracle_q, _ = linprog_master(cuts)
-    assert abs(value - (cuts @ oracle_q).max()) <= 1e-12 * size
-    assert value - (weights @ cuts).min() <= 1e-12 * size
+    assert abs((cuts @ q).max() - (cuts @ oracle_q).max()) <= 1e-12 * np.abs(cuts).max()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["random", "integer", "repeated-row", "near-tied"]),
+    seed=st.integers(0, 2**16),
+    n_cuts=st.integers(1, 60),
+    n_s=st.integers(1, 5),
+    scale=st.floats(1e-3, 40.0),
+)
+def test_a_warm_master_solves_each_longer_table(kind, seed, n_cuts, n_s, scale):
+    # the table grows one row at a time, as Kelley's loop grows it, and each
+    # call starts from the last call's basis; about a quarter of the rows are
+    # scaled by 4, 16, 64, ... and set a new min or max of G, so the scaling
+    # of M changes under a kept basis
+    rng = rng_for(seed)
+    cuts = cut_table(kind, rng, n_cuts, n_s, scale)
+    wide = rng.random(n_cuts) < 0.25
+    cuts[wide] *= 4.0 ** np.arange(1, wide.sum() + 1)[:, None]
+    basis = None
+    for rows in range(1, n_cuts + 1):
+        table = cuts[:rows]
+        q, weights, basis = capacity._master(table, basis)
+        assert_master_solves(table, q, weights)
+        cold_q = capacity._master(table, None)[0]
+        assert abs((table @ q).max() - (table @ cold_q).max()) <= 1e-12 * np.abs(table).max()
 
 
 def test_master_at_its_pivot_cap_returns_a_valid_bound(monkeypatch):
     cuts = cut_table("random", rng_for(82), 30, 4, 1.0)
     value = (cuts @ linprog_master(cuts)[0]).max()
     monkeypatch.setattr(capacity, "_MAX_PIVOTS", 1)
-    q, weights = capacity._master(cuts)
+    q, weights, _ = capacity._master(cuts, None)
     for vec in (q, weights):
         assert (vec >= 0.0).all() and abs(vec.sum() - 1.0) <= 1e-12
     # one pivot is not optimal here, yet weak duality still brackets the value
@@ -510,8 +560,9 @@ def test_any_master_output_still_brackets_the_saddle_value(monkeypatch):
     avcqc = AvCqc((0, 1), {s: random_branch(rng) for s in range(2)})
     draws = rng_for(81)
 
-    def crude_master(cuts):
-        return draws.dirichlet(np.ones(cuts.shape[1])), np.full(len(cuts), 1.0 / len(cuts))
+    def crude_master(cuts, basis):
+        q, weights = draws.dirichlet(np.ones(cuts.shape[1])), np.full(len(cuts), 1.0 / len(cuts))
+        return q, weights, basis
 
     monkeypatch.setattr(capacity, "_master", crude_master)
     result = cq_random_capacity(avcqc)
