@@ -10,16 +10,15 @@ signal states and measurements (``reduce_to_classical_weighted``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import ENUM_BUDGET, TOL_PROB
-from .errors import BudgetExceeded, DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .quantum import apply_channel_to_slot_batch
-from .util import power_exceeds
+from .util import words
 
 __all__ = [
     "Avqc",
@@ -65,19 +64,10 @@ class Avqc:
         return self.channels[self.states[0]].dim_out
 
     def state_sequences(self, l: int, budget: int = ENUM_BUDGET) -> list:
-        """All length-l label tuples in lexicographic order.
-
-        The work is the count times l, so l above ``budget`` is rejected as
-        well, which a one-member family would otherwise pass at any l.
-        """
+        """All length-l label tuples in lexicographic order, within ``budget`` (``util.words``)."""
         if l < 1:
             raise ValidationError("state_sequences: l must be >= 1")
-        if power_exceeds(len(self.states), l, budget) or l > budget:
-            raise BudgetExceeded(
-                f"state_sequences: {len(self.states)}^{l} sequences of length {l} "
-                f"exceed budget {budget}"
-            )
-        return list(itertools.product(self.states, repeat=l))
+        return words(self.states, l, budget, "state_sequences")
 
 
 @dataclass(frozen=True, eq=False)

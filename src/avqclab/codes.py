@@ -34,7 +34,7 @@ from .quantum import (
     hermitize,
     min_eigenvalue,
 )
-from .util import content_key, power_exceeds
+from .util import check_words, content_key, power_exceeds, words
 
 __all__ = [
     "DeterministicCode",
@@ -120,14 +120,6 @@ class RandomCode:
         return self.support[0].message_count
 
 
-def _check_observation_space(source: BipartiteSource, n: int, what: str) -> None:
-    """Reject length-n observation spaces over ENUM_BUDGET before enumerating them."""
-    if power_exceeds(len(source.x_alphabet), n, ENUM_BUDGET):
-        raise BudgetExceeded(f"{what}: sender observation space too large")
-    if power_exceeds(len(source.y_alphabet), n, ENUM_BUDGET):
-        raise BudgetExceeded(f"{what}: receiver observation space too large")
-
-
 def _set_observation_maps(code, what: str) -> None:
     """Check a correlated code's l, r and observation keys; store copies of its maps."""
     if code.l < 1 or code.r < 1:
@@ -135,9 +127,13 @@ def _set_observation_maps(code, what: str) -> None:
     n = code.l // code.r
     if n < 1:
         raise ValidationError(f"{what}: block too short for one sample")
-    _check_observation_space(code.source, n, what)
-    sides = (("encoders", code.source.x_alphabet), ("decoders", code.source.y_alphabet))
-    for side, alphabet in sides:
+    source = code.source
+    # covers_words forms |alphabet|^n; a one-letter space has one word at any
+    # n, which its keys alone decide, and is bounded where it is listed
+    for party, alphabet in (("sender", source.x_alphabet), ("receiver", source.y_alphabet)):
+        if len(alphabet) > 1:
+            check_words(len(alphabet), n, ENUM_BUDGET, f"{what}: {party} observation space")
+    for side, alphabet in (("encoders", source.x_alphabet), ("decoders", source.y_alphabet)):
         mapping = dict(getattr(code, side))
         if not covers_words(mapping, alphabet, n):
             raise ValidationError(f"{what} {side}: keys must be exactly the length-{n} sequences")
@@ -307,30 +303,27 @@ class _ImageTree:
             )
         return children.reshape(-1, n_out, n_out)
 
-    def walk(self, spare: float):
+    def walk(self, spare: float, nodes=None, start: int = 0, depth: int = 0):
         """Yield ``(start, images)`` in consecutive chunks, in order.
 
-        A batch of nodes is expanded breadth-first when its whole subtree
-        costs at most ``spare`` bytes; otherwise it is walked node by node
-        and child by child, each level holding one node.
+        A batch of ``nodes`` (the roots by default) is expanded breadth-first
+        when its whole subtree costs at most ``spare`` bytes; otherwise it is
+        walked node by node and child by child, each level holding one node.
         """
+        nodes = self.roots if nodes is None else nodes
         fanout = len(self.channels)
-
-        def walk(nodes, start, depth, spare):
-            if depth == len(self.slots) or self.cost(len(nodes), depth) <= spare:
-                for level in range(depth, len(self.slots)):
-                    nodes = self._expand(nodes, level, self.channels)
-                    start *= fanout
-                yield start, nodes
-                return
-            for k in range(len(nodes)):
-                for s, ch in enumerate(self.channels):
-                    child = self._expand(nodes[k : k + 1], depth, [ch])
-                    yield from walk(
-                        child, (start + k) * fanout + s, depth + 1, spare - child.nbytes
-                    )
-
-        return walk(self.roots, 0, 0, spare)
+        if depth == len(self.slots) or self.cost(len(nodes), depth) <= spare:
+            for level in range(depth, len(self.slots)):
+                nodes = self._expand(nodes, level, self.channels)
+                start *= fanout
+            yield start, nodes
+            return
+        for k in range(len(nodes)):
+            for s, ch in enumerate(self.channels):
+                child = self._expand(nodes[k : k + 1], depth, [ch])
+                yield from self.walk(
+                    spare - child.nbytes, child, (start + k) * fanout + s, depth + 1
+                )
 
 
 def _success_table(avqc: Avqc, l: int, states, elements) -> np.ndarray:
@@ -525,17 +518,6 @@ def _greedy_search(states, l: int, score_cache: dict, vector_fn):
                         improved = True
 
 
-def _check_enumerable(n_states: int, l: int, budget: float, what: str) -> None:
-    """Reject more length-l state sequences than ``budget``, or than ENUM_BUDGET.
-
-    Runs before any sequence is scored, and never forms ``n_states ** l``.
-    """
-    if power_exceeds(n_states, l, budget):
-        raise BudgetExceeded(f"{what}: {n_states}^{l} sequences exceed budget {budget}")
-    if power_exceeds(n_states, l, ENUM_BUDGET):
-        raise BudgetExceeded(f"{what}: {n_states}^{l} sequences exceed the enumeration budget")
-
-
 def _first_worst(scores, d_out: int) -> int:
     """Index of the first score, in search order, within 4 * d_out * eps of the smallest."""
     # a score is an inner product over d_out**2 entries of unit scale, whose
@@ -563,18 +545,16 @@ def evaluate_code(
     _check_code_dims(avqc, l, d_in, d_out)
     if mode not in ("auto", "exhaustive", "greedy"):
         raise ValidationError(f"evaluate_code: unknown mode {mode!r}")
-    if l > ENUM_BUDGET:
-        # one member passes every sequence count at any l, yet each sequence,
-        # greedy's too, holds l labels
-        raise BudgetExceeded(f"evaluate_code: sequences of length {l} exceed the enumeration budget")
     if mode == "auto":
         mode = "greedy" if power_exceeds(len(avqc.states), l, budget) else "exhaustive"
     if mode == "exhaustive":
         # the budget picks the mode; it does not cap an exhaustive request
-        _check_enumerable(len(avqc.states), l, math.inf, "evaluate_code")
-        seqs = itertools.product(avqc.states, repeat=l)
+        seqs = words(avqc.states, l, ENUM_BUDGET, "evaluate_code: state sequences")
         scores = zip(seqs, _exhaustive_table(avqc, l, code))
     else:
+        # greedy's sequence count is unbounded by design, but each of its
+        # sequences is one word of length l
+        check_words(1, l, ENUM_BUDGET, "evaluate_code: a greedy state sequence")
         cache: dict = {}
         _greedy_search(avqc.states, l, cache, _per_message_fn(avqc, code))
         scores = cache.items()
@@ -609,7 +589,8 @@ def evaluate_entanglement_code(
     transfer matrix of n²·d² entries but often only a few Kraus operators,
     and through it L=6 ran 1.7 times slower.
     """
-    _check_enumerable(len(avqc.states), code.l, budget, "evaluate_entanglement_code")
+    what = "evaluate_entanglement_code: state sequences, capped at the enumeration budget"
+    seqs = words(avqc.states, code.l, min(budget, ENUM_BUDGET), what)
     # the code's own dimensions, so that dim ** l is formed only once it is known to be small
     d_in = next(iter(code.encoders.values())).dim_out
     d_out = next(iter(code.decoders.values())).dim_in
@@ -637,8 +618,7 @@ def evaluate_entanglement_code(
         del terms, states, elements  # this chunk's images, before the next is built
     scores = (fidelity / code.code_dim**2).tolist()
     at = _first_worst(scores, d_out)
-    seq = next(itertools.islice(itertools.product(avqc.states, repeat=code.l), at, None))
-    return FidelityReport(scores[at], seq, "exhaustive")
+    return FidelityReport(scores[at], seqs[at], "exhaustive")
 
 
 def permutation_symmetrize(
@@ -721,7 +701,8 @@ def random_code_reduction(
         raise ValidationError(f"random_code_reduction: seed must be non-negative, not {seed}")
     l_, d_in, d_out = _code_shape(code)
     _check_code_dims(avqc, l_, d_in, d_out)
-    _check_enumerable(len(avqc.states), l, budget, "random_code_reduction")
+    what = "random_code_reduction: state sequences, capped at the enumeration budget"
+    check_words(len(avqc.states), l, min(budget, ENUM_BUDGET), what)
     # success[j, seq_index, i] for each support code j
     success = np.stack(
         [_success_table(avqc, l, *_det_term(det)) for det in code.support]
@@ -753,17 +734,12 @@ def _extend_observations(
     if n_total < cr_code.n:
         raise ValidationError(f"{what}: target block shorter than phase 1")
     source = cr_code.source
-    _check_observation_space(source, n_total, what)
+    x_words = words(source.x_alphabet, n_total, ENUM_BUDGET, f"{what}: sender observation space")
+    y_words = words(source.y_alphabet, n_total, ENUM_BUDGET, f"{what}: receiver observation space")
     shared_enc = {x: encode(states) for x, states in cr_code.encoders.items()}
     shared_dec = {y: decode(povm) for y, povm in cr_code.decoders.items()}
-    encoders = {
-        x: shared_enc[x[: cr_code.n]]
-        for x in itertools.product(source.x_alphabet, repeat=n_total)
-    }
-    decoders = {
-        y: shared_dec[y[: cr_code.n]]
-        for y in itertools.product(source.y_alphabet, repeat=n_total)
-    }
+    encoders = {x: shared_enc[x[: cr_code.n]] for x in x_words}
+    decoders = {y: shared_dec[y[: cr_code.n]] for y in y_words}
     return encoders, decoders
 
 

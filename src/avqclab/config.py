@@ -26,7 +26,8 @@ TOL_MI = 1e-9
 # Hard cap on any total Hilbert-space dimension.
 DIM_CAP = 4096
 
-# Cap on enumerated index sets (state sequences, function alphabets).
+# Cap on a listed word space (state sequences, observation sequences): on
+# its word count and on its word length, the two halves of util.check_words.
 ENUM_BUDGET = 65536
 
 # Above this many state sequences the adversary search switches to greedy.

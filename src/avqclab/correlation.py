@@ -7,14 +7,14 @@ binary quantizations, and turn near-agreeing function pairs into balanced
 binary ones with certified masses.
 
 Block objects are bounded by ``PAIR_ENUM_BUDGET`` before anything is listed:
-a function pair's domains and block length, and a block table's entries.
+a function pair's domains and a source's words by ``util.check_words``, on
+both their count |alphabet|^l and their length l, and a block table's entries.
 ``covers_words`` checks that a table's keys are exactly the length-n words
 without forming any, for function pairs here and correlated codes alike.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,7 +23,7 @@ import numpy as np
 from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI, TOL_PROB
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measures import mutual_information
-from .util import power_exceeds
+from .util import check_words, power_exceeds, words
 
 __all__ = [
     "BipartiteSource",
@@ -88,10 +88,12 @@ class BipartiteSource:
         return table
 
     def x_sequences(self, n: int) -> list:
-        return list(itertools.product(self.x_alphabet, repeat=n))
+        """The sender's length-n words, in product order, within ``PAIR_ENUM_BUDGET``."""
+        return words(self.x_alphabet, n, PAIR_ENUM_BUDGET, "x_sequences")
 
     def y_sequences(self, n: int) -> list:
-        return list(itertools.product(self.y_alphabet, repeat=n))
+        """The receiver's length-n words, in product order, within ``PAIR_ENUM_BUDGET``."""
+        return words(self.y_alphabet, n, PAIR_ENUM_BUDGET, "y_sequences")
 
 
 @dataclass(frozen=True)
@@ -327,13 +329,11 @@ class CrFunctionsPair:
             raise ValidationError("CrFunctionsPair: l must be >= 1")
         if self.value_count < 1:
             raise ValidationError("CrFunctionsPair: value_count must be >= 1")
-        for side, alphabet in (("sender", x_alphabet), ("receiver", y_alphabet)):
-            if power_exceeds(len(alphabet), self.l, PAIR_ENUM_BUDGET):
-                raise BudgetExceeded(f"CrFunctionsPair: {side} domain exceeds budget")
-        # each word holds l letters, so l above the budget is rejected as well,
-        # which one-letter alphabets would otherwise pass at any l
-        if self.l > PAIR_ENUM_BUDGET:
-            raise BudgetExceeded(f"CrFunctionsPair: length {self.l} exceeds budget")
+        # a one-letter domain passes every count, so the other domain's count
+        # is tested before any length
+        sides = (("sender", x_alphabet), ("receiver", y_alphabet))
+        for side, alphabet in sorted(sides, key=lambda side: len(side[1]) == 1):
+            check_words(len(alphabet), self.l, PAIR_ENUM_BUDGET, f"CrFunctionsPair: {side} domain")
         f_table = dict(self.f_table)
         g_table = dict(self.g_table)
         for name, table, alphabet in (

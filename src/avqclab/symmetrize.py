@@ -37,7 +37,7 @@ from .avqc import Avqc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import DensityMatrix, PureState, _hermitian_basis, apply_product_to_matrix
-from .util import power_exceeds
+from .util import check_words, power_exceeds
 
 __all__ = [
     "SymmetrizingFamily",
@@ -271,15 +271,15 @@ def check_lp_size(
     """The l-block input dimension, once the pairwise LP is known to fit.
 
     The LP over ``probe_count`` probes (None: the dim^2 of the Hermitian
-    frame) must have at most ``budget`` state sequences and LP_NNZ_BUDGET
-    nonzeros. Nothing is built, and no power above a budget is formed.
+    frame) must have its state sequences within ``budget`` (``util.check_words``)
+    and at most LP_NNZ_BUDGET nonzeros. Nothing is built, and no power above a
+    budget is formed.
     """
     what = "check_symmetrizable"
     if l < 1:
         raise ValidationError(f"{what}: l must be >= 1")
     n = len(avqc.states)
-    if power_exceeds(n, l, budget):
-        raise BudgetExceeded(f"{what}: {n}^{l} state sequences exceed budget {budget}")
+    check_words(n, l, budget, f"{what}: state sequences")
     if power_exceeds(avqc.dim_in, l, LP_NNZ_BUDGET) or power_exceeds(
         avqc.dim_out, 2 * l, LP_NNZ_BUDGET
     ):
@@ -336,9 +336,9 @@ def symmetrization_residual(
     budget: int = ENUM_BUDGET,
 ) -> float:
     """Max pairwise-equality violation of an explicit family, by substitution."""
+    seqs = avqc.state_sequences(l, budget=budget)  # bounds l before dim_in ** l is formed
     dim = avqc.dim_in**l
     mats = [_probe_matrix(p, dim, "symmetrization_residual") for p in probes]
-    seqs = avqc.state_sequences(l, budget=budget)
     if tuple(seqs) != tuple(family.labels):
         raise ValidationError(
             "symmetrization_residual: family labels do not match the sequence set"

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
-import numpy as np
+from .errors import BudgetExceeded
 
 
 def content_key(obj) -> bytes:
@@ -15,6 +16,8 @@ def content_key(obj) -> bytes:
     sequence of states, so that equal objects read back from separate JSON
     entries share a key even though they are distinct Python objects.
     """
+    import numpy as np
+
     arrays = getattr(obj, "elements", None)
     if arrays is None:
         arrays = getattr(obj, "kraus", None)
@@ -43,3 +46,20 @@ def power_exceeds(base: int, exp: int, limit: float) -> bool:
     if exp > bits or exp * math.log2(base) > bits:
         return True
     return base**exp > limit
+
+
+def check_words(letters: int, n: int, budget: int, what: str) -> None:
+    """Raise ``BudgetExceeded`` unless the length-n words over ``letters`` letters fit ``budget``.
+
+    The one rule for every word space. Listing costs the count times n, so
+    both are bounded: the count ``letters ** n``, which is never formed, and
+    n itself, which a one-letter space would otherwise pass at any n.
+    """
+    if power_exceeds(letters, n, budget) or n > budget:
+        raise BudgetExceeded(f"{what}: {letters}^{n} words of length {n} exceed budget {budget}")
+
+
+def words(alphabet, n: int, budget: int, what: str) -> list:
+    """The length-n words over ``alphabet``, in ``itertools.product`` order, within ``budget``."""
+    check_words(len(alphabet), n, budget, what)
+    return list(itertools.product(alphabet, repeat=n))

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import avqclab
 from avqclab import (
     AvCqc,
     Avqc,
@@ -33,6 +37,27 @@ from avqclab.quantum import hermitize
 
 # Cap on total Kraus-operator entries of an explicitly built product or composition.
 KRAUS_ENTRY_BUDGET = 2**22
+
+
+def run_python(*args, cwd=None, address_space=None, timeout=120):
+    """``python *args`` in a fresh interpreter that imports this avqclab.
+
+    ``address_space`` caps the interpreter's virtual memory in bytes, so that
+    a runaway allocation fails in it rather than filling the machine, and
+    ``timeout`` (seconds) ends a run that hangs.
+    """
+    src = os.path.dirname(os.path.dirname(avqclab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=timeout, preexec_fn=limit if address_space else None,
+    )
 
 
 def rng_for(seed: int) -> np.random.Generator:

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avqclab import (
     Avqc,
@@ -22,7 +25,7 @@ from avqclab import (
     reduce_to_classical_weighted,
 )
 
-from avqclab.util import power_exceeds
+from avqclab.util import check_words, power_exceeds, words
 
 from helpers import (
     apply_channel_to_slot,
@@ -31,6 +34,7 @@ from helpers import (
     random_density,
     random_povm,
     rng_for,
+    run_python,
 )
 
 KET0 = basis_state(2, 0).to_density()
@@ -90,6 +94,77 @@ def test_power_exceeds_never_forms_a_power_above_the_limit():
     assert power_exceeds(3, 10**12, 10**500)
     assert not power_exceeds(1, 10**400, 1)
     assert not power_exceeds(7, 10**400, math.inf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(0, 70), st.integers(1, 2**40))
+def test_check_words_bounds_the_count_and_the_length(letters, n, budget):
+    over = letters**n > budget or n > budget
+    try:
+        check_words(letters, n, budget, "words")
+    except BudgetExceeded as exc:
+        assert over
+        assert f"{letters}^{n} words of length {n} exceed budget {budget}" in str(exc)
+    else:
+        assert not over
+    if not over and letters**n <= 4096:
+        alphabet = tuple(range(letters))
+        assert words(alphabet, n, budget, "words") == list(itertools.product(alphabet, repeat=n))
+
+
+def test_check_words_rejects_a_huge_length_at_once():
+    # letters ** (10**12) is never formed: each call returns only if it is not
+    for letters in range(1, 41):
+        for budget in (1, 4096, 2**39):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceeded, match="length 1000000000000"):
+                check_words(letters, 10**12, budget, "words")
+            assert time.perf_counter() - t0 < 0.05
+
+
+# Library calls at l = 10**12 whose word space has one letter (a one-member
+# family) or whose block dimension is 2**l; each defines ``call``.
+HUGE_LENGTH_CALLS = {
+    "evaluate_entanglement_code": """
+from avqclab import (
+    Avqc, BipartiteSource, CorrelatedEntanglementCode, QuantumChannel, evaluate_entanglement_code,
+)
+unit = QuantumChannel((np.eye(1),))
+source = BipartiteSource((0, 1), (0, 1), np.eye(2) / 2)
+maps = {(0,): unit, (1,): unit}
+code = CorrelatedEntanglementCode(10**12, 10**12, source, 1, maps, dict(maps))
+call = lambda: evaluate_entanglement_code(Avqc((0,), {0: unit}), code)
+""",
+    "symmetrization_residual": """
+from avqclab import (
+    Avqc, SymmetrizingFamily, bit_flip_channel, identity_channel, maximally_mixed,
+    symmetrization_residual,
+)
+avqc = Avqc((0, 1), {0: identity_channel(2), 1: bit_flip_channel(0.1)})
+family = SymmetrizingFamily(((0,), (1,)), np.eye(2))
+call = lambda: symmetrization_residual(avqc, 10**12, [maximally_mixed(2)] * 2, family)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_LENGTH_CALLS))
+def test_a_library_call_at_a_huge_block_length_is_rejected_at_once(name):
+    # in a fresh interpreter under a memory cap and a timeout, so that a call
+    # that lists 10**12 slots or forms 2**(10**12) fails instead of stalling
+    # the suite
+    script = "import time\nimport numpy as np\n" + HUGE_LENGTH_CALLS[name] + """
+from avqclab import BudgetExceeded
+t0 = time.perf_counter()
+try:
+    call()
+except BudgetExceeded as exc:
+    print(time.perf_counter() - t0, exc)
+"""
+    done = run_python("-c", script, address_space=4 << 30, timeout=30)
+    assert done.returncode == 0, done.stderr
+    elapsed, message = done.stdout.split(" ", 1)
+    assert float(elapsed) < 0.05
+    assert "length 1000000000000" in message
 
 
 class TestClassicalReduction:

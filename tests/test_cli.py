@@ -2,8 +2,6 @@
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -34,7 +32,7 @@ from avqclab import (
 import avqclab.cli
 from avqclab.cli import run
 
-from helpers import random_density, rng_for
+from helpers import random_density, rng_for, run_python
 
 COMP_WORDS = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
 
@@ -637,26 +635,6 @@ def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("schema error:")
 
 
-def run_python(*args, cwd=None, address_space=None):
-    """``python *args`` in a fresh interpreter that imports this avqclab.
-
-    ``address_space`` caps the interpreter's virtual memory in bytes, so that
-    a runaway allocation fails in it rather than filling the machine.
-    """
-    src = os.path.dirname(os.path.dirname(avqclab.cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-    def limit():
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
-
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
-        preexec_fn=limit if address_space else None,
-    )
-
-
 @pytest.mark.parametrize("module", ["avqclab", "avqclab.cli"])
 def test_python_dash_m_runs_the_command_line(tmp_path, module):
     path = write(tmp_path, "doc.json", {"kind": []})
@@ -713,21 +691,50 @@ def test_a_one_letter_correlated_code_of_huge_length_exits_2(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("mode", ["auto", "exhaustive", "greedy"])
-def test_a_one_member_simulation_of_huge_length_exits_cleanly(tmp_path, capsys, mode):
+def one_member_huge_problem(command: str) -> dict:
+    """A ``command`` input over a one-member family of 1-dimensional channels, at l = 10**12."""
+    one = np.eye(1)
+    family = to_document(Avqc(("s0",), {"s0": QuantumChannel((one,))}))
+    det = to_document(DeterministicCode(1, (DensityMatrix(one),), Povm((one,))))
+    if command == "simulate":
+        return {"kind": "simulation_problem", "avqc": family, "code": dict(det, l=10**12)}
+    payload = {"kind": "random_code", "weights": [1.0]}
+    if command == "reduce":
+        payload["support"] = [dict(det, l=10**12)]
+        return {
+            "kind": "reduction_problem", "l": 10**12, "sample_count": 1, "eps": 0.5,
+            "avqc": family, "code": payload,
+        }
+    # a one-letter source: the composed observation space has one word, of length 10**12
+    source = BipartiteSource((0,), (0,), np.array([[1.0]]))
+    cr_code = CorrelatedCode(1, 1, source, {(0,): (DensityMatrix(one),)}, {(0,): Povm((one,))})
+    payload["support"] = [dict(det, l=10**12 - 1)]
+    return {
+        "kind": "composition_problem", "target_l": 10**12,
+        "cr_code": to_document(cr_code), "payload": payload,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, mode",
+    [
+        ("simulate", "auto"),
+        ("simulate", "exhaustive"),
+        ("simulate", "greedy"),
+        ("reduce", None),
+        ("compose", None),
+    ],
+    ids=["auto", "exhaustive", "greedy", "reduce", "compose"],
+)
+def test_a_one_member_simulation_of_huge_length_exits_cleanly(tmp_path, capsys, command, mode):
     # 1 ** l passes the sequence budget and the code's dimension checks, so
     # the block length itself is checked before any length-l sequence is built
-    one = np.eye(1)
-    family = Avqc(("s0",), {"s0": QuantumChannel((one,))})
-    code = to_document(DeterministicCode(1, (DensityMatrix(one),), Povm((one,))))
-    code["l"] = 10**12
-    path = write(
-        tmp_path,
-        "huge.json",
-        {"kind": "simulation_problem", "avqc": to_document(family), "code": code},
-    )
-    code, captured = run_json(capsys, ["simulate", "--input", path, "--mode", mode])
-    assert code in (2, 3), captured.err
+    path = write(tmp_path, "huge.json", one_member_huge_problem(command))
+    argv = [command, "--input", path] + (["--mode", mode] if mode else [])
+    code, captured = run_json(capsys, argv)
+    assert code == 3, captured.err
+    assert captured.err.startswith("budget exceeded:")
+    assert captured.err.count("\n") == 1
     assert "length 1000000000000" in captured.err
     assert "Traceback" not in captured.err
 

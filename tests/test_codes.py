@@ -516,14 +516,16 @@ class TestComposeTwoPhaseEntanglement:
             compose_two_phase_entanglement(basic_cr_code(), [], 2)
 
     def test_a_huge_block_length_fails_on_its_dimensions(self):
-        # one member passes the sequence count at any l; 2**(10**12) is never formed
+        # one member passes the sequence count at any l, so the length half of
+        # the word rule rejects l before the dimensions are checked;
+        # 2**(10**12) is never formed
         source = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
         ent = CorrelatedEntanglementCode(
             10**12, 10**12, source, 2,
             {(x,): identity_channel(2) for x in (0, 1)},
             {(y,): identity_channel(2) for y in (0, 1)},
         )
-        with pytest.raises(DimensionMismatch, match="code input dim 2"):
+        with pytest.raises(BudgetExceeded, match="length 1000000000000"):
             evaluate_entanglement_code(Avqc((0,), {0: identity_channel(2)}), ent)
 
     def test_observation_space_budget(self):

@@ -1,5 +1,6 @@
 """Exhaustive and greedy scoring against the slot-by-slot oracle."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -131,6 +132,27 @@ def test_chunked_walk_matches_one_batch(kind, monkeypatch):
     assert np.max(np.abs(chunked - whole)) <= 1e-12
     seqs, expect = oracle_table(avqc, code, 4)
     assert np.max(np.abs(chunked - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 16 * 36 * 36])
+def test_scoring_leaves_no_image_tree_to_the_cyclic_collector(stack_bytes, monkeypatch):
+    # with DEBUG_SAVEALL every object the collector frees is kept in
+    # gc.garbage, so a tree held by a reference cycle shows up there; the
+    # small stack walks every subtree node by node
+    avqc, code = build(5, "deterministic", 4, 3, 3, 2)
+    if stack_bytes is not None:
+        monkeypatch.setattr(codes, "_STACK_BYTES", stack_bytes)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        evaluate_code(avqc, code, mode="exhaustive")
+        gc.collect()
+        trees = [obj for obj in gc.garbage if isinstance(obj, codes._ImageTree)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert trees == []
 
 
 def test_identical_members_report_the_first_worst_sequence():
