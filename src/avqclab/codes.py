@@ -7,7 +7,8 @@ correlated code indexes encoder and decoder by the two halves of an i.i.d.
 bipartite source, modelling weaker common randomness. The adversary fixes
 one family label per channel use after seeing the code; ``evaluate_code``
 searches that choice exhaustively when the sequence space is small and
-greedily otherwise.
+greedily otherwise. Both searches form their product-channel images through
+``quantum._ImageTree`` within ``_STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .quantum import (
     PureState,
     QuantumChannel,
     _hermitian_basis,
-    apply_channel_to_slot_batch,
-    apply_product_to_matrix,
+    _ImageTree,
     hermitize,
     min_eigenvalue,
 )
@@ -254,76 +254,9 @@ def projective_decoder(codewords: Sequence[PureState]) -> Povm:
     return Povm(tuple(elements))
 
 
-# Bytes of channel images that exhaustive scoring may hold at once, on top of
-# the code's own matrices.
+# Bytes of channel images that scoring may hold at once, on top of the code's
+# own matrices.
 _STACK_BYTES = 1 << 28
-
-
-class _ImageTree:
-    """Images of a stack of roots under every word of states on some slots.
-
-    Image ``r * |S|^len(slots) + w`` is root ``r`` under the w-th word in
-    ``itertools.product`` order, the channel of the word's k-th letter acting
-    on slot ``slots[k]`` (through its adjoint with ``adjoint``). Words that
-    share their leading letters share that work.
-    """
-
-    def __init__(self, roots, channels, slots, dims, adjoint):
-        self.roots = roots
-        self.channels = channels
-        self.slots = slots
-        self.adjoint = adjoint
-        d_to = channels[0].dim_in if adjoint else channels[0].dim_out
-        self.dims = [list(dims)]
-        for slot in slots:
-            self.dims.append(self.dims[-1][:slot] + [d_to] + self.dims[-1][slot + 1 :])
-        self.node_bytes = max(16 * math.prod(d) ** 2 for d in self.dims)
-
-    def cost(self, nodes: int, depth: int) -> float:
-        """Bytes to expand ``nodes`` nodes at ``depth`` breadth-first to the leaves.
-
-        The last level dominates: the leaves, their parents and the kernel's
-        two temporaries per parent.
-        """
-        fanout = len(self.channels)
-        leaves = nodes * fanout ** (len(self.slots) - depth) * self.node_bytes
-        return (1.0 + 3.0 / fanout) * leaves
-
-    def path_bytes(self) -> int:
-        """Bytes a walk with no spare room holds: a node per level, two temporaries."""
-        return (len(self.slots) + 2) * self.node_bytes
-
-    def _expand(self, nodes, depth, channels):
-        n_out = math.prod(self.dims[depth + 1])
-        children = np.empty((len(nodes), len(channels), n_out, n_out), dtype=complex)
-        for s, ch in enumerate(channels):
-            apply_channel_to_slot_batch(
-                ch, nodes, self.slots[depth], self.dims[depth], self.adjoint,
-                out=children[:, s],
-            )
-        return children.reshape(-1, n_out, n_out)
-
-    def walk(self, spare: float, nodes=None, start: int = 0, depth: int = 0):
-        """Yield ``(start, images)`` in consecutive chunks, in order.
-
-        A batch of ``nodes`` (the roots by default) is expanded breadth-first
-        when its whole subtree costs at most ``spare`` bytes; otherwise it is
-        walked node by node and child by child, each level holding one node.
-        """
-        nodes = self.roots if nodes is None else nodes
-        fanout = len(self.channels)
-        if depth == len(self.slots) or self.cost(len(nodes), depth) <= spare:
-            for level in range(depth, len(self.slots)):
-                nodes = self._expand(nodes, level, self.channels)
-                start *= fanout
-            yield start, nodes
-            return
-        for k in range(len(nodes)):
-            for s, ch in enumerate(self.channels):
-                child = self._expand(nodes[k : k + 1], depth, [ch])
-                yield from self.walk(
-                    spare - child.nbytes, child, (start + k) * fanout + s, depth + 1
-                )
 
 
 def _success_table(avqc: Avqc, l: int, states, elements) -> np.ndarray:
@@ -351,10 +284,10 @@ def _success_table(avqc: Avqc, l: int, states, elements) -> np.ndarray:
     table = np.empty((len(channels) ** h, len(channels) ** (l - h), len(states)))
     for i, (rho, op) in enumerate(zip(states, elements)):
         prefixes = _ImageTree(
-            np.asarray(rho)[None], channels, range(h), [avqc.dim_in] * l, False
+            np.asarray(rho)[None], [channels] * h, range(h), [avqc.dim_in] * l, False
         )
         suffixes = _ImageTree(
-            np.asarray(op)[None], channels, range(h, l), [avqc.dim_out] * l, True
+            np.asarray(op)[None], [channels] * (l - h), range(h, l), [avqc.dim_out] * l, True
         )
         if suffixes.cost(1, 0) <= _STACK_BYTES / 2:
             kept = list(suffixes.walk(_STACK_BYTES / 2))
@@ -453,25 +386,6 @@ def _exhaustive_table(avqc: Avqc, l: int, code) -> np.ndarray:
     return table
 
 
-def _per_message_fn(avqc: Avqc, code):
-    """Returns seq -> per-message success vector, all messages as one stack."""
-    terms = []
-    for weight, states, elements in _scoring_terms(code):
-        flat = np.stack(elements).reshape(len(elements), -1).conj()
-        terms.append((weight, np.stack(states), flat))
-
-    def fn(seq):
-        acc = 0.0
-        channels = [avqc.channels[s] for s in seq]
-        for weight, states, elements in terms:
-            states = apply_product_to_matrix(channels, states)
-            traces = np.einsum("ix,ix->i", states.reshape(len(elements), -1), elements)
-            acc = acc + weight * traces.real
-        return acc
-
-    return fn
-
-
 def _check_code_dims(avqc: Avqc, l: int, input_dim: int, output_dim: int) -> None:
     if power_exceeds(avqc.dim_in, l, input_dim) or input_dim != avqc.dim_in**l:
         raise DimensionMismatch(
@@ -494,28 +408,62 @@ def _code_shape(code) -> tuple[int, int, int]:
     raise ValidationError(f"unsupported code type {type(code).__name__}")
 
 
-def _greedy_search(states, l: int, score_cache: dict, vector_fn):
-    """Coordinate-descent minimization of the average success, |S| restarts."""
-    def vec(seq):
-        if seq not in score_cache:
-            score_cache[seq] = vector_fn(seq)
-        return score_cache[seq]
+def _greedy_search(avqc: Avqc, l: int, code) -> dict:
+    """Per-message success of each sequence the greedy search scores, in that order.
 
-    for start in states:
-        seq = tuple([start] * l)
-        current = float(vec(seq).mean())
+    Coordinate descent on the average success from each constant sequence:
+    each position in turn tries every other state, moving on any improvement
+    by more than 1e-15, until a sweep moves nowhere. The candidates at a
+    position do not depend on the move taken there, so the unscored ones are
+    imaged as one ``_ImageTree``, walked within ``_STACK_BYTES``, whose slots
+    hold the sequence's channels and, at the position, the candidates'.
+    """
+    terms = [
+        (weight, np.stack(states), np.stack(elements).reshape(len(elements), -1).conj())
+        for weight, states, elements in _scoring_terms(code)
+    ]
+    scores: dict = {}
+
+    def score(seq, pos, letters):
+        letters = [s for s in letters if seq[:pos] + (s,) + seq[pos + 1 :] not in scores]
+        if not letters:
+            return
+        levels = [[avqc.channels[s]] for s in seq]
+        levels[pos] = [avqc.channels[s] for s in letters]
+        width = len(letters)
+        acc = 0.0
+        for weight, states, elements in terms:
+            tree = _ImageTree(states, levels, range(l), [avqc.dim_in] * l, False)
+            traces = np.empty(len(states) * width)  # message-major, as the images
+            for start, images in tree.walk(_STACK_BYTES):
+                stop = start + len(images)
+                images = images.reshape(len(images), -1)
+                for i in range(start // width, -(-stop // width)):  # the chunk's messages
+                    lo, hi = max(start, i * width), min(stop, (i + 1) * width)
+                    part = images[lo - start : hi - start]
+                    traces[lo:hi] = np.einsum("ix,x->i", part, elements[i]).real
+            acc = acc + weight * traces.reshape(-1, width).T
+        for s, vec in zip(letters, acc):
+            scores[seq[:pos] + (s,) + seq[pos + 1 :]] = vec
+
+    for first in avqc.states:
+        seq = (first,) * l
+        score(seq, 0, [first])
+        current = float(scores[seq].mean())
         improved = True
         while improved:
             improved = False
             for pos in range(l):
-                for s in states:
+                score(seq, pos, avqc.states)
+                for s in avqc.states:
                     if s == seq[pos]:
                         continue
                     cand = seq[:pos] + (s,) + seq[pos + 1 :]
-                    val = float(vec(cand).mean())
+                    val = float(scores[cand].mean())
                     if val < current - 1e-15:
                         seq, current = cand, val
                         improved = True
+    return scores
 
 
 def _first_worst(scores, d_out: int) -> int:
@@ -535,9 +483,10 @@ def evaluate_code(
 ) -> ErrorReport:
     """Search the adversary's per-use state choices against a message code.
 
-    With at most ``budget`` sequences (or ``mode="exhaustive"``) every
-    sequence is scored, all at once by ``_success_table``, and the optima
-    are exact. Otherwise a greedy coordinate descent on the average success
+    With at most ``budget`` sequences, and at most the ``ENUM_BUDGET`` that
+    exhaustive scoring lists (or with ``mode="exhaustive"``), every sequence
+    is scored, all at once by ``_success_table``, and the optima are exact.
+    Otherwise a greedy coordinate descent on the average success
     runs from each constant sequence, and the report bounds the adversary's
     damage from below.
     """
@@ -546,7 +495,8 @@ def evaluate_code(
     if mode not in ("auto", "exhaustive", "greedy"):
         raise ValidationError(f"evaluate_code: unknown mode {mode!r}")
     if mode == "auto":
-        mode = "greedy" if power_exceeds(len(avqc.states), l, budget) else "exhaustive"
+        cap = min(budget, ENUM_BUDGET)
+        mode = "greedy" if power_exceeds(len(avqc.states), l, cap) else "exhaustive"
     if mode == "exhaustive":
         # the budget picks the mode; it does not cap an exhaustive request
         seqs = words(avqc.states, l, ENUM_BUDGET, "evaluate_code: state sequences")
@@ -555,9 +505,7 @@ def evaluate_code(
         # greedy's sequence count is unbounded by design, but each of its
         # sequences is one word of length l
         check_words(1, l, ENUM_BUDGET, "evaluate_code: a greedy state sequence")
-        cache: dict = {}
-        _greedy_search(avqc.states, l, cache, _per_message_fn(avqc, code))
-        scores = cache.items()
+        scores = _greedy_search(avqc, l, code).items()
 
     seqs, avgs = [], []
     worst_maxerr = 0.0

@@ -9,8 +9,10 @@ freely between threads.
 Every channel application, whether to one state, slot by slot through a
 product channel, or as an adjoint, goes through one kernel,
 ``apply_channel_to_slot_batch``, which acts by the channel's transfer matrix.
-The exception is ``codes.evaluate_entanglement_code``, whose images on the
-whole code space are Kraus sums.
+Product channels N_{s_1}⊗…⊗N_{s_l} act only through ``_ImageTree``, which
+images a stack under a whole set of words at once. The exception is
+``codes.evaluate_entanglement_code``, whose images on the whole code space
+are Kraus sums.
 """
 
 from __future__ import annotations
@@ -307,8 +309,8 @@ def apply_channel_to_slot_batch(
     (M, N', N') complex array whose last two axes are C-contiguous.
 
     This is the library's one channel kernel: ``apply_channel`` is the case
-    of a single slot and a single matrix, and ``apply_product_to_matrix``
-    loops it over the slots of a product channel.
+    of a single slot and a single matrix, and ``_ImageTree`` runs it over the
+    slots of product channels.
     """
     dims = list(dims)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -342,20 +344,71 @@ def apply_channel_to_slot_batch(
     return out
 
 
-def apply_product_to_matrix(channels: Sequence[QuantumChannel], mats: np.ndarray) -> np.ndarray:
-    """Apply the tensor product of ``channels`` to a stack, one slot at a time.
+class _ImageTree:
+    """Images of a stack of roots under every word of channels on some slots.
 
-    Factor channels act on consecutive slots in the given order, and no
-    Kraus set of the product is built. ``mats`` is an (M, N, N) stack of
-    square matrices on the product input space. Any square matrix will do
-    (the symmetrizability images feed it non-PSD Hermitian probes).
+    ``levels[k]`` lists the channels that may act on slot ``slots[k]``
+    (through their adjoints with ``adjoint``); ``dims`` are the slot
+    dimensions of the roots. With W words in all, image ``r * W + w`` is root
+    ``r`` under the w-th word in ``itertools.product`` order over the levels.
+    Words that share their leading letters share that work.
     """
-    dims = [ch.dim_in for ch in channels]
-    out = mats
-    for slot, ch in enumerate(channels):
-        out = apply_channel_to_slot_batch(ch, out, slot, dims)
-        dims[slot] = ch.dim_out
-    return out
+
+    def __init__(self, roots, levels, slots, dims, adjoint):
+        self.roots = roots
+        self.levels = levels
+        self.slots = slots
+        self.adjoint = adjoint
+        self.dims = [list(dims)]
+        for slot, channels in zip(slots, levels):
+            d_to = channels[0].dim_in if adjoint else channels[0].dim_out
+            self.dims.append(self.dims[-1][:slot] + [d_to] + self.dims[-1][slot + 1 :])
+        self.node_bytes = max(16 * math.prod(d) ** 2 for d in self.dims)
+
+    def cost(self, nodes: int, depth: int) -> float:
+        """Bytes to expand ``nodes`` nodes at ``depth`` breadth-first to the leaves.
+
+        The last level dominates: the leaves, their parents and the kernel's
+        two temporaries per parent.
+        """
+        leaves = nodes * math.prod(map(len, self.levels[depth:])) * self.node_bytes
+        return (1.0 + 3.0 / len(self.levels[-1])) * leaves
+
+    def path_bytes(self) -> int:
+        """Bytes a walk with no spare room holds: a node per level, two temporaries."""
+        return (len(self.slots) + 2) * self.node_bytes
+
+    def _expand(self, nodes, depth, channels):
+        n_out = math.prod(self.dims[depth + 1])
+        children = np.empty((len(nodes), len(channels), n_out, n_out), dtype=complex)
+        for s, ch in enumerate(channels):
+            apply_channel_to_slot_batch(
+                ch, nodes, self.slots[depth], self.dims[depth], self.adjoint,
+                out=children[:, s],
+            )
+        return children.reshape(-1, n_out, n_out)
+
+    def walk(self, spare: float, nodes=None, start: int = 0, depth: int = 0):
+        """Yield ``(start, images)`` in consecutive chunks, in order.
+
+        A batch of ``nodes`` (the roots by default) is expanded breadth-first
+        when its whole subtree costs at most ``spare`` bytes; otherwise it is
+        walked node by node and child by child, each level holding one node.
+        """
+        nodes = self.roots if nodes is None else nodes
+        if depth == len(self.slots) or self.cost(len(nodes), depth) <= spare:
+            for level in range(depth, len(self.slots)):
+                nodes = self._expand(nodes, level, self.levels[level])
+                start *= len(self.levels[level])
+            yield start, nodes
+            return
+        fanout = len(self.levels[depth])
+        for k in range(len(nodes)):
+            for s, ch in enumerate(self.levels[depth]):
+                child = self._expand(nodes[k : k + 1], depth, [ch])
+                yield from self.walk(
+                    spare - child.nbytes, child, (start + k) * fanout + s, depth + 1
+                )
 
 
 def identity_channel(dim: int) -> QuantumChannel:

@@ -36,7 +36,7 @@ import numpy as np
 from .avqc import Avqc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
-from .quantum import DensityMatrix, PureState, _hermitian_basis, apply_product_to_matrix
+from .quantum import DensityMatrix, PureState, _hermitian_basis, _ImageTree
 from .util import check_words, power_exceeds
 
 __all__ = [
@@ -246,15 +246,12 @@ def _probe_matrix(probe, dim: int, what: str) -> np.ndarray:
     return mat
 
 
-def _probe_images(avqc: Avqc, seqs, mats) -> np.ndarray:
-    """images[i, s]: coordinates of probe i under the product channel of seqs[s]."""
-    stack = np.stack(mats)
-    return _hvec(
-        np.stack(
-            [apply_product_to_matrix([avqc.channels[s] for s in seq], stack) for seq in seqs],
-            axis=1,
-        )
-    )
+def _probe_images(avqc: Avqc, l: int, mats) -> np.ndarray:
+    """images[i, s]: coordinates of probe i under the s-th of ``avqc.state_sequences(l)``."""
+    channels = [avqc.channels[s] for s in avqc.states]
+    tree = _ImageTree(np.stack(mats), [channels] * l, range(l), [avqc.dim_in] * l, False)
+    _, images = next(tree.walk(np.inf))
+    return _hvec(images.reshape(len(mats), -1, *images.shape[1:]))
 
 
 def _degenerate_pairs(mats: Sequence[np.ndarray]) -> tuple:
@@ -309,7 +306,7 @@ def check_symmetrizable(
     dim = check_lp_size(avqc, l, len(probes), budget)
     mats = [_probe_matrix(p, dim, "check_symmetrizable") for p in probes]
     seqs = avqc.state_sequences(l, budget=budget)
-    images = _probe_images(avqc, seqs, mats)
+    images = _probe_images(avqc, l, mats)
     feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
     witness = SymmetrizingFamily(tuple(seqs), dist) if feasible else None
     return SymmetrizabilityVerdict(feasible, residual, witness, _degenerate_pairs(mats))
@@ -347,7 +344,7 @@ def symmetrization_residual(
         raise DimensionMismatch(
             "symmetrization_residual: family size does not match probe count"
         )
-    images = _probe_images(avqc, seqs, mats)
+    images = _probe_images(avqc, l, mats)
     return _pairwise_residual(images, np.asarray(family.distributions))
 
 

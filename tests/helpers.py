@@ -131,8 +131,8 @@ def tensor_channel(channels) -> QuantumChannel:
     """Oracle: Kraus form of the tensor product, factors in the given order.
 
     Kraus operators are all kron products, ordered lexicographically in the
-    component indices. The library applies products slot by slot
-    (``quantum.apply_product_to_matrix``) and never builds this family.
+    component indices. The library applies products slot by slot, through
+    ``quantum._ImageTree``, and never builds this family.
     """
     channels = list(channels)
     if not channels:
@@ -270,6 +270,41 @@ def per_message_success(avqc: Avqc, code, seq) -> np.ndarray:
             if table[xi, yi] > 0.0:
                 total += table[xi, yi] * _traces(images, code.decoders[y])
     return total
+
+
+def greedy_oracle(avqc: Avqc, code, l: int) -> dict:
+    """Oracle: the adversary's greedy search, one sequence at a time.
+
+    Coordinate descent on the average success from each constant sequence:
+    each position in turn tries every other state, in order, and moves at
+    once on an improvement by more than 1e-15, until a sweep over the
+    positions makes no move. Each sequence is scored once, by
+    ``per_message_success``, and the restarts share those scores. Returns the
+    per-message success of each scored sequence, in the order first scored.
+    """
+    scores: dict = {}
+
+    def mean(seq) -> float:
+        if seq not in scores:
+            scores[seq] = per_message_success(avqc, code, seq)
+        return float(scores[seq].mean())
+
+    for first in avqc.states:
+        seq = (first,) * l
+        current = mean(seq)
+        improved = True
+        while improved:
+            improved = False
+            for pos in range(l):
+                for s in avqc.states:
+                    if s == seq[pos]:
+                        continue
+                    cand = seq[:pos] + (s,) + seq[pos + 1 :]
+                    val = mean(cand)
+                    if val < current - 1e-15:
+                        seq, current = cand, val
+                        improved = True
+    return scores
 
 
 def entanglement_fidelity_oracle(

@@ -26,13 +26,14 @@ from avqclab import (
     from_document,
     identity_channel,
     probes_to_document,
+    projective_decoder,
     to_document,
     write_document,
 )
 import avqclab.cli
 from avqclab.cli import run
 
-from helpers import random_density, rng_for, run_python
+from helpers import random_channel, random_density, rng_for, run_python
 
 COMP_WORDS = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
 
@@ -395,6 +396,22 @@ class TestSimulate:
         doc = json.loads(captured.out)
         assert doc["method"] == "greedy"
         assert doc["manifest"]["config"]["mode"] == "greedy"
+
+    def test_auto_mode_goes_greedy_past_the_enumeration_budget(self, tmp_path, capsys):
+        # 9**6 = 531,441 sequences fit --budget 10**6 but not the 65,536 that
+        # exhaustive scoring may list, so auto mode must search greedily
+        rng = rng_for(31)
+        labels = tuple(f"s{i}" for i in range(9))
+        avqc = Avqc(labels, {s: random_channel(rng, 2) for s in labels})
+        pure = (basis_state(64, 0), basis_state(64, 63))
+        block = DeterministicCode(6, [p.to_density() for p in pure], projective_decoder(pure))
+        path = write(
+            tmp_path, "problem.json",
+            {"kind": "simulation_problem", "avqc": to_document(avqc), "code": to_document(block)},
+        )
+        code, captured = run_json(capsys, ["simulate", "--input", path, "--budget", "1000000"])
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["method"] == "greedy"
 
     def test_config_does_not_depend_on_the_machine(self, tmp_path, capsys):
         path = self.envelope(tmp_path)

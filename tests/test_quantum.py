@@ -1,5 +1,6 @@
 """Core quantum objects: validation, channel application, constructors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,8 +26,8 @@ from avqclab import (
 from avqclab.quantum import (
     PAULI_Z,
     _hermitian_basis,
+    _ImageTree,
     apply_channel_to_slot_batch,
-    apply_product_to_matrix,
     constant_channel,
 )
 
@@ -192,6 +193,14 @@ class TestPovmValidation:
             Povm((np.diag([np.nan, 1.0]), np.diag([np.nan, 0.0])))
 
 
+def product_images(channels, mats):
+    """Images of a stack under the product of ``channels``: one channel per tree level."""
+    dims = [ch.dim_in for ch in channels]
+    tree = _ImageTree(mats, [[ch] for ch in channels], range(len(channels)), dims, False)
+    _, images = next(tree.walk(math.inf))
+    return images
+
+
 class TestSlotApplication:
     def test_slot_application_matches_tensor_channel(self):
         rng = rng_for(9)
@@ -206,7 +215,7 @@ class TestSlotApplication:
         chs = [random_channel(rng, 2), random_channel(rng, 2)]
         rho = random_density(rng, 4)
         explicit = apply_channel(tensor_channel(chs), rho)
-        slotwise = apply_product_to_matrix(chs, rho.matrix[None])[0]
+        slotwise = product_images(chs, rho.matrix[None])[0]
         assert np.allclose(explicit.matrix, slotwise, atol=1e-10)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -230,8 +239,8 @@ class TestSlotApplication:
         size_in, size_out = d_in**n_slots, d_out**n_slots
         mats = rng.normal(size=(count, size_in, size_in, 2)) @ [1.0, 1.0j] / size_in
 
-        # a stack through the product loop, element by element against the oracle
-        got = apply_product_to_matrix(channels, mats)
+        # a stack through the image tree, element by element against the oracle
+        got = product_images(channels, mats)
         assert got.shape == (count, size_out, size_out)
         for mat, image in zip(mats, got):
             want, dims = mat, [d_in] * n_slots
@@ -258,6 +267,23 @@ class TestSlotApplication:
         lhs = np.einsum("mij,mji->m", ops, image)
         rhs = np.einsum("mij,mji->m", pulled, mats)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("spare", [math.inf, 0.0])
+    def test_image_tree_orders_roots_then_words(self, spare):
+        # levels of 2, 1 and 3 channels: image r * 6 + w is root r under the
+        # w-th word in product order, whether walked whole or node by node
+        rng = rng_for(14)
+        levels = [[random_channel(rng, 2) for _ in range(n)] for n in (2, 1, 3)]
+        mats = np.stack([random_density(rng, 8).matrix for _ in range(2)])
+        tree = _ImageTree(mats, levels, range(3), [2, 2, 2], False)
+        images = np.empty((12, 8, 8), dtype=complex)
+        for start, chunk in tree.walk(spare):
+            images[start : start + len(chunk)] = chunk
+        words = list(itertools.product(*levels))
+        for r, mat in enumerate(mats):
+            for w, word in enumerate(words):
+                want = product_images(word, mat[None])[0]
+                assert np.max(np.abs(images[r * 6 + w] - want)) < 1e-14
 
     def test_batch_matches_single_slot_application_on_mixed_slot_dims(self):
         rng = rng_for(11)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avqclab.codes as codes
+import avqclab.quantum as quantum
 from avqclab import (
     Avqc,
     BipartiteSource,
@@ -32,6 +33,7 @@ from avqclab.util import content_key
 
 from helpers import (
     entanglement_fidelity_oracle,
+    greedy_oracle,
     per_message_success,
     random_channel,
     random_density,
@@ -115,23 +117,82 @@ def test_split_scoring_matches_slot_by_slot_oracle(
     table = codes._exhaustive_table(avqc, l, code)
     assert table.shape == expect.shape
     assert np.max(np.abs(table - expect)) <= 1e-12
-    score = codes._per_message_fn(avqc, code)
-    for index in {0, len(seqs) // 2, len(seqs) - 1}:
-        assert np.max(np.abs(score(seqs[index]) - expect[index])) <= 1e-12
+    for seq, row in codes._greedy_search(avqc, l, code).items():
+        assert np.max(np.abs(row - expect[seqs.index(seq)])) <= 1e-12
     assert_report_matches(evaluate_code(avqc, code, mode="exhaustive"), seqs, expect)
 
 
-@pytest.mark.parametrize("kind", ["deterministic", "random", "correlated"])
-def test_chunked_walk_matches_one_batch(kind, monkeypatch):
+KINDS = ("deterministic", "random", "correlated")
+
+
+def scored(avqc, code, l, method):
+    """Per-message success by sequence, as exhaustive or greedy scoring lists it."""
+    if method == "greedy":
+        return codes._greedy_search(avqc, l, code)
+    seqs = itertools.product(avqc.states, repeat=l)
+    return dict(zip(seqs, codes._exhaustive_table(avqc, l, code)))
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [(kind, "exhaustive") for kind in KINDS] + [(kind, "greedy") for kind in KINDS],
+    ids=[*KINDS, *(f"greedy-{kind}" for kind in KINDS)],
+)
+def test_chunked_walk_matches_one_batch(kind, method, monkeypatch):
     avqc, code = build(5, kind, 4, 3, 3, 2)
-    whole = codes._exhaustive_table(avqc, 4, code)
-    # room for a single 36-dim image: every subtree is walked node by node
-    # and the suffix images are recomputed for each prefix chunk
+    chunks = []  # images per chunk of each whole walk
+
+    class Recorded(quantum._ImageTree):
+        def walk(self, spare, nodes=None, start=0, depth=0):
+            for first, images in super().walk(spare, nodes, start, depth):
+                if depth == 0:
+                    chunks.append(len(images))
+                yield first, images
+
+    monkeypatch.setattr(codes, "_ImageTree", Recorded)
+    whole = scored(avqc, code, 4, method)
+    report = evaluate_code(avqc, code, mode=method)
+    assert max(chunks) > 1
+    # room for a single 36-dim image: every subtree is walked node by node,
+    # one image per chunk; exhaustive scoring recomputes the suffix images for
+    # each prefix chunk, and greedy's 81-dim images do not fit at all
     monkeypatch.setattr(codes, "_STACK_BYTES", 16 * 36 * 36)
-    chunked = codes._exhaustive_table(avqc, 4, code)
-    assert np.max(np.abs(chunked - whole)) <= 1e-12
-    seqs, expect = oracle_table(avqc, code, 4)
-    assert np.max(np.abs(chunked - expect)) <= 1e-12
+    chunks.clear()
+    chunked = scored(avqc, code, 4, method)
+    assert set(chunks) == {1}
+    assert list(chunked) == list(whole)
+    for seq, row in chunked.items():
+        assert np.max(np.abs(row - whole[seq])) <= 1e-12
+        assert np.max(np.abs(row - per_message_success(avqc, code, seq))) <= 1e-12
+    again = evaluate_code(avqc, code, mode=method)
+    assert again.worst_state_seq == report.worst_state_seq
+    assert again.avg_success_worst == pytest.approx(report.avg_success_worst, abs=1e-12)
+    assert again.max_error_worst == pytest.approx(report.max_error_worst, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(KINDS),
+    l=st.integers(1, 5),
+    n_states=st.integers(1, 4),
+    dim_out=st.sampled_from([2, 3]),
+    messages=st.integers(2, 3),
+)
+def test_greedy_search_follows_the_sequential_oracle(
+    seed, kind, l, n_states, dim_out, messages
+):
+    # with one message every sequence scores 1, and the search would move on
+    # rounding noise, which two summation orders need not share
+    avqc, code = build(seed, kind, l, n_states, dim_out, messages)
+    expect = greedy_oracle(avqc, code, l)
+    got = codes._greedy_search(avqc, l, code)
+    assert list(got) == list(expect)
+    for seq, row in expect.items():
+        assert np.max(np.abs(got[seq] - row)) <= 1e-12
+    avgs = [float(row.mean()) for row in expect.values()]
+    first_worst = list(expect)[codes._first_worst(avgs, dim_out**l)]
+    assert evaluate_code(avqc, code, mode="greedy").worst_state_seq == first_worst
 
 
 @pytest.mark.parametrize("stack_bytes", [None, 16 * 36 * 36])
@@ -147,8 +208,9 @@ def test_scoring_leaves_no_image_tree_to_the_cyclic_collector(stack_bytes, monke
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         evaluate_code(avqc, code, mode="exhaustive")
+        evaluate_code(avqc, code, mode="greedy")
         gc.collect()
-        trees = [obj for obj in gc.garbage if isinstance(obj, codes._ImageTree)]
+        trees = [obj for obj in gc.garbage if isinstance(obj, quantum._ImageTree)]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()

@@ -5,7 +5,8 @@ acceptance criterion, the benchmark, the README or an open ROADMAP item
 reaches it; a test oracle belongs in ``tests/helpers.py``. These tests keep
 that rule for exported names and for the public methods and properties of
 exported classes, keep every ``config`` constant read and every import of a
-library module in use, and run the README's quick start.
+library module in use, keep product-channel images to one engine, and run
+the README's quick start.
 """
 
 import ast
@@ -180,6 +181,41 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert unused == []
+
+
+# Where the channel kernel may be referenced: the image tree, which forms
+# every product-channel image, and the one-slot maps. A second product loop
+# would have to call the kernel from somewhere else.
+KERNEL_USERS = {
+    ("quantum", "_ImageTree._expand"),
+    ("quantum", "apply_channel"),
+    ("avqc", "reduce_to_classical_weighted"),
+}
+
+
+def _references(tree: ast.Module, name: str) -> set:
+    """Qualified names of the functions and classes whose bodies mention ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif getattr(child, "id", getattr(child, "attr", None)) == name:  # a name or attribute
+                found.add(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_image_tree_and_one_slot_maps_use_the_channel_kernel():
+    users = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        users |= {(path.stem, scope) for scope in _references(tree, "apply_channel_to_slot_batch")}
+    assert users == KERNEL_USERS
 
 
 def test_readme_quick_start_runs():
