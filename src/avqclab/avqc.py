@@ -3,9 +3,11 @@
 An ``Avqc`` is a finite family of channels with common input and output
 dimensions, indexed by state labels. The adversary picks one label per
 channel use; block-length-l behaviour is the l-fold product family. Beside
-it sit classical-quantum families (``AvCqc``), classical kernel families
-(``ClassicalAvc``), and the classical family obtained by fixing weighted
-signal states and measurements (``reduce_to_classical_weighted``).
+it sit classical-quantum families (``AvCqc``). A classical AVC, a family of
+stochastic kernels W_s(y|x), is the cq family with commuting outputs
+W_s(x) = diag(W_s(.|x)) (``_classical_family``); so is the classical family
+obtained by fixing weighted signal states and measurements
+(``reduce_to_classical_weighted``).
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import numpy as np
 
 from .config import ENUM_BUDGET, TOL_PROB
 from .errors import DimensionMismatch, ValidationError
-from .quantum import apply_channel_to_slot_batch
-from .util import words
+from .quantum import DensityMatrix, apply_channel_to_slot_batch
+from .util import check_distributions, words
 
 __all__ = [
     "Avqc",
     "CqChannel",
     "AvCqc",
-    "ClassicalAvc",
     "reduce_to_classical_weighted",
 ]
 
@@ -136,61 +137,41 @@ class AvCqc:
         return self.branches[self.states[0]].dim
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalAvc:
-    """A finite family of stochastic kernels over common alphabets."""
+def _classical_family(states, kernels: Mapping) -> AvCqc:
+    """The cq family of a classical AVC: letter x under state s outputs diag(kernels[s][x]).
 
-    states: tuple
-    kernels: Mapping
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise ValidationError("ClassicalAvc: empty state set")
-        if len(set(states)) != len(states):
-            raise ValidationError("ClassicalAvc: duplicate state labels")
-        kernels = {}
-        shape = None
-        for s in states:
-            if s not in dict(self.kernels):
-                raise ValidationError(f"ClassicalAvc: no kernel for state {s!r}")
-            mat = np.array(dict(self.kernels)[s], dtype=float)
-            if mat.ndim != 2:
-                raise ValidationError(f"ClassicalAvc: kernel for {s!r} is not a matrix")
-            if shape is None:
-                shape = mat.shape
-            elif mat.shape != shape:
-                raise DimensionMismatch("ClassicalAvc: kernels have mixed shapes")
-            if np.any(mat < -TOL_PROB):
-                raise ValidationError(f"ClassicalAvc: kernel for {s!r} has negative entries")
-            row_defect = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
-            if row_defect > TOL_PROB:
-                raise ValidationError(
-                    f"ClassicalAvc: kernel rows for {s!r} deviate from 1 by {row_defect:.3e}"
-                )
-            mat.setflags(write=False)
-            kernels[s] = mat
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "kernels", kernels)
+    Each kernel is a matrix of probability rows, one row per input letter;
+    the letters are its row indices as strings. Each kernel is checked by
+    the probability rule (entries >= -TOL_PROB, rows summing to 1 within
+    TOL_PROB) before any state is built, since ``DensityMatrix`` alone would
+    let an entry down to -TOL_PSD pass.
+    """
+    branches = {}
+    for s in states:
+        kernel = np.asarray(kernels[s], dtype=float)
+        check_distributions(kernel, TOL_PROB, f"classical kernel for {s!r}")
+        letters = tuple(map(str, range(len(kernel))))
+        branches[s] = CqChannel(
+            letters, {x: DensityMatrix(np.diag(row)) for x, row in zip(letters, kernel)}
+        )
+    return AvCqc(states, branches)
 
 
 def reduce_to_classical_weighted(
     avqc: Avqc,
     components: Sequence[tuple],
-) -> ClassicalAvc:
+) -> AvCqc:
     """Averaged classical reduction over weighted (signals, POVM) pairs.
 
     ``components`` is a sequence of (signals, povm, weight) triples with a
     common signal count and outcome count; weights must form a probability
-    vector. The kernel is U_t(j|i) = sum_z gamma(z) tr(D_j^z N_t(rho_i^z)).
+    vector. The kernel is U_t(j|i) = sum_z gamma(z) tr(D_j^z N_t(rho_i^z)),
+    returned as the diagonal cq family of ``_classical_family``.
     """
     if not components:
         raise ValidationError("reduce_to_classical_weighted: no components")
-    weights = np.array([float(c[2]) for c in components])
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > TOL_PROB:
-        raise ValidationError(
-            "reduce_to_classical_weighted: weights must be a probability vector"
-        )
+    weights = [float(c[2]) for c in components]
+    check_distributions(weights, 0.0, "reduce_to_classical_weighted: weights")
     n_in = len(components[0][0])
     n_out = components[0][1].outcome_count
     for signals, povm, _ in components:
@@ -219,4 +200,4 @@ def reduce_to_classical_weighted(
         for (_, povm, weight), out in zip(live, outs):
             mat += weight * np.einsum("jab,iba->ij", np.stack(povm.elements), out).real
         kernels[s] = mat
-    return ClassicalAvc(avqc.states, kernels)
+    return _classical_family(avqc.states, kernels)

@@ -152,7 +152,9 @@ def _cmd_symcheck(args) -> dict:
 
 def _cmd_capacity(args) -> dict:
     run = _Run("capacity", args.seed)
-    result = cq_random_capacity(from_document(*run.load("input", args.input, {"av_cqc"})))
+    result = cq_random_capacity(
+        from_document(*run.load("input", args.input, {"av_cqc", "classical_avc"}))
+    )
     return run.result(
         "capacity_result",
         {

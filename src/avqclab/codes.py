@@ -34,7 +34,7 @@ from .quantum import (
     hermitize,
     min_eigenvalue,
 )
-from .util import check_words, content_key, power_exceeds, words
+from .util import check_distributions, check_words, content_key, power_exceeds, words
 
 __all__ = [
     "DeterministicCode",
@@ -100,8 +100,7 @@ class RandomCode:
         w = np.array(self.weights, dtype=float)
         if w.shape != (len(support),):
             raise DimensionMismatch("RandomCode: weight count must match support")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > TOL_PROB:
-            raise ValidationError("RandomCode: weights must form a probability vector")
+        check_distributions(w, 0.0, "RandomCode: weights")
         keys = {
             (c.l, c.message_count, c.input_dim, c.decoder.dim) for c in support
         }

@@ -20,10 +20,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI, TOL_PROB
+from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measures import mutual_information
-from .util import check_words, power_exceeds, words
+from .util import check_distributions, check_words, power_exceeds, words
 
 __all__ = [
     "BipartiteSource",
@@ -61,11 +61,7 @@ class BipartiteSource:
             raise DimensionMismatch(
                 f"BipartiteSource: table shape {joint.shape} does not match alphabets"
             )
-        if np.any(joint < 0):
-            raise ValidationError("BipartiteSource: negative probability entry")
-        total = float(joint.sum())
-        if abs(total - 1.0) > TOL_PROB:
-            raise ValidationError(f"BipartiteSource: total mass {total!r} is not 1")
+        check_distributions(joint.ravel(), 0.0, "BipartiteSource: joint table")
         joint.setflags(write=False)
         object.__setattr__(self, "x_alphabet", x_alphabet)
         object.__setattr__(self, "y_alphabet", y_alphabet)
@@ -260,12 +256,10 @@ def witsenhausen_binarize(a, b, c, sigma: float, eps: float) -> WitsenhausenSpli
     if eps < 0.0:
         raise ValidationError("witsenhausen_binarize: eps must be nonnegative")
     slack = 1e-12
-    for name, vec in (("a", a), ("b", b), ("c", c)):
-        if np.any(vec < -slack):
-            raise ValidationError(f"witsenhausen_binarize: {name} has negative mass")
+    if not np.all(c >= -slack):
+        raise ValidationError("witsenhausen_binarize: c has negative or non-numeric mass")
     for name, vec in (("a", a), ("b", b)):
-        if abs(float(vec.sum()) - 1.0) > TOL_PROB:
-            raise ValidationError(f"witsenhausen_binarize: {name} does not sum to 1")
+        check_distributions(vec, slack, f"witsenhausen_binarize: {name}")
         if float(vec.max()) > eps + slack:
             raise ValidationError(
                 f"witsenhausen_binarize: {name} has a letter of mass > eps"

@@ -157,7 +157,7 @@ class PureState:
             raise ValidationError("PureState: expected a non-empty vector")
         _check_dim(vec.size, "PureState")
         norm_defect = abs(float(np.linalg.norm(vec)) - 1.0)
-        if norm_defect > TOL_NORM:
+        if not norm_defect <= TOL_NORM:  # a NaN amplitude fails too
             raise ValidationError(
                 f"PureState: norm deviates from 1 by {norm_defect:.3e}"
             )

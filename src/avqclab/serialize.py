@@ -13,7 +13,10 @@ checked against the kinds its place allows before anything is decoded
 non-empty. Every label list (family states, cq letters, source alphabets,
 observation sequences) holds JSON scalars only; family state and letter
 labels are read as their ``str()``, and no two observation entries of a
-correlated code may hold the same sequence.
+correlated code may hold the same sequence. A ``classical_avc`` document,
+one stochastic kernel per state with a row per input letter, is an input
+spelling of a cq family: it decodes to the diagonal ``AvCqc`` with letters
+"0", "1", ... (``avqc._classical_family``), which encodes as ``av_cqc``.
 
 :func:`dumps_document` returns exactly ``json.dumps(doc, sort_keys=True,
 indent=2, allow_nan=False) + "\\n"``, but renders each array of numbers, and
@@ -47,7 +50,7 @@ from typing import Any
 
 import numpy as np
 
-from .avqc import AvCqc, Avqc, ClassicalAvc, CqChannel
+from .avqc import AvCqc, Avqc, CqChannel, _classical_family
 from .codes import CorrelatedCode, DeterministicCode, RandomCode
 from .correlation import BipartiteSource
 from .errors import SchemaError, ValidationError
@@ -316,14 +319,6 @@ def _build_document(obj: Any, memo: dict) -> dict:
                 for s in obj.states
             },
         }
-    if isinstance(obj, ClassicalAvc):
-        return {
-            "kind": "classical_avc",
-            "states": [str(s) for s in obj.states],
-            "kernels": {
-                str(s): _real_to_json(obj.kernels[s]) for s in obj.states
-            },
-        }
     if isinstance(obj, BipartiteSource):
         return {
             "kind": "bipartite_source",
@@ -429,8 +424,9 @@ def _decode_av_cqc(doc: Any, path: str) -> AvCqc:
     return AvCqc(*_label_table(doc, "branches", path, branch))
 
 
-def _decode_classical_avc(doc: Any, path: str) -> ClassicalAvc:
-    return ClassicalAvc(*_label_table(doc, "kernels", path, _real_matrix_from_json))
+def _decode_classical_avc(doc: Any, path: str) -> AvCqc:
+    """A ``classical_avc`` document, an input spelling of the diagonal ``av_cqc`` it decodes to."""
+    return _classical_family(*_label_table(doc, "kernels", path, _real_matrix_from_json))
 
 
 def _decode_source(doc: Any, path: str) -> BipartiteSource:

@@ -37,7 +37,7 @@ from .avqc import Avqc
 from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
 from .quantum import DensityMatrix, PureState, _hermitian_basis, _ImageTree
-from .util import check_words, power_exceeds
+from .util import check_distributions, check_words, power_exceeds
 
 __all__ = [
     "SymmetrizingFamily",
@@ -70,13 +70,7 @@ class SymmetrizingFamily:
             )
         if dist.shape[0] < 1:
             raise ValidationError("SymmetrizingFamily: needs at least one row")
-        if np.any(dist < -TOL_PROB):
-            raise ValidationError("SymmetrizingFamily: negative probability")
-        row_defect = float(np.max(np.abs(dist.sum(axis=1) - 1.0)))
-        if row_defect > TOL_PROB:
-            raise ValidationError(
-                f"SymmetrizingFamily: row sums deviate from 1 by {row_defect:.3e}"
-            )
+        check_distributions(dist, TOL_PROB, "SymmetrizingFamily")
         dist.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "distributions", dist)
@@ -241,8 +235,8 @@ def _probe_matrix(probe, dim: int, what: str) -> np.ndarray:
     mat = probe.matrix if isinstance(probe, DensityMatrix) else np.asarray(probe, dtype=complex)
     if mat.ndim != 2 or mat.shape != (dim, dim):
         raise DimensionMismatch(f"{what}: probe shape {mat.shape}, expected ({dim}, {dim})")
-    if float(np.max(np.abs(mat - mat.conj().T))) > 1e-9:
-        raise ValidationError(f"{what}: probes must be Hermitian")
+    if not (np.isfinite(mat).all() and float(np.max(np.abs(mat - mat.conj().T))) <= 1e-9):
+        raise ValidationError(f"{what}: probes must be finite and Hermitian")
     return mat
 
 
@@ -370,11 +364,11 @@ def extend_family(
         raise DimensionMismatch("extend_family: family size does not match base points")
     r = np.asarray(mixing, dtype=float)
     if r.shape == (n, n):
-        if float(np.max(np.abs(r[:k] - np.eye(k, n)))) > 1e-12:
+        if not float(np.max(np.abs(r[:k] - np.eye(k, n)))) <= 1e-12:
             raise ValidationError(
                 "extend_family: leading mixing rows must be the identity"
             )
-        if np.any(np.abs(r[k:, k:]) > 1e-12):
+        if not np.all(np.abs(r[k:, k:]) <= 1e-12):
             raise ValidationError(
                 "extend_family: new points must mix base points only"
             )
@@ -383,15 +377,11 @@ def extend_family(
         raise DimensionMismatch(
             f"extend_family: mixing shape {r.shape}, expected ({len(new)}, {k})"
         )
-    if np.any(r < -1e-12):
-        raise ValidationError("extend_family: mixing has negative entries")
-    row_defect = float(np.max(np.abs(r.sum(axis=1) - 1.0))) if len(new) else 0.0
-    if row_defect > TOL_PROB:
-        raise ValidationError("extend_family: mixing rows must sum to 1")
+    check_distributions(r, 1e-12, "extend_family: mixing")
     for idx, point in enumerate(new):
         combo = sum(r[idx, j] * base[j] for j in range(k))
         defect = float(np.max(np.abs(combo - point)))
-        if defect > 1e-9:
+        if not defect <= 1e-9:  # a NaN or infinite point fails too
             raise ValidationError(
                 f"extend_family: new point {idx} deviates from its convex "
                 f"representation by {defect:.3e}"

@@ -6,7 +6,10 @@ import hashlib
 import itertools
 import math
 
-from .errors import BudgetExceeded
+import numpy as np
+
+from .config import TOL_PROB
+from .errors import BudgetExceeded, ValidationError
 
 
 def content_key(obj) -> bytes:
@@ -16,8 +19,6 @@ def content_key(obj) -> bytes:
     sequence of states, so that equal objects read back from separate JSON
     entries share a key even though they are distinct Python objects.
     """
-    import numpy as np
-
     arrays = getattr(obj, "elements", None)
     if arrays is None:
         arrays = getattr(obj, "kraus", None)
@@ -63,3 +64,20 @@ def words(alphabet, n: int, budget: int, what: str) -> list:
     """The length-n words over ``alphabet``, in ``itertools.product`` order, within ``budget``."""
     check_words(len(alphabet), n, budget, what)
     return list(itertools.product(alphabet, repeat=n))
+
+
+def check_distributions(rows, floor: float, what: str) -> None:
+    """Raise ``ValidationError`` unless each row (last axis) of ``rows`` is a probability vector.
+
+    The one rule for every probability table: each entry at least ``-floor``,
+    and each row summing to 1 within ``TOL_PROB``. Both tests are written so
+    that a comparison with NaN, which is always false, fails them, and an
+    infinite entry gives an infinite or NaN row sum; so a non-finite entry
+    is rejected.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(rows >= -floor):
+        raise ValidationError(f"{what}: entries must be non-negative numbers, to within {floor:g}")
+    defect = np.abs(rows.sum(axis=-1) - 1.0)
+    if not np.all(defect <= TOL_PROB):
+        raise ValidationError(f"{what}: rows deviate from 1 by {np.max(defect):.3e}")

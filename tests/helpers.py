@@ -496,6 +496,12 @@ def branch_stack(avcqc: AvCqc) -> np.ndarray:
     )
 
 
+def classical_kernels(avcqc: AvCqc) -> dict:
+    """Each state's stochastic kernel (letters x outcomes), read back from the output diagonals."""
+    diagonals = np.diagonal(branch_stack(avcqc), axis1=-2, axis2=-1)
+    return {s: diagonals[i].real for i, s in enumerate(avcqc.states)}
+
+
 def _entropy_bits(mats: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(hermitize(mats))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,4 +1,4 @@
-"""Channel families, cq and classical families, classical reduction."""
+"""Channel families, cq and classical families, classical reduction, non-finite inputs."""
 
 import itertools
 import math
@@ -12,23 +12,32 @@ from hypothesis import strategies as st
 from avqclab import (
     Avqc,
     AvCqc,
+    BipartiteSource,
     BudgetExceeded,
-    ClassicalAvc,
     CqChannel,
+    DeterministicCode,
     DimensionMismatch,
+    PureState,
+    RandomCode,
+    SymmetrizingFamily,
     ValidationError,
     basis_state,
     bit_flip_channel,
+    check_symmetrizable,
     completely_depolarizing_channel,
     computational_povm,
+    extend_family,
+    from_document,
     identity_channel,
     reduce_to_classical_weighted,
+    witsenhausen_binarize,
 )
 
 from avqclab.util import check_words, power_exceeds, words
 
 from helpers import (
     apply_channel_to_slot,
+    classical_kernels,
     mixture,
     random_channel,
     random_density,
@@ -171,18 +180,18 @@ class TestClassicalReduction:
     def test_identity_channel_orthogonal_signals(self):
         fam = Avqc(("e",), {"e": identity_channel(2)})
         avc = reduce_to_classical_weighted(fam, [([KET0, KET1], computational_povm(2), 1.0)])
-        assert np.allclose(avc.kernels["e"], np.eye(2), atol=1e-12)
+        assert np.allclose(classical_kernels(avc)["e"], np.eye(2), atol=1e-12)
 
     def test_depolarizing_rows_uniform(self):
         fam = Avqc(("d",), {"d": completely_depolarizing_channel(2)})
         avc = reduce_to_classical_weighted(fam, [([KET0, KET1], computational_povm(2), 1.0)])
-        assert np.allclose(avc.kernels["d"], np.full((2, 2), 0.5), atol=1e-12)
+        assert np.allclose(classical_kernels(avc)["d"], np.full((2, 2), 0.5), atol=1e-12)
 
     def test_bit_flip_kernel(self):
         fam = Avqc(("b",), {"b": bit_flip_channel(0.3)})
         avc = reduce_to_classical_weighted(fam, [([KET0, KET1], computational_povm(2), 1.0)])
         assert np.allclose(
-            avc.kernels["b"], np.array([[0.7, 0.3], [0.3, 0.7]]), atol=1e-12
+            classical_kernels(avc)["b"], np.array([[0.7, 0.3], [0.3, 0.7]]), atol=1e-12
         )
 
     def test_rows_are_probability_vectors(self):
@@ -190,8 +199,7 @@ class TestClassicalReduction:
         fam = two_family()
         signals = [random_density(rng, 2), random_density(rng, 2)]
         avc = reduce_to_classical_weighted(fam, [(signals, computational_povm(2), 1.0)])
-        for s in fam.states:
-            rows = avc.kernels[s]
+        for rows in classical_kernels(avc).values():
             assert np.all(rows >= -1e-9)
             assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
@@ -202,7 +210,7 @@ class TestClassicalReduction:
             fam, [([KET0, KET1], povm, 0.5), ([KET1, KET0], povm, 0.5)]
         )
         # averaging a kernel with its input-swapped copy makes rows equal
-        assert np.allclose(mixed.kernels["b"], np.full((2, 2), 0.5), atol=1e-12)
+        assert np.allclose(classical_kernels(mixed)["b"], np.full((2, 2), 0.5), atol=1e-12)
 
     def test_weighted_matches_per_signal_traces(self):
         """Every kernel entry against tr(D_j^z N_t(rho_i^z)) through the einsum oracle."""
@@ -223,7 +231,7 @@ class TestClassicalReduction:
                     out = apply_channel_to_slot(fam.channels[s], sig.matrix, 0, [2])
                     for j, element in enumerate(povm.elements):
                         want[i, j] += weight * np.trace(element @ out).real
-            assert np.max(np.abs(mixed.kernels[s] - want)) < 1e-14
+            assert np.max(np.abs(classical_kernels(mixed)[s] - want)) < 1e-14
 
     def test_weight_validation(self):
         fam = two_family()
@@ -234,8 +242,12 @@ class TestClassicalReduction:
 
 class TestClassicalAvcAndCq:
     def test_classical_avc_row_validation(self):
-        with pytest.raises(ValidationError):
-            ClassicalAvc(("t",), {"t": np.array([[0.5, 0.4], [0.5, 0.5]])})
+        # a row off by 0.1, and an entry of -5e-9: below -TOL_PROB, though a
+        # DensityMatrix alone would let it pass (-TOL_PSD = -1e-8)
+        for kernel in ([[0.5, 0.4], [0.5, 0.5]], [[1.000000005, -5e-9], [0.5, 0.5]]):
+            doc = {"kind": "classical_avc", "states": ["t"], "kernels": {"t": kernel}}
+            with pytest.raises(ValidationError):
+                from_document(doc)
 
     def test_cq_channel_requires_all_letters(self):
         with pytest.raises(ValidationError):
@@ -248,3 +260,34 @@ class TestClassicalAvcAndCq:
         mixed = mixture(fam, [0.5, 0.5])
         for z in (0, 1):
             assert np.allclose(mixed.outputs[z].matrix, np.eye(2) / 2, atol=1e-12)
+
+
+def _non_finite_calls(bad: float) -> dict:
+    """One call per library entry point, with ``bad`` where its probability, norm or point rule reads."""
+    fam = two_family()
+    povm = computational_povm(2)
+    det = DeterministicCode(1, (KET0, KET1), povm)
+    base = SymmetrizingFamily((("i",), ("d",)), np.eye(2))
+    point = np.array([[bad, 0.0], [0.0, 0.5]])
+    return {
+        "BipartiteSource": lambda: BipartiteSource((0, 1), (0, 1), [[bad, 0.5], [0.5, 0.0]]),
+        "PureState": lambda: PureState([bad, 1.0]),
+        "RandomCode": lambda: RandomCode((det, det), [bad, 0.5]),
+        "SymmetrizingFamily": lambda: SymmetrizingFamily((("i",), ("d",)), [[bad, 1.0]]),
+        "reduce_to_classical_weighted": lambda: reduce_to_classical_weighted(
+            fam, [([KET0, KET1], povm, bad), ([KET1, KET0], povm, 1.0)]
+        ),
+        "extend_family": lambda: extend_family([KET0, KET1], base, [point], [[0.5, 0.5]]),
+        "check_symmetrizable": lambda: check_symmetrizable(fam, 1, [KET0, point]),
+        "witsenhausen_binarize": lambda: witsenhausen_binarize(
+            [0.25, 0.25, 0.5], [0.25, 0.25, 0.5], [bad, 0.25, 0.5], 0.3, 0.5
+        ),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_non_finite_calls(0.0)))
+def test_a_non_finite_value_is_a_validation_error(name, bad):
+    # NaN fails every comparison, so a check written as `x > tol` lets it pass
+    with pytest.raises(ValidationError):
+        _non_finite_calls(bad)[name]()

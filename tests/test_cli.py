@@ -6,12 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avqclab import (
     Avqc,
     AvCqc,
     BipartiteSource,
-    ClassicalAvc,
     CorrelatedCode,
     CqChannel,
     DensityMatrix,
@@ -31,11 +32,20 @@ from avqclab import (
     write_document,
 )
 import avqclab.cli
+import avqclab.symmetrize as symmetrize
 from avqclab.cli import run
 
-from helpers import random_channel, random_density, rng_for, run_python
+from helpers import branch_stack, random_channel, random_density, rng_for, run_python
 
 COMP_WORDS = (basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+
+# The binary adder AVC, Y = X + S with X, S in {0, 1}: symmetrizable, with
+# random capacity 1/2
+ADDER = {
+    "kind": "classical_avc",
+    "states": ["0", "1"],
+    "kernels": {"0": [[1, 0, 0], [0, 1, 0]], "1": [[0, 1, 0], [0, 0, 1]]},
+}
 
 
 def write(tmp_path, name, doc):
@@ -85,7 +95,7 @@ def non_finite_sites():
             "$.joint[0][1]",
         ),
         "classical_avc": (
-            to_document(ClassicalAvc(("a",), {"a": np.eye(2)})),
+            {"kind": "classical_avc", "states": ["a"], "kernels": {"a": [[1.0, 0.0], [0.0, 1.0]]}},
             ("kernels", "a", 1, 0),
             "$.kernels.a[1][0]",
         ),
@@ -125,6 +135,14 @@ class TestValidate:
         assert doc["manifest"]["input_digests"]["input"] == digest
         assert doc["manifest"]["command"] == "validate"
         assert isinstance(doc["manifest"]["wall_time_ms"], int)
+
+    def test_classical_avc_is_a_cq_family(self, tmp_path, capsys):
+        path = write(tmp_path, "adder.json", ADDER)
+        code, captured = run_json(capsys, ["validate", "--input", path])
+        assert code == 0
+        doc = json.loads(captured.out)
+        assert doc["object_kind"] == "classical_avc"
+        assert doc["object_type"] == "AvCqc"
 
     def test_semantic_failure(self, tmp_path, capsys):
         path = write(
@@ -328,6 +346,59 @@ class TestCapacity:
         a["manifest"].pop("wall_time_ms")
         b["manifest"].pop("wall_time_ms")
         assert a == b
+
+    def test_binary_adder_certifies_one_half(self, tmp_path, capsys):
+        path = write(tmp_path, "adder.json", ADDER)
+        code, captured = run_json(capsys, ["capacity", "--input", path])
+        assert code == 0
+        doc = json.loads(captured.out)
+        for key in ("value", "lower_bound", "upper_bound"):
+            assert abs(doc[key] - 0.5) <= 1e-7, key
+        # its deterministic capacity is 0: the pairwise LP over the letters
+        # finds the symmetrizing witness sigma(s|x) = delta(s, x)
+        outputs = branch_stack(from_document(ADDER)).transpose(1, 0, 2, 3)
+        feasible, dist, residual = symmetrize._pairwise_mixture_feasibility(
+            symmetrize._hvec(outputs), 1e-7
+        )
+        assert feasible and residual <= 1e-12
+        assert np.allclose(dist, np.eye(2), atol=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        members=st.integers(1, 3),
+        letters=st.integers(2, 4),
+        outcomes=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_classical_avc_runs_as_its_av_cqc_spelling(
+        self, tmp_path_factory, members, letters, outcomes, seed
+    ):
+        rng = np.random.default_rng(seed)
+        raw = rng.random((members, letters, outcomes)) * (rng.random((members, letters, outcomes)) < 0.7)
+        raw[..., 0] += 1e-3  # no empty row
+        kernels = raw / raw.sum(axis=-1, keepdims=True)
+        states = [f"s{i}" for i in range(members)]
+        classical = {
+            "kind": "classical_avc",
+            "states": states,
+            "kernels": {s: k.tolist() for s, k in zip(states, kernels)},
+        }
+        spelled = {
+            "kind": "av_cqc",
+            "states": states,
+            "alphabet": [str(x) for x in range(letters)],
+            "branches": {s: [np.diag(row).tolist() for row in k] for s, k in zip(states, kernels)},
+        }
+        tmp = tmp_path_factory.mktemp("spellings")
+        results = []
+        for name, doc in (("classical", classical), ("spelled", spelled)):
+            out = tmp / f"{name}.out.json"
+            assert run(["capacity", "--input", write(tmp, f"{name}.json", doc), "--out", str(out)]) == 0
+            result = json.loads(out.read_text())
+            result["manifest"]["wall_time_ms"] = 0
+            result["manifest"]["input_digests"] = {}  # the two input files differ
+            results.append(dumps_document(result))
+        assert results[0] == results[1]
 
     def test_tol_is_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "cq.json", swap_avcqc_doc())

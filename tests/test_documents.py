@@ -19,7 +19,6 @@ from avqclab import (
     Avqc,
     AvCqc,
     BipartiteSource,
-    ClassicalAvc,
     CorrelatedCode,
     CqChannel,
     DeterministicCode,
@@ -53,7 +52,9 @@ def valid_documents() -> dict:
         "povm": to_document(POVM),
         "avqc": to_document(AVQC),
         "av_cqc": to_document(AvCqc(("s",), {"s": cq})),
-        "classical_avc": to_document(ClassicalAvc(("a",), {"a": np.eye(2)})),
+        "classical_avc": {
+            "kind": "classical_avc", "states": ["a"], "kernels": {"a": [[1.0, 0.0], [0.0, 1.0]]},
+        },
         "bipartite_source": to_document(SOURCE),
         "deterministic_code": to_document(DET),
         "random_code": to_document(RandomCode((DET, DET), np.array([0.5, 0.5]))),
@@ -70,6 +71,7 @@ ENVELOPES = {
     "avqc": [("symcheck", None, None), ("simulate", "simulation_problem", "avqc"),
              ("reduce", "reduction_problem", "avqc")],
     "av_cqc": [("capacity", None, None)],
+    "classical_avc": [("capacity", None, None)],
     "bipartite_source": [("cr", None, None)],
     "deterministic_code": [("simulate", "simulation_problem", "code")],
     "random_code": [("simulate", "simulation_problem", "code"),

@@ -18,7 +18,6 @@ from avqclab import (
     AvCqc,
     BipartiteSource,
     BudgetExceeded,
-    ClassicalAvc,
     CorrelatedCode,
     CqChannel,
     DensityMatrix,
@@ -45,6 +44,7 @@ from avqclab import (
 from avqclab.serialize import _matrix_from_json, field
 
 from helpers import (
+    classical_kernels,
     matrix_from_json_oracle,
     random_channel,
     random_density,
@@ -118,11 +118,12 @@ class TestRoundTrips:
         assert decoded.alphabet == ("x", "y")
 
     def test_classical_avc(self):
-        cavc = ClassicalAvc(
-            (0,), {0: np.array([[0.25, 0.75], [0.5, 0.5]])}
-        )
-        decoded = roundtrip(cavc)
-        assert np.array_equal(decoded.kernels["0"], cavc.kernels[0])
+        kernel = [[0.25, 0.75], [0.5, 0.5]]
+        fam = from_document({"kind": "classical_avc", "states": [0], "kernels": {"0": kernel}})
+        assert isinstance(fam, AvCqc) and fam.alphabet == ("0", "1")
+        assert to_document(fam)["kind"] == "av_cqc"
+        decoded = roundtrip(fam)
+        assert np.array_equal(classical_kernels(decoded)["0"], kernel)
 
     def test_bipartite_source(self):
         src = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
