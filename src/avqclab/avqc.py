@@ -64,11 +64,11 @@ class Avqc:
     def dim_out(self) -> int:
         return self.channels[self.states[0]].dim_out
 
-    def state_sequences(self, l: int, budget: int = ENUM_BUDGET) -> list:
-        """All length-l label tuples in lexicographic order, within ``budget`` (``util.words``)."""
+    def state_sequences(self, l: int) -> list:
+        """All length-l label tuples in lexicographic order, within ``ENUM_BUDGET``."""
         if l < 1:
             raise ValidationError("state_sequences: l must be >= 1")
-        return words(self.states, l, budget, "state_sequences")
+        return words(self.states, l, ENUM_BUDGET, "state_sequences")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,9 @@
 Every result embeds a run manifest (command, input digests, seed, effective
 configuration, tool version, wall time). Apart from the recorded wall time,
 identical inputs and flags produce byte-identical output. Exit codes: 0 on
-success, 2 on validation or schema failure, 3 on an exceeded budget.
+success, 1 on any other library failure (an LP that HiGHS does not solve,
+say), 2 on validation or schema failure (a dimension above ``DIM_CAP``
+among them), 3 on an exceeded size cap.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .capacity import cq_random_capacity
 from .codes import compose_two_phase, evaluate_code, random_code_reduction
 from .config import ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_FEAS
 from .correlation import binary_reduction, cr_extractable
-from .errors import BudgetExceeded, SchemaError, ValidationError
+from .errors import AvqclabError, BudgetExceeded, SchemaError, ValidationError
 from .serialize import (
     document_kind,
     dumps_document,
@@ -125,12 +127,12 @@ def _cmd_symcheck(args) -> dict:
         probe_source = "file"
     else:
         # the frame has dim^2 operators of dim^2 entries: size the LP first
-        probes = hermitian_probe_frame(check_lp_size(avqc, args.l, None, args.budget))
+        probes = hermitian_probe_frame(check_lp_size(avqc, args.l))
         probe_source = "hermitian_frame"
     run.config.update(
-        {"l": args.l, "tol": args.tol, "budget": args.budget, "probes": probe_source}
+        {"l": args.l, "tol": args.tol, "budget": ENUM_BUDGET, "probes": probe_source}
     )
-    verdict = check_symmetrizable(avqc, args.l, probes, tol=args.tol, budget=args.budget)
+    verdict = check_symmetrizable(avqc, args.l, probes, tol=args.tol)
     witness = None
     if verdict.witness is not None:
         witness = {
@@ -205,8 +207,8 @@ def _cmd_simulate(args) -> dict:
     doc, origin = run.load("input", args.input, {"simulation_problem"})
     avqc = field(doc, "avqc", origin, {"avqc"})
     code = field(doc, "code", origin, {"deterministic_code", "random_code", "correlated_code"})
-    run.config.update({"budget": args.budget, "mode": args.mode})
-    report = evaluate_code(avqc, code, budget=args.budget, mode=args.mode)
+    run.config.update({"budget": EXHAUSTIVE_BUDGET, "mode": args.mode})
+    report = evaluate_code(avqc, code, mode=args.mode)
     return run.result(
         "error_report",
         {
@@ -227,11 +229,9 @@ def _cmd_reduce(args) -> dict:
     avqc = field(doc, "avqc", origin, {"avqc"})
     code = field(doc, "code", origin, {"random_code"})
     run.config.update(
-        {"l": l, "sample_count": sample_count, "eps": eps, "budget": args.budget}
+        {"l": l, "sample_count": sample_count, "eps": eps, "budget": EXHAUSTIVE_BUDGET}
     )
-    sampled, verified = random_code_reduction(
-        code, avqc, l, sample_count, eps, args.seed, budget=args.budget
-    )
+    sampled, verified = random_code_reduction(code, avqc, l, sample_count, eps, args.seed)
     # draws repeat support codes: encode each once and list it per draw
     encoded = {det: to_document(det) for det in dict.fromkeys(sampled)}
     return run.result(
@@ -282,9 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         if name == "reduce":
             cmd.add_argument("--seed", type=int, default=0)
-        if name in ("symcheck", "simulate", "reduce"):
-            default = ENUM_BUDGET if name == "symcheck" else EXHAUSTIVE_BUDGET
-            cmd.add_argument("--budget", type=int, default=default)
         if name == "symcheck":
             cmd.add_argument("--tol", type=float, default=TOL_FEAS)
             cmd.add_argument("--probes", help="probe_set JSON document")
@@ -318,6 +315,9 @@ def run(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except AvqclabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit(result, args)
     return 0
 

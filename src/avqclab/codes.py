@@ -474,17 +474,13 @@ def _first_worst(scores, d_out: int) -> int:
     return next(n for n, score in enumerate(scores) if score <= tie)
 
 
-def evaluate_code(
-    avqc: Avqc,
-    code,
-    budget: int = EXHAUSTIVE_BUDGET,
-    mode: str = "auto",
-) -> ErrorReport:
+def evaluate_code(avqc: Avqc, code, mode: str = "auto") -> ErrorReport:
     """Search the adversary's per-use state choices against a message code.
 
-    With at most ``budget`` sequences, and at most the ``ENUM_BUDGET`` that
-    exhaustive scoring lists (or with ``mode="exhaustive"``), every sequence
-    is scored, all at once by ``_success_table``, and the optima are exact.
+    With at most ``EXHAUSTIVE_BUDGET`` sequences (or with
+    ``mode="exhaustive"``, up to the ``ENUM_BUDGET`` that exhaustive scoring
+    lists), every sequence is scored, all at once by ``_success_table``, and
+    the optima are exact.
     Otherwise a greedy coordinate descent on the average success
     runs from each constant sequence, and the report bounds the adversary's
     damage from below.
@@ -494,10 +490,9 @@ def evaluate_code(
     if mode not in ("auto", "exhaustive", "greedy"):
         raise ValidationError(f"evaluate_code: unknown mode {mode!r}")
     if mode == "auto":
-        cap = min(budget, ENUM_BUDGET)
-        mode = "greedy" if power_exceeds(len(avqc.states), l, cap) else "exhaustive"
+        mode = "greedy" if power_exceeds(len(avqc.states), l, EXHAUSTIVE_BUDGET) else "exhaustive"
     if mode == "exhaustive":
-        # the budget picks the mode; it does not cap an exhaustive request
+        # EXHAUSTIVE_BUDGET picks the mode; it does not cap an exhaustive request
         seqs = words(avqc.states, l, ENUM_BUDGET, "evaluate_code: state sequences")
         scores = zip(seqs, _exhaustive_table(avqc, l, code))
     else:
@@ -516,11 +511,7 @@ def evaluate_code(
     return ErrorReport(avgs[at], worst_maxerr, seqs[at], mode)
 
 
-def evaluate_entanglement_code(
-    avqc: Avqc,
-    code: CorrelatedEntanglementCode,
-    budget: int = EXHAUSTIVE_BUDGET,
-) -> FidelityReport:
+def evaluate_entanglement_code(avqc: Avqc, code: CorrelatedEntanglementCode) -> FidelityReport:
     """Worst-case source-averaged entanglement fidelity, exhaustively.
 
     The score of a sequence N is the source-weighted fidelity of I/d through
@@ -537,7 +528,7 @@ def evaluate_entanglement_code(
     and through it L=6 ran 1.7 times slower.
     """
     what = "evaluate_entanglement_code: state sequences, capped at the enumeration budget"
-    seqs = words(avqc.states, code.l, min(budget, ENUM_BUDGET), what)
+    seqs = words(avqc.states, code.l, EXHAUSTIVE_BUDGET, what)
     # the code's own dimensions, so that dim ** l is formed only once it is known to be small
     d_in = next(iter(code.encoders.values())).dim_out
     d_out = next(iter(code.decoders.values())).dim_in
@@ -571,7 +562,6 @@ def evaluate_entanglement_code(
 def permutation_symmetrize(
     code,
     mode: str = "exact",
-    budget: int = EXHAUSTIVE_BUDGET,
     sample_count: int | None = None,
     seed: int | None = None,
 ) -> RandomCode:
@@ -596,10 +586,10 @@ def permutation_symmetrize(
 
     if mode == "exact":
         total = math.factorial(m) * len(code.support)
-        if total > budget:
+        if total > EXHAUSTIVE_BUDGET:
             raise BudgetExceeded(
                 f"permutation_symmetrize: {total} permuted codes exceed budget "
-                f"{budget}; use sampling"
+                f"{EXHAUSTIVE_BUDGET}; use sampling"
             )
         support, weights = [], []
         for w, det in zip(code.weights, code.support):
@@ -628,7 +618,6 @@ def random_code_reduction(
     sample_count: int,
     eps: float,
     seed: int,
-    budget: int = EXHAUSTIVE_BUDGET,
 ) -> tuple[list, bool]:
     """Replace a random code by finitely many sampled deterministic codes.
 
@@ -649,7 +638,7 @@ def random_code_reduction(
     l_, d_in, d_out = _code_shape(code)
     _check_code_dims(avqc, l_, d_in, d_out)
     what = "random_code_reduction: state sequences, capped at the enumeration budget"
-    check_words(len(avqc.states), l, min(budget, ENUM_BUDGET), what)
+    check_words(len(avqc.states), l, EXHAUSTIVE_BUDGET, what)
     # success[j, seq_index, i] for each support code j
     success = np.stack(
         [_success_table(avqc, l, *_det_term(det)) for det in code.support]

@@ -1,8 +1,8 @@
 """Numeric tolerances and enumeration budgets shared across the package.
 
-All tolerances are absolute. Operations accept explicit ``tol``/``budget``
-arguments where overriding makes sense; these module constants are the
-defaults and are chosen for dimensions up to a few dozen, which is the
+All tolerances are absolute. Operations accept an explicit ``tol`` where
+overriding makes sense, with these constants as defaults; the budgets are
+fixed caps. All are chosen for dimensions up to a few dozen, which is the
 scale everything here is meant for.
 """
 

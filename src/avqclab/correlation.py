@@ -112,8 +112,8 @@ def binary_reduction(src: BipartiteSource) -> BinaryReduction:
     """
     joint = src.joint
     n_x, n_y = joint.shape
-    if 2**n_x * 2**n_y > ENUM_BUDGET:
-        raise BudgetExceeded("binary_reduction: too many partition pairs")
+    # one (sender, receiver) partition pair per binary word of length n_x + n_y
+    check_words(2, n_x + n_y, ENUM_BUDGET, "binary_reduction: partition pairs")
     if mutual_information(joint) <= TOL_MI:
         raise ValidationError(
             "binary_reduction: source is a product distribution, no informative "

@@ -256,21 +256,19 @@ def _degenerate_pairs(mats: Sequence[np.ndarray]) -> tuple:
     return tuple(flagged)
 
 
-def check_lp_size(
-    avqc: Avqc, l: int, probe_count: int | None = None, budget: int = ENUM_BUDGET
-) -> int:
+def check_lp_size(avqc: Avqc, l: int, probe_count: int | None = None) -> int:
     """The l-block input dimension, once the pairwise LP is known to fit.
 
     The LP over ``probe_count`` probes (None: the dim^2 of the Hermitian
-    frame) must have its state sequences within ``budget`` (``util.check_words``)
-    and at most LP_NNZ_BUDGET nonzeros. Nothing is built, and no power above a
-    budget is formed.
+    frame) must have its state sequences within ``ENUM_BUDGET``
+    (``util.check_words``) and at most LP_NNZ_BUDGET nonzeros. Nothing is
+    built, and no power above a budget is formed.
     """
     what = "check_symmetrizable"
     if l < 1:
         raise ValidationError(f"{what}: l must be >= 1")
     n = len(avqc.states)
-    check_words(n, l, budget, f"{what}: state sequences")
+    check_words(n, l, ENUM_BUDGET, f"{what}: state sequences")
     if power_exceeds(avqc.dim_in, l, LP_NNZ_BUDGET) or power_exceeds(
         avqc.dim_out, 2 * l, LP_NNZ_BUDGET
     ):
@@ -286,7 +284,6 @@ def check_symmetrizable(
     l: int,
     probes: Sequence,
     tol: float = TOL_FEAS,
-    budget: int = ENUM_BUDGET,
 ) -> SymmetrizabilityVerdict:
     """Decide l-symmetrizability of a channel family against probe operators.
 
@@ -297,9 +294,9 @@ def check_symmetrizable(
     probes = list(probes)
     if len(probes) < 2:
         raise ValidationError("check_symmetrizable: needs at least two probes")
-    dim = check_lp_size(avqc, l, len(probes), budget)
+    dim = check_lp_size(avqc, l, len(probes))
     mats = [_probe_matrix(p, dim, "check_symmetrizable") for p in probes]
-    seqs = avqc.state_sequences(l, budget=budget)
+    seqs = avqc.state_sequences(l)
     images = _probe_images(avqc, l, mats)
     feasible, dist, residual = _pairwise_mixture_feasibility(images, tol)
     witness = SymmetrizingFamily(tuple(seqs), dist) if feasible else None
@@ -311,12 +308,9 @@ def check_symmetrizable_pure(
     l: int,
     probes: Sequence[PureState],
     tol: float = TOL_FEAS,
-    budget: int = ENUM_BUDGET,
 ) -> SymmetrizabilityVerdict:
     """Same program as ``check_symmetrizable`` on rank-one probe states."""
-    return check_symmetrizable(
-        avqc, l, [p.to_density() for p in probes], tol=tol, budget=budget
-    )
+    return check_symmetrizable(avqc, l, [p.to_density() for p in probes], tol=tol)
 
 
 def symmetrization_residual(
@@ -324,10 +318,9 @@ def symmetrization_residual(
     l: int,
     probes: Sequence,
     family: SymmetrizingFamily,
-    budget: int = ENUM_BUDGET,
 ) -> float:
     """Max pairwise-equality violation of an explicit family, by substitution."""
-    seqs = avqc.state_sequences(l, budget=budget)  # bounds l before dim_in ** l is formed
+    seqs = avqc.state_sequences(l)  # bounds l before dim_in ** l is formed
     dim = avqc.dim_in**l
     mats = [_probe_matrix(p, dim, "symmetrization_residual") for p in probes]
     if tuple(seqs) != tuple(family.labels):

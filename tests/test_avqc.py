@@ -33,6 +33,7 @@ from avqclab import (
     witsenhausen_binarize,
 )
 
+from avqclab.config import ENUM_BUDGET
 from avqclab.util import check_words, power_exceeds, words
 
 from helpers import (
@@ -71,10 +72,13 @@ class TestAvqcValidation:
             Avqc(("a", "a"), {"a": identity_channel(2)})
 
     def test_sequence_enumeration_budget(self):
+        # 2**16 sequences fill ENUM_BUDGET exactly; 2**17 exceed it
         fam = two_family()
-        with pytest.raises(BudgetExceeded):
-            fam.state_sequences(3, budget=7)
         assert len(fam.state_sequences(3)) == 8
+        assert len(fam.state_sequences(16)) == ENUM_BUDGET
+        too_many = rf"2\^17 words of length 17 exceed budget {ENUM_BUDGET}"
+        with pytest.raises(BudgetExceeded, match=too_many):
+            fam.state_sequences(17)
 
     def test_a_huge_block_length_is_rejected_without_its_power(self):
         # 2**(10**12) has 3 * 10**11 digits; the test returns only if it is never formed
@@ -85,9 +89,9 @@ class TestAvqcValidation:
         # 1 ** l passes every count, so l itself is held to the budget; the
         # test returns only if no length-l tuple is built
         fam = Avqc(("a",), {"a": identity_channel(2)})
-        assert fam.state_sequences(7, budget=7) == [("a",) * 7]
-        with pytest.raises(BudgetExceeded, match="of length 8 exceed budget 7"):
-            fam.state_sequences(8, budget=7)
+        assert fam.state_sequences(ENUM_BUDGET) == [("a",) * ENUM_BUDGET]
+        with pytest.raises(BudgetExceeded, match=f"of length {ENUM_BUDGET + 1} exceed budget"):
+            fam.state_sequences(ENUM_BUDGET + 1)
         with pytest.raises(BudgetExceeded):
             fam.state_sequences(10**12)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -280,16 +281,16 @@ class TestSymcheck:
         assert captured.out == ""
 
     def test_budget_exit_code(self, tmp_path, capsys):
+        # 2**17 state sequences exceed ENUM_BUDGET; nothing of size 2**17 is built
         avqc = Avqc(
             ("a", "b"), {"a": identity_channel(2), "b": bit_flip_channel(0.5)}
         )
         path = write(tmp_path, "avqc.json", to_document(avqc))
-        code, captured = run_json(
-            capsys,
-            ["symcheck", "--input", path, "--l", "2", "--budget", "3"],
-        )
+        code, captured = run_json(capsys, ["symcheck", "--input", path, "--l", "17"])
         assert code == 3
-        assert "budget exceeded" in captured.err
+        assert captured.err.startswith("budget exceeded:")
+        assert "2^17 words of length 17 exceed budget 65536" in captured.err
+        assert captured.out == ""
 
     def test_frame_is_sized_before_it_is_built(self, tmp_path, capsys, monkeypatch):
         # at l=4 the qubit pair's LP has 551,489,536 nonzeros; its frame alone
@@ -314,6 +315,20 @@ class TestSymcheck:
         assert code == 2
         assert "--tol" in captured.err and captured.out == ""
         assert called == []
+
+    def test_a_failed_lp_solve_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # HiGHS status 4: numerical difficulties; the library raises a bare AvqclabError
+        def failed(*args, **kwargs):
+            return types.SimpleNamespace(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(symmetrize, "linprog", failed)
+        path = write(tmp_path, "avqc.json", identity_avqc_doc())
+        code, captured = run_json(capsys, ["symcheck", "--input", path])
+        assert code == 1
+        assert captured.err == (
+            "error: symmetrizability check: LP solver failed (numerical difficulties)\n"
+        )
+        assert captured.out == ""
 
 
 class TestCapacity:
@@ -434,6 +449,20 @@ class TestCr:
         assert doc["binary_reduction"] is None
         assert doc["binary_reduction_note"]
 
+    def test_a_source_past_the_partition_budget_notes_the_budget(self, tmp_path, capsys):
+        # 9 + 9 letters: 2**18 partition pairs exceed ENUM_BUDGET; the
+        # extractability verdict is still reported
+        src = BipartiteSource(tuple(range(9)), tuple(range(9)), np.eye(9) / 9)
+        path = write(tmp_path, "src.json", to_document(src))
+        code, captured = run_json(capsys, ["cr", "--input", path])
+        assert code == 0, captured.err
+        doc = json.loads(captured.out)
+        assert doc["extractable"] is True
+        assert doc["binary_reduction"] is None
+        assert doc["binary_reduction_note"] == (
+            "binary_reduction: partition pairs: 2^18 words of length 18 exceed budget 65536"
+        )
+
 
 class TestSimulate:
     def envelope(self, tmp_path):
@@ -469,20 +498,22 @@ class TestSimulate:
         assert doc["manifest"]["config"]["mode"] == "greedy"
 
     def test_auto_mode_goes_greedy_past_the_enumeration_budget(self, tmp_path, capsys):
-        # 9**6 = 531,441 sequences fit --budget 10**6 but not the 65,536 that
-        # exhaustive scoring may list, so auto mode must search greedily
+        # 9**4 = 6,561 sequences exceed auto mode's EXHAUSTIVE_BUDGET of 4,096,
+        # so auto mode must search greedily, and the manifest names that cap
         rng = rng_for(31)
         labels = tuple(f"s{i}" for i in range(9))
         avqc = Avqc(labels, {s: random_channel(rng, 2) for s in labels})
-        pure = (basis_state(64, 0), basis_state(64, 63))
-        block = DeterministicCode(6, [p.to_density() for p in pure], projective_decoder(pure))
+        pure = (basis_state(16, 0), basis_state(16, 15))
+        block = DeterministicCode(4, [p.to_density() for p in pure], projective_decoder(pure))
         path = write(
             tmp_path, "problem.json",
             {"kind": "simulation_problem", "avqc": to_document(avqc), "code": to_document(block)},
         )
-        code, captured = run_json(capsys, ["simulate", "--input", path, "--budget", "1000000"])
+        code, captured = run_json(capsys, ["simulate", "--input", path])
         assert code == 0, captured.err
-        assert json.loads(captured.out)["method"] == "greedy"
+        doc = json.loads(captured.out)
+        assert doc["method"] == "greedy"
+        assert doc["manifest"]["config"] == {"budget": 4096, "mode": "auto"}
 
     def test_config_does_not_depend_on_the_machine(self, tmp_path, capsys):
         path = self.envelope(tmp_path)
@@ -784,6 +815,8 @@ def one_member_huge_problem(command: str) -> dict:
     one = np.eye(1)
     family = to_document(Avqc(("s0",), {"s0": QuantumChannel((one,))}))
     det = to_document(DeterministicCode(1, (DensityMatrix(one),), Povm((one,))))
+    if command == "symcheck":
+        return family  # the block length is the --l flag
     if command == "simulate":
         return {"kind": "simulation_problem", "avqc": family, "code": dict(det, l=10**12)}
     payload = {"kind": "random_code", "weights": [1.0]}
@@ -804,22 +837,22 @@ def one_member_huge_problem(command: str) -> dict:
 
 
 @pytest.mark.parametrize(
-    "command, mode",
+    "command, flags",
     [
-        ("simulate", "auto"),
-        ("simulate", "exhaustive"),
-        ("simulate", "greedy"),
-        ("reduce", None),
-        ("compose", None),
+        ("simulate", ["--mode", "auto"]),
+        ("simulate", ["--mode", "exhaustive"]),
+        ("simulate", ["--mode", "greedy"]),
+        ("reduce", []),
+        ("compose", []),
+        ("symcheck", ["--l", str(10**12)]),
     ],
-    ids=["auto", "exhaustive", "greedy", "reduce", "compose"],
+    ids=["auto", "exhaustive", "greedy", "reduce", "compose", "symcheck"],
 )
-def test_a_one_member_simulation_of_huge_length_exits_cleanly(tmp_path, capsys, command, mode):
+def test_a_one_member_simulation_of_huge_length_exits_cleanly(tmp_path, capsys, command, flags):
     # 1 ** l passes the sequence budget and the code's dimension checks, so
     # the block length itself is checked before any length-l sequence is built
     path = write(tmp_path, "huge.json", one_member_huge_problem(command))
-    argv = [command, "--input", path] + (["--mode", mode] if mode else [])
-    code, captured = run_json(capsys, argv)
+    code, captured = run_json(capsys, [command, "--input", path, *flags])
     assert code == 3, captured.err
     assert captured.err.startswith("budget exceeded:")
     assert captured.err.count("\n") == 1
@@ -839,6 +872,9 @@ def test_a_one_member_simulation_of_huge_length_exits_cleanly(tmp_path, capsys, 
         ("capacity", "--budget"),
         ("cr", "--budget"),
         ("compose", "--budget"),
+        ("symcheck", "--budget"),
+        ("simulate", "--budget"),
+        ("reduce", "--budget"),
     ],
 )
 def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, flag):

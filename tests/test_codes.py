@@ -39,6 +39,8 @@ from avqclab import (
     random_code_reduction,
 )
 
+from avqclab.config import ENUM_BUDGET, EXHAUSTIVE_BUDGET
+
 from helpers import (
     per_message_success,
     random_avqc,
@@ -149,10 +151,16 @@ class TestEvaluateCode:
             assert report.max_error_worst >= 1.0 - report.avg_success_worst - 1e-12
 
     def test_auto_falls_back_to_greedy(self):
-        avqc = Avqc((0, 1), {0: identity_channel(2), 1: bit_flip_channel(0.3)})
-        code = computational_code(2)
-        report = evaluate_code(avqc, code, budget=2)
-        assert report.method == "greedy"
+        # 9**4 = 6,561 sequences exceed EXHAUSTIVE_BUDGET; 8**4 = 4,096 do not
+        code = computational_code(4)
+        for members, method in ((9, "greedy"), (8, "exhaustive")):
+            labels = tuple(range(members))
+            avqc = Avqc(labels, {s: bit_flip_channel(s / 16) for s in labels})
+            assert evaluate_code(avqc, code).method == method
+
+    def test_auto_mode_chooses_within_what_exhaustive_scoring_may_list(self):
+        # auto mode's exhaustive choice needs no cap of its own on top of its threshold
+        assert EXHAUSTIVE_BUDGET < ENUM_BUDGET
 
     def test_random_code_mixture(self):
         avqc = Avqc((0,), {0: identity_channel(2)})
@@ -254,11 +262,14 @@ class TestPermutationSymmetrize:
         )
 
     def test_exact_mode_budget(self):
+        # 7! = 5,040 permuted codes exceed EXHAUSTIVE_BUDGET; 6! = 720 do not
         rng = rng_for(86)
-        words = tuple(random_density(rng, 2) for _ in range(4))
-        code = DeterministicCode(1, words, random_povm(rng, 2, 4))
-        with pytest.raises(BudgetExceeded):
-            permutation_symmetrize(code, budget=10)
+        words = tuple(random_density(rng, 2) for _ in range(7))
+        code = DeterministicCode(1, words, random_povm(rng, 2, 7))
+        with pytest.raises(BudgetExceeded, match="5040 permuted codes exceed budget 4096"):
+            permutation_symmetrize(code)
+        six = DeterministicCode(1, words[:6], random_povm(rng, 2, 6))
+        assert len(permutation_symmetrize(six).support) == 720
 
     def test_sample_mode_deterministic_and_near_uniform(self):
         rng = rng_for(87)
@@ -362,15 +373,15 @@ class TestRandomCodeReduction:
         with pytest.raises(ValidationError):
             random_code_reduction(code, avqc, 1, 4, 1.5, seed=0)
 
-    def test_enumeration_budget_holds_for_any_budget(self):
-        # 17 members over 4 uses: 83,521 sequences, over ENUM_BUDGET however
-        # large the caller's budget
-        labels = tuple(range(17))
+    def test_sequences_past_the_cap_are_rejected_at_once(self):
+        # 65 members over 2 uses: 4,225 sequences, past EXHAUSTIVE_BUDGET;
+        # no support code is scored
+        labels = tuple(range(65))
         avqc = Avqc(labels, {s: identity_channel(2) for s in labels})
-        code = RandomCode((computational_code(4),), np.array([1.0]))
+        code = RandomCode((computational_code(2),), np.array([1.0]))
         t0 = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="enumeration budget"):
-            random_code_reduction(code, avqc, 4, 4, 0.1, seed=0, budget=10**9)
+        with pytest.raises(BudgetExceeded, match="65\\^2 words of length 2 exceed budget 4096"):
+            random_code_reduction(code, avqc, 2, 4, 0.1, seed=0)
         assert time.perf_counter() - t0 < 0.05
 
 
@@ -544,25 +555,13 @@ class TestComposeTwoPhaseEntanglement:
             assert time.perf_counter() - t0 < 0.05
 
     def test_budget_guard(self):
+        # 65 members over 2 uses: 4,225 sequences, past EXHAUSTIVE_BUDGET
         blocks = [(identity_channel(2), identity_channel(2))] * 2
         ent = compose_two_phase_entanglement(basic_cr_code(), blocks, 2)
-        avqc = Avqc((0, 1), {0: identity_channel(2), 1: bit_flip_channel(0.1)})
-        with pytest.raises(BudgetExceeded):
-            evaluate_entanglement_code(avqc, ent, budget=3)
-
-    def test_enumeration_budget_holds_for_any_budget(self):
-        # 2 members over 17 uses: 131,072 sequences, over ENUM_BUDGET however
-        # large the caller's budget; one source sample keeps the code cheap,
-        # and the guard runs before the block dimensions are checked
-        unit = identity_channel(2)
-        ent = CorrelatedEntanglementCode(
-            17, 17, CORRELATED_SRC, 2, {(0,): unit, (1,): unit}, {(0,): unit, (1,): unit}
-        )
-        avqc = Avqc((0, 1), {0: identity_channel(2), 1: bit_flip_channel(0.1)})
-        t0 = time.perf_counter()
-        with pytest.raises(BudgetExceeded):
-            evaluate_entanglement_code(avqc, ent, budget=10**9)
-        assert time.perf_counter() - t0 < 0.05
+        labels = tuple(range(65))
+        avqc = Avqc(labels, {s: bit_flip_channel(s / 128) for s in labels})
+        with pytest.raises(BudgetExceeded, match="65\\^2 words of length 2 exceed budget 4096"):
+            evaluate_entanglement_code(avqc, ent)
 
 
 class TestCodeValidation:

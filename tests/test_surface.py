@@ -5,12 +5,13 @@ acceptance criterion, the benchmark, the README or an open ROADMAP item
 reaches it; a test oracle belongs in ``tests/helpers.py``. These tests keep
 that rule for exported names and for the public methods and properties of
 exported classes, keep every ``config`` constant read and every import of a
-library module in use, keep product-channel images to one engine, and run
-the README's quick start.
+library module in use, keep every size cap out of the signatures, keep
+product-channel images to one engine, and run the README's quick start.
 """
 
 import ast
 import contextlib
+import inspect
 import io
 import pathlib
 import re
@@ -127,6 +128,23 @@ def test_every_public_method_is_reached():
     unreached = [m for m in methods if m.split(".")[1] not in reached and m not in KEPT_BY]
     assert unreached == [], "reach these from the CLI or a test oracle, or delete them"
     assert sorted(key for key in KEPT_BY if "." in key and key not in methods) == []
+
+
+def _parameters(obj) -> set:
+    try:
+        return set(inspect.signature(obj).parameters)
+    except (TypeError, ValueError):  # not callable, or a builtin without a signature
+        return set()
+
+
+def test_no_public_callable_takes_a_budget():
+    # every size cap is a fixed config constant (README, "Size caps"), not an argument
+    takers = [name for name in avqclab.__all__ if "budget" in _parameters(getattr(avqclab, name))]
+    for key in _public_methods():
+        cls, attr = key.split(".")
+        if "budget" in _parameters(getattr(getattr(avqclab, cls), attr)):
+            takers.append(key)
+    assert takers == []
 
 
 def test_every_config_constant_is_read():

@@ -122,11 +122,14 @@ class TestQuantumCheck:
                 assert oracle >= verdict.residual - 1e-9
 
     def test_sequence_budget(self):
+        # 2**17 sequences exceed ENUM_BUDGET: rejected before a probe is read
         rng = rng_for(53)
         avqc = random_avqc(rng, 2, 2)
         probes = [random_density(rng, 4), random_density(rng, 4)]
-        with pytest.raises(BudgetExceeded):
-            check_symmetrizable(avqc, 2, probes, budget=3)
+        with pytest.raises(BudgetExceeded, match="2\\^17 words of length 17"):
+            check_symmetrizable(avqc, 17, probes)
+        with pytest.raises(BudgetExceeded, match="2\\^17 words of length 17"):
+            symmetrization_residual(avqc, 17, probes, family=None)
 
     def test_level_two_constant_family(self):
         rng = rng_for(54)
