@@ -7,8 +7,9 @@ correlated code indexes encoder and decoder by the two halves of an i.i.d.
 bipartite source, modelling weaker common randomness. The adversary fixes
 one family label per channel use after seeing the code; ``evaluate_code``
 searches that choice exhaustively when the sequence space is small and
-greedily otherwise. Both searches form their product-channel images through
-``quantum._ImageTree`` within ``_STACK_BYTES``.
+greedily otherwise. Both searches, ``reduce`` and entanglement scoring score
+sequences through one meet-in-the-middle table, ``_success_table``, whose
+images ``quantum._ImageTree`` forms within ``_STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -258,16 +259,18 @@ def projective_decoder(codewords: Sequence[PureState]) -> Povm:
 _STACK_BYTES = 1 << 28
 
 
-def _success_table(avqc: Avqc, l: int, states, elements) -> np.ndarray:
-    """tr(D_i N_seq(rho_i)) for every message i and every state sequence.
+def _success_table(avqc: Avqc, levels, h: int, states, elements) -> np.ndarray:
+    """tr(D_i N_w(rho_i)) for every message i and every word w over ``levels``.
 
-    ``states[i]`` is the input matrix for message i and ``elements[i]`` the
-    Hermitian operator it is traced against. The result has shape
-    (|S|^l, M), sequences in ``itertools.product`` order.
+    ``levels[k]`` lists the channels slot k may hold (every member, or in
+    greedy search one except at the searched slot), ``states[i]`` is the
+    input matrix for message i and ``elements[i]`` the Hermitian operator it
+    is traced against. The result has shape (W, M), the W words in
+    ``itertools.product`` order over the levels.
 
-    Meet in the middle at h = l // 2: each state is pushed forward under
-    every prefix of the first h slots, each element is pulled back under the
-    adjoint of every suffix of the last l - h slots, and
+    Meet in the middle at slot h: each state is pushed forward under every
+    word of the first h levels, each element is pulled back under the
+    adjoint of every word of the last l - h, and
     tr(D (A⊗B)(rho)) = tr((id⊗B†)(D) (A⊗id)(rho)) makes each message's
     table one GEMM over the flattened images. Both images are Hermitian, so
     the trace is the real part of P @ Q^H, which one real GEMM over their
@@ -278,15 +281,15 @@ def _success_table(avqc: Avqc, l: int, states, elements) -> np.ndarray:
     each chunk of prefix images, one node per tree level, and the prefix
     chunks get the rest of the room.
     """
-    h = l // 2
-    channels = [avqc.channels[s] for s in avqc.states]
-    table = np.empty((len(channels) ** h, len(channels) ** (l - h), len(states)))
+    l = len(levels)
+    shape = (math.prod(map(len, levels[:h])), math.prod(map(len, levels[h:])), len(states))
+    table = np.empty(shape)
     for i, (rho, op) in enumerate(zip(states, elements)):
         prefixes = _ImageTree(
-            np.asarray(rho)[None], [channels] * h, range(h), [avqc.dim_in] * l, False
+            np.asarray(rho)[None], levels[:h], range(h), [avqc.dim_in] * l, False
         )
         suffixes = _ImageTree(
-            np.asarray(op)[None], [channels] * (l - h), range(h, l), [avqc.dim_out] * l, True
+            np.asarray(op)[None], levels[h:], range(h, l), [avqc.dim_out] * l, True
         )
         if suffixes.cost(1, 0) <= _STACK_BYTES / 2:
             kept = list(suffixes.walk(_STACK_BYTES / 2))
@@ -377,12 +380,18 @@ def _scoring_terms(code) -> list:
     raise ValidationError(f"evaluate_code: unsupported code type {type(code).__name__}")
 
 
+def _terms_table(avqc: Avqc, terms, levels, h: int) -> np.ndarray:
+    """Per-message success at every word over ``levels``: the terms' weighted tables."""
+    table = 0.0
+    for weight, states, elements in terms:
+        table = table + weight * _success_table(avqc, levels, h, states, elements)
+    return table
+
+
 def _exhaustive_table(avqc: Avqc, l: int, code) -> np.ndarray:
     """Per-message success at every sequence, shape (|S|^l, M), product order."""
-    table = 0.0
-    for weight, states, elements in _scoring_terms(code):
-        table = table + weight * _success_table(avqc, l, states, elements)
-    return table
+    levels = [[avqc.channels[s] for s in avqc.states]] * l
+    return _terms_table(avqc, _scoring_terms(code), levels, l // 2)
 
 
 def _check_code_dims(avqc: Avqc, l: int, input_dim: int, output_dim: int) -> None:
@@ -414,14 +423,13 @@ def _greedy_search(avqc: Avqc, l: int, code) -> dict:
     each position in turn tries every other state, moving on any improvement
     by more than 1e-15, until a sweep moves nowhere. The candidates at a
     position do not depend on the move taken there, so the unscored ones are
-    imaged as one ``_ImageTree``, walked within ``_STACK_BYTES``, whose slots
-    hold the sequence's channels and, at the position, the candidates'.
+    scored as one ``_terms_table``: each slot holds the sequence's channel,
+    the position holds the candidates', and the split falls right after the
+    position (before it at the last slot). The candidates then close the
+    prefix, and the suffix is one word: one pulled-back image per message.
     """
-    terms = [
-        (weight, np.stack(states), np.stack(elements).reshape(len(elements), -1).conj())
-        for weight, states, elements in _scoring_terms(code)
-    ]
-    scores: dict = {}
+    terms = _scoring_terms(code)
+    scores, means = {}, {}
 
     def score(seq, pos, letters):
         letters = [s for s in letters if seq[:pos] + (s,) + seq[pos + 1 :] not in scores]
@@ -429,38 +437,23 @@ def _greedy_search(avqc: Avqc, l: int, code) -> dict:
             return
         levels = [[avqc.channels[s]] for s in seq]
         levels[pos] = [avqc.channels[s] for s in letters]
-        width = len(letters)
-        acc = 0.0
-        for weight, states, elements in terms:
-            tree = _ImageTree(states, levels, range(l), [avqc.dim_in] * l, False)
-            traces = np.empty(len(states) * width)  # message-major, as the images
-            for start, images in tree.walk(_STACK_BYTES):
-                stop = start + len(images)
-                images = images.reshape(len(images), -1)
-                for i in range(start // width, -(-stop // width)):  # the chunk's messages
-                    lo, hi = max(start, i * width), min(stop, (i + 1) * width)
-                    part = images[lo - start : hi - start]
-                    traces[lo:hi] = np.einsum("ix,x->i", part, elements[i]).real
-            acc = acc + weight * traces.reshape(-1, width).T
-        for s, vec in zip(letters, acc):
-            scores[seq[:pos] + (s,) + seq[pos + 1 :]] = vec
+        for s, vec in zip(letters, _terms_table(avqc, terms, levels, min(pos + 1, l - 1))):
+            cand = seq[:pos] + (s,) + seq[pos + 1 :]
+            scores[cand], means[cand] = vec, float(vec.mean())
 
     for first in avqc.states:
         seq = (first,) * l
         score(seq, 0, [first])
-        current = float(scores[seq].mean())
+        current = means[seq]
         improved = True
         while improved:
             improved = False
             for pos in range(l):
                 score(seq, pos, avqc.states)
                 for s in avqc.states:
-                    if s == seq[pos]:
-                        continue
                     cand = seq[:pos] + (s,) + seq[pos + 1 :]
-                    val = float(scores[cand].mean())
-                    if val < current - 1e-15:
-                        seq, current = cand, val
+                    if s != seq[pos] and means[cand] < current - 1e-15:
+                        seq, current = cand, means[cand]
                         improved = True
     return scores
 
@@ -544,6 +537,7 @@ def evaluate_entanglement_code(avqc: Avqc, code: CorrelatedEntanglementCode) -> 
     )
     chunk = max(1, _STACK_BYTES // per_element)
     basis = _hermitian_basis(code.code_dim)
+    levels = [[avqc.channels[s] for s in avqc.states]] * code.l
     fidelity = 0.0
     while block := list(itertools.islice(basis, chunk)):
         block = np.stack(block)
@@ -552,7 +546,8 @@ def evaluate_entanglement_code(avqc: Avqc, code: CorrelatedEntanglementCode) -> 
             lambda dec: sum(op.conj().T @ block @ op for op in dec.stacked),
         )
         for states, elements in terms:
-            fidelity = fidelity + _success_table(avqc, code.l, states, elements).sum(axis=1)
+            table = _success_table(avqc, levels, code.l // 2, states, elements)
+            fidelity = fidelity + table.sum(axis=1)
         del terms, states, elements  # this chunk's images, before the next is built
     scores = (fidelity / code.code_dim**2).tolist()
     at = _first_worst(scores, d_out)
@@ -640,8 +635,9 @@ def random_code_reduction(
     what = "random_code_reduction: state sequences, capped at the enumeration budget"
     check_words(len(avqc.states), l, EXHAUSTIVE_BUDGET, what)
     # success[j, seq_index, i] for each support code j
+    levels = [[avqc.channels[s] for s in avqc.states]] * l
     success = np.stack(
-        [_success_table(avqc, l, *_det_term(det)) for det in code.support]
+        [_success_table(avqc, levels, l // 2, *_det_term(det)) for det in code.support]
     )
     mixed = np.einsum("j,jsi->si", code.weights, success)
     eps_l = 1.0 - float(mixed.min())

@@ -6,7 +6,16 @@ case: each sequence's success is affine in each slot's channel, and a
 symmetrizing witness can move the new member's mass onto the members it
 mixes. Greedy search scores a subset of the sequences that exhaustive
 scoring does, so it never reports a smaller worst average success.
+
+Names are not physics either: reordering the members or relabelling the
+messages (encoder states and decoder elements together) moves no worst
+case. Nor does a change of basis on each side of every channel use: with
+each Kraus operator K replaced by V K U†, the codewords by U^{⊗l} ρ U^{†⊗l}
+and the decoder elements by V^{⊗l} D V^{†⊗l}, every trace
+tr(D N_seq(ρ)) is unchanged.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +23,9 @@ from hypothesis import strategies as st
 
 from avqclab import (
     Avqc,
+    DensityMatrix,
     DeterministicCode,
+    Povm,
     QuantumChannel,
     RandomCode,
     check_symmetrizable,
@@ -95,3 +106,71 @@ def test_greedy_never_reports_below_exhaustive(**draw):
     for avqc in (family, extended):
         exact = evaluate_code(avqc, code, mode="exhaustive").avg_success_worst
         assert evaluate_code(avqc, code, mode="greedy").avg_success_worst >= exact - allowance
+
+
+def assert_same_worst_case(avqc, code, other_avqc, other_code):
+    before = evaluate_code(avqc, code, mode="exhaustive")
+    after = evaluate_code(other_avqc, other_code, mode="exhaustive")
+    assert abs(after.avg_success_worst - before.avg_success_worst) <= 1e-12
+    assert abs(after.max_error_worst - before.max_error_worst) <= 1e-12
+    return after
+
+
+def each_support(code, change):
+    """``code`` with ``change(encoder, elements) -> (encoder, elements)`` applied to each support code."""
+    support = []
+    for det in code.support:
+        encoder, elements = change(det.encoder, det.decoder.elements)
+        support.append(DeterministicCode(det.l, tuple(encoder), Povm(tuple(elements))))
+    return RandomCode(tuple(support), code.weights)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data(), **FAMILIES)
+def test_reordered_members_change_no_worst_case(data, **draw):
+    family, _, code = family_and_code(**draw)
+    order = data.draw(st.permutations(family.states))
+    reordered = Avqc(tuple(order), family.channels)
+    exact = assert_same_worst_case(family, code, reordered, code).avg_success_worst
+    allowance = 4 * 2 ** draw["l"] * np.finfo(float).eps
+    assert evaluate_code(reordered, code, mode="greedy").avg_success_worst >= exact - allowance
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data(), **FAMILIES)
+def test_permuted_messages_change_no_worst_case(data, **draw):
+    family, _, code = family_and_code(**draw)
+    tau = data.draw(st.permutations(range(draw["messages"])))
+    permuted = each_support(
+        code, lambda enc, els: ([enc[t] for t in tau], [els[t] for t in tau])
+    )
+    assert_same_worst_case(family, code, family, permuted)
+
+
+def random_unitary(rng, dim: int) -> np.ndarray:
+    gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(gauss)[0]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(**FAMILIES)
+def test_local_unitaries_change_no_exhaustive_worst_case(**draw):
+    family, _, code = family_and_code(**draw)
+    rng = rng_for(draw["seed"] + 1)
+    u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+    u_block, v_block = (functools.reduce(np.kron, [w] * draw["l"]) for w in (u, v))
+    rotated = Avqc(
+        family.states,
+        {
+            s: QuantumChannel(tuple(v @ op @ u.conj().T for op in family.channels[s].kraus))
+            for s in family.states
+        },
+    )
+    rotated_code = each_support(
+        code,
+        lambda enc, els: (
+            [DensityMatrix(u_block @ rho.matrix @ u_block.conj().T) for rho in enc],
+            [v_block @ op @ v_block.conj().T for op in els],
+        ),
+    )
+    assert_same_worst_case(family, code, rotated, rotated_code)

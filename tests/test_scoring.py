@@ -18,15 +18,20 @@ from avqclab import (
     DensityMatrix,
     DeterministicCode,
     Povm,
+    PureState,
     QuantumChannel,
     RandomCode,
+    bit_flip_channel,
     compose_two_phase,
     constant_channel,
     dumps_document,
     evaluate_code,
     evaluate_entanglement_code,
     from_document,
+    identity_channel,
     loads_document,
+    phase_flip_channel,
+    projective_decoder,
     to_document,
 )
 from avqclab.util import content_key
@@ -154,8 +159,9 @@ def test_chunked_walk_matches_one_batch(kind, method, monkeypatch):
     report = evaluate_code(avqc, code, mode=method)
     assert max(chunks) > 1
     # room for a single 36-dim image: every subtree is walked node by node,
-    # one image per chunk; exhaustive scoring recomputes the suffix images for
-    # each prefix chunk, and greedy's 81-dim images do not fit at all
+    # one image per chunk; the suffix trees hold 81-dim elements and do not
+    # fit in half of it, so both searches recompute the suffix images for
+    # each prefix chunk
     monkeypatch.setattr(codes, "_STACK_BYTES", 16 * 36 * 36)
     chunks.clear()
     chunked = scored(avqc, code, 4, method)
@@ -193,6 +199,43 @@ def test_greedy_search_follows_the_sequential_oracle(
     avgs = [float(row.mean()) for row in expect.values()]
     first_worst = list(expect)[codes._first_worst(avgs, dim_out**l)]
     assert evaluate_code(avqc, code, mode="greedy").worst_state_seq == first_worst
+
+
+def greedy_wall(l):
+    """{identity, bit flip 0.25, phase flip 0.3} and 4 orthonormal pure codewords on l qubits.
+
+    The codewords are the Q factor of a complex Gaussian 2^l × 4 matrix from
+    ``default_rng(0)``, decoded by ``projective_decoder``.
+    """
+    labels = ("s0", "s1", "s2")
+    channels = (identity_channel(2), bit_flip_channel(0.25), phase_flip_channel(0.3))
+    rng = np.random.default_rng(0)
+    gauss = rng.normal(size=(2**l, 4)) + 1j * rng.normal(size=(2**l, 4))
+    words = [PureState(col) for col in np.linalg.qr(gauss)[0].T]
+    code = DeterministicCode(l, tuple(w.to_density() for w in words), projective_decoder(words))
+    return Avqc(labels, dict(zip(labels, channels))), code
+
+
+def test_greedy_images_each_neighbourhood_through_the_split(monkeypatch):
+    # the candidates close the prefix and the suffix is one word, so slots
+    # after the searched one are imaged once per message, not once per
+    # candidate: imaging every candidate through all l slots takes 668
+    kernel = quantum.apply_channel_to_slot_batch
+    matrices = []
+
+    def counted(ch, mats, *args, **kwargs):
+        matrices.append(len(mats))
+        return kernel(ch, mats, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "apply_channel_to_slot_batch", counted)
+    avqc, code = greedy_wall(6)
+    greedy = evaluate_code(avqc, code, mode="greedy")
+    assert sum(matrices) <= 492
+    matrices.clear()
+    exact = evaluate_code(avqc, code, mode="exhaustive")
+    assert sum(matrices) == 312
+    assert greedy.worst_state_seq == exact.worst_state_seq
+    assert abs(greedy.avg_success_worst - exact.avg_success_worst) <= 1e-12
 
 
 @pytest.mark.parametrize("stack_bytes", [None, 16 * 36 * 36])
