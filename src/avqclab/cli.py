@@ -24,6 +24,7 @@ from .config import ENUM_BUDGET, EXHAUSTIVE_BUDGET, TOL_FEAS
 from .correlation import binary_reduction, cr_extractable
 from .errors import AvqclabError, BudgetExceeded, SchemaError, ValidationError
 from .serialize import (
+    _collector_paused,
     document_kind,
     dumps_document,
     field,
@@ -304,6 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # one collector pause for the whole command: the documents it reads and
+    # writes are freed when _dispatch returns, before the collector can scan them
+    with _collector_paused():
+        return _dispatch(args)
+
+
+def _dispatch(args) -> int:
     try:
         result = _COMMANDS[args.command](args)
     except SchemaError as exc:

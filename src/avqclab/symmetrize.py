@@ -14,15 +14,16 @@ The core poses min t subject to the normalization equalities and all
 pairwise equality coordinates relaxed to |...| <= t, with every variable
 nonnegative. The optimum is the smallest achievable max-norm violation:
 zero (up to solver accuracy) exactly when a symmetrizing family exists.
-That primal has few columns and very many rows, so HiGHS is handed its
-dual, which is short and wide and needs far fewer simplex pivots; the
-dual's matrix is the primal's, transposed, built sparse straight from the
-images. The witness family is read back from the dual as the negated
-marginals of its inequality rows (the primal variables), clipped at zero
-and renormalized, and the optimum as the negated dual objective.
-Feasible witnesses are re-verified by direct substitution before they are
-reported, and the optimal objective doubles as residual evidence in the
-infeasible case.
+That primal has few columns and very many rows, so HiGHS sees only the
+rows that bind (row generation), each working LP handed over as its dual,
+which is short and wide and needs far fewer simplex pivots; the dual's
+matrix is the primal's, transposed, built sparse straight from the images.
+The witness family is read back from the dual as the negated marginals of
+its inequality rows (the primal variables), clipped at zero and
+renormalized, and the optimum as the negated dual objective. Feasible
+witnesses are re-verified by direct substitution before they are reported,
+and the optimal objective doubles as residual evidence in the infeasible
+case.
 """
 
 from __future__ import annotations
@@ -101,10 +102,15 @@ class SymmetrizabilityVerdict:
     degenerate_pairs: tuple
 
 
+def _pairwise_excess(images: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """|mixed[j, i, d] - mixed[i, j, d]|, where mixed[i, j] is probe j under family i."""
+    mixed = np.einsum("jsd,is->ijd", images, dist)
+    return np.abs(mixed.transpose(1, 0, 2) - mixed)
+
+
 def _pairwise_residual(images: np.ndarray, dist: np.ndarray) -> float:
     """Max violation of the pairwise equalities for given distributions."""
-    mixed = np.einsum("jsd,is->ijd", images, dist)  # probe j under family i
-    return float(np.max(np.abs(mixed - mixed.transpose(1, 0, 2))))
+    return float(np.max(_pairwise_excess(images, dist)))
 
 
 def _check_lp_budget(k: int, n_states: int, dim: int, what: str) -> None:
@@ -140,10 +146,10 @@ def _min_violation_lp(
     """Solve min t over x >= 0 with |A_b @ x| <= t for every block b.
 
     Row d of block A_b holds ``values[b, d]`` in the sorted columns
-    ``columns[b]`` of x (length n_x) and zeros elsewhere. With z = (x, t)
-    the primal reads G z <= 0, H z = 1: block b adds the rows
-    [A_b, -1; -A_b, -1], and H sums each of ``groups`` equal contiguous
-    groups of x.
+    ``columns[b]`` of x (length n_x) and zeros elsewhere (the pairwise check
+    passes its working rows, one per block). With z = (x, t) the primal reads
+    G z <= 0, H z = 1: block b adds the rows [A_b, -1; -A_b, -1], and H sums
+    each of ``groups`` equal contiguous groups of x.
 
     HiGHS solves the dual, min -1.v over u >= 0 and free v subject to
     [-G^T H^T] (u, v) <= (0, ..., 0, 1). The CSC arrays of -G^T are the CSR
@@ -199,23 +205,41 @@ def _pairwise_mixture_feasibility(
     ``images[i, s]`` is the coordinate vector of index i processed under
     state s. Returns (feasible, distributions or None, residual), feasible
     exactly when the re-verified witness residual is within ``tol``.
+
+    The LP is solved by row generation (Kelley's cutting planes) from the
+    k n_states + 1 rows that uniform distributions violate most. While a row
+    outside the working set exceeds the working optimum t by more than the
+    allowance 1e-9 max(1, t) at its witness, the most violated rows join,
+    four per exceeding row and at most doubling the set. A working LP is a
+    relaxation, so t bounds every family's violation from below, and within
+    the allowance (and HiGHS's accuracy on its own rows) the last witness
+    attains it. Rows are only ever added, so the loop ends.
     """
     k, n_states, dim = images.shape
+    what = "symmetrizability check"
     if k < 2:
-        raise ValidationError("symmetrizability check: needs at least two indices")
-    _check_lp_budget(k, n_states, dim, "symmetrizability check")
+        raise ValidationError(f"{what}: needs at least two indices")
+    _check_lp_budget(k, n_states, dim, what)
 
-    # block (i, j), i < j: sum_s p_j(s) images[i, s] - sum_s p_i(s) images[j, s]
+    # row p * dim + d: coordinate d of pair p = (i, j), i < j, as in _pairwise_excess
     first, second = np.triu_indices(k, 1)
-    coords = images.transpose(0, 2, 1)  # (index, coordinate, state)
-    values = np.concatenate([-coords[second], coords[first]], axis=2)
     span = np.arange(n_states)
-    columns = np.concatenate(
-        [first[:, None] * n_states + span, second[:, None] * n_states + span], axis=1
-    )
-    dist, optimum = _min_violation_lp(
-        values, columns, k * n_states, k, "symmetrizability check"
-    )
+    dist = np.full((k, n_states), 1.0 / n_states)
+    working, optimum = np.empty(0, dtype=np.intp), -np.inf
+    while True:
+        excess = _pairwise_excess(images, dist)[first, second].ravel()
+        excess[working] = -np.inf
+        violated = np.count_nonzero(excess > optimum + 1e-9 * max(1.0, optimum))
+        if not violated:
+            break
+        count = min(4 * violated, max(working.size, k * n_states + 1))
+        new = np.argsort(-excess, kind="stable")[:count]
+        working = np.concatenate([working, new[excess[new] > -np.inf]])
+        pair, d = np.divmod(working, dim)
+        i, j, d = first[pair, None], second[pair, None], d[:, None]
+        values = np.concatenate([-images[j, span, d], images[i, span, d]], axis=1)
+        columns = np.concatenate([i * n_states + span, j * n_states + span], axis=1)
+        dist, optimum = _min_violation_lp(values[:, None], columns, k * n_states, k, what)
     residual = _pairwise_residual(images, dist)
     if residual <= tol:
         return True, dist, residual

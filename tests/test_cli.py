@@ -1,5 +1,6 @@
 """End-to-end command-line runs over JSON fixture files."""
 
+import gc
 import hashlib
 import json
 import sys
@@ -743,6 +744,35 @@ class TestOutputPlumbing:
         a["manifest"].pop("wall_time_ms")
         b["manifest"].pop("wall_time_ms")
         assert a == b
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, enabled):
+    avqc = Avqc(("a", "b"), {"a": identity_channel(2), "b": bit_flip_channel(0.5)})
+    path = write(tmp_path, "avqc.json", to_document(avqc))
+    bad = write(tmp_path, "bad.json", {"kind": []})
+    emitted = []
+    real = avqclab.cli._emit
+    monkeypatch.setattr(
+        avqclab.cli, "_emit", lambda *args: emitted.append(gc.isenabled()) or real(*args)
+    )
+    failed = types.SimpleNamespace(status=4, message="numerical difficulties")
+    if not enabled:
+        gc.disable()
+    try:
+        for want, argv in [(0, ["symcheck", "--input", path]), (2, ["validate", "--input", bad]),
+                           (3, ["symcheck", "--input", path, "--l", "17"])]:
+            assert run(argv) == want
+            assert gc.isenabled() is enabled
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symmetrize, "linprog", lambda *args, **kwargs: failed)
+            assert run(["symcheck", "--input", path]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    # the result document is written inside the pause
+    assert emitted == [False]
+    capsys.readouterr()
 
 
 def test_main_exits_with_the_code_of_run(tmp_path, monkeypatch, capsys):

@@ -388,7 +388,7 @@ class TestProbeFrame:
 
 
 class TestLpLayout:
-    """The pairwise check hands HiGHS the dual of the reference layout, bit for bit."""
+    """The pairwise check hands HiGHS duals of the reference layout, bit for bit."""
 
     @staticmethod
     def capture(monkeypatch) -> list:
@@ -433,13 +433,23 @@ class TestLpLayout:
             assert arr.tobytes() == expect.tobytes(), key
 
     def test_pairwise_check(self, monkeypatch):
+        # each LP is the reference restricted to that call's working rows,
+        # which are read back from the dual's columns and only ever grow
         avqc = random_avqc(rng_for(131), 2, 2)
         frame = hermitian_probe_frame(4)
         calls = self.capture(monkeypatch)
         check_symmetrizable(avqc, 2, frame)
-        assert len(calls) == 1
-        want = self.reference_dual(reference_pairwise_lp(avqc, 2, frame))
-        self.assert_bits_equal(calls[0], want)
+        full = reference_pairwise_lp(avqc, 2, frame)
+        where = {tuple(row): r for r, row in enumerate(full["A_ub"])}
+        assert len(calls) >= 2
+        previous = []
+        for call in calls:
+            n_u = call["A_ub"].shape[1] - len(full["b_eq"])
+            rows = [where[tuple(-col)] for col in call["A_ub"].toarray().T[:n_u]]
+            assert rows[: len(previous)] == previous and len(rows) > len(previous)
+            previous = rows
+            working = dict(full, A_ub=full["A_ub"][rows], b_ub=full["b_ub"][rows])
+            self.assert_bits_equal(call, self.reference_dual(working))
 
 
 def family_case(seed: int, dim: int, l: int, n_states: int, kind: str, probes: str):
@@ -483,12 +493,33 @@ def test_dual_optimum_matches_reference_primal(seed, case, n_states, kind):
         verdict = check_symmetrizable(avqc, l, mats, tol=1e-7)
     primal = linprog(method="highs", **reference_pairwise_lp(avqc, l, mats))
     assert primal.status == 0
-    assert abs(optima[0] - primal.fun) <= 1e-9 * max(1.0, abs(primal.fun))
+    assert abs(optima[-1] - primal.fun) <= 1e-9 * max(1.0, abs(primal.fun))
     assert verdict.feasible == (primal.fun <= 1e-7)
     if verdict.feasible:
         assert symmetrization_residual(avqc, l, mats, verdict.witness) == verdict.residual
     else:
-        assert verdict.residual == optima[0]
+        assert verdict.residual == optima[-1]
+
+
+def test_row_generation_reaches_the_full_optimum(monkeypatch):
+    # a random qubit family with three members at l=2 needs four rounds; the
+    # first round's optimum, 2.82, is well below the full LP's 3.60
+    avqc = random_avqc(rng_for(154), 2, 3)
+    frame = hermitian_probe_frame(4)
+    solved = []
+    real = symmetrize._min_violation_lp
+    monkeypatch.setattr(
+        symmetrize, "_min_violation_lp", lambda *args: solved.append(real(*args)) or solved[-1]
+    )
+    verdict = check_symmetrizable(avqc, 2, frame)
+    dist, optimum = solved[-1]
+    primal = linprog(method="highs", **reference_pairwise_lp(avqc, 2, frame))
+    assert abs(optimum - primal.fun) <= 1e-9 * max(1.0, abs(primal.fun))
+    # the last witness certifies the optimum: no row exceeds it by more than the allowance
+    images = symmetrize._probe_images(avqc, 2, frame)
+    assert symmetrize._pairwise_residual(images, dist) <= optimum + 1e-9 * max(1.0, optimum)
+    assert not verdict.feasible and verdict.residual == optimum
+    assert len(solved) >= 2
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
