@@ -388,10 +388,10 @@ def _terms_table(avqc: Avqc, terms, levels, h: int) -> np.ndarray:
     return table
 
 
-def _exhaustive_table(avqc: Avqc, l: int, code) -> np.ndarray:
-    """Per-message success at every sequence, shape (|S|^l, M), product order."""
+def _exhaustive_table(avqc: Avqc, l: int, terms) -> np.ndarray:
+    """Per-message success at every sequence, shape (|S|^l, M), product order, split at l // 2."""
     levels = [[avqc.channels[s] for s in avqc.states]] * l
-    return _terms_table(avqc, _scoring_terms(code), levels, l // 2)
+    return _terms_table(avqc, terms, levels, l // 2)
 
 
 def _check_code_dims(avqc: Avqc, l: int, input_dim: int, output_dim: int) -> None:
@@ -487,7 +487,7 @@ def evaluate_code(avqc: Avqc, code, mode: str = "auto") -> ErrorReport:
     if mode == "exhaustive":
         # EXHAUSTIVE_BUDGET picks the mode; it does not cap an exhaustive request
         seqs = words(avqc.states, l, ENUM_BUDGET, "evaluate_code: state sequences")
-        scores = zip(seqs, _exhaustive_table(avqc, l, code))
+        scores = zip(seqs, _exhaustive_table(avqc, l, _scoring_terms(code)))
     else:
         # greedy's sequence count is unbounded by design, but each of its
         # sequences is one word of length l
@@ -537,7 +537,6 @@ def evaluate_entanglement_code(avqc: Avqc, code: CorrelatedEntanglementCode) -> 
     )
     chunk = max(1, _STACK_BYTES // per_element)
     basis = _hermitian_basis(code.code_dim)
-    levels = [[avqc.channels[s] for s in avqc.states]] * code.l
     fidelity = 0.0
     while block := list(itertools.islice(basis, chunk)):
         block = np.stack(block)
@@ -546,7 +545,7 @@ def evaluate_entanglement_code(avqc: Avqc, code: CorrelatedEntanglementCode) -> 
             lambda dec: sum(op.conj().T @ block @ op for op in dec.stacked),
         )
         for states, elements in terms:
-            table = _success_table(avqc, levels, code.l // 2, states, elements)
+            table = _exhaustive_table(avqc, code.l, [(1.0, states, elements)])
             fidelity = fidelity + table.sum(axis=1)
         del terms, states, elements  # this chunk's images, before the next is built
     scores = (fidelity / code.code_dim**2).tolist()
@@ -635,10 +634,7 @@ def random_code_reduction(
     what = "random_code_reduction: state sequences, capped at the enumeration budget"
     check_words(len(avqc.states), l, EXHAUSTIVE_BUDGET, what)
     # success[j, seq_index, i] for each support code j
-    levels = [[avqc.channels[s] for s in avqc.states]] * l
-    success = np.stack(
-        [_success_table(avqc, levels, l // 2, *_det_term(det)) for det in code.support]
-    )
+    success = np.stack([_exhaustive_table(avqc, l, _scoring_terms(det)) for det in code.support])
     mixed = np.einsum("j,jsi->si", code.weights, success)
     eps_l = 1.0 - float(mixed.min())
     if eps <= 2.0 * eps_l:

@@ -2,9 +2,9 @@
 
 A source is a joint probability table over two finite alphabets. The
 functions here decide whether perfect common randomness is extractable from
-its support structure, reduce correlated sources to maximally informative
-binary quantizations, and turn near-agreeing function pairs into balanced
-binary ones with certified masses.
+the components of its support graph, found by one depth-first traversal,
+reduce correlated sources to maximally informative binary quantizations, and
+turn near-agreeing function pairs into balanced binary ones with certified masses.
 
 Block objects are bounded by ``PAIR_ENUM_BUDGET`` before anything is listed:
 a function pair's domains and a source's words by ``util.check_words``, on
@@ -52,9 +52,7 @@ class BipartiteSource:
         y_alphabet = tuple(self.y_alphabet)
         if not x_alphabet or not y_alphabet:
             raise ValidationError("BipartiteSource: empty alphabet")
-        if len(set(x_alphabet)) != len(x_alphabet) or len(set(y_alphabet)) != len(
-            y_alphabet
-        ):
+        if any(len(set(alphabet)) != len(alphabet) for alphabet in (x_alphabet, y_alphabet)):
             raise ValidationError("BipartiteSource: duplicate letters")
         joint = np.array(self.joint, dtype=float)
         if joint.shape != (len(x_alphabet), len(y_alphabet)):
@@ -143,24 +141,6 @@ def binary_reduction(src: BipartiteSource) -> BinaryReduction:
     return BinaryReduction(f_table, g_table, best_val)
 
 
-class _UnionFind:
-    """Disjoint set union with path compression."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 @dataclass(frozen=True)
 class CrExtractability:
     """Support-connectivity verdict for perfect common-randomness extraction."""
@@ -174,49 +154,38 @@ class CrExtractability:
 def cr_extractable(src: BipartiteSource) -> CrExtractability:
     """Decide extractability from the support graph of the joint table.
 
-    Letters with zero marginal mass are dropped from the bipartite support
-    graph (an edge wherever p(x, y) > 0) and appended to the first block of
-    the reported partition. Two or more connected components mean both
-    parties can compute a common nonconstant function with certainty; a
-    connected support admits no such function.
+    The graph has an edge wherever p(x, y) > 0. One depth-first traversal
+    from each unreached letter, senders first, numbers its connected
+    components in scan order; letters with zero marginal mass have no edge
+    and go to the first block. Two or more components (the Gács–Körner
+    common part) mean both parties can compute a common nonconstant function
+    with certainty; a connected support admits no such function.
     """
-    joint = src.joint
-    n_x, n_y = joint.shape
-    keep_x = joint.sum(axis=1) > 0
-    keep_y = joint.sum(axis=0) > 0
-    dsu = _UnionFind(n_x + n_y)
-    for i in range(n_x):
-        for j in range(n_y):
-            if joint[i, j] > 0:
-                dsu.union(i, n_x + j)
-    roots = []
-    for i in range(n_x):
-        if keep_x[i]:
-            r = dsu.find(i)
-            if r not in roots:
-                roots.append(r)
-    for j in range(n_y):
-        if keep_y[j]:
-            r = dsu.find(n_x + j)
-            if r not in roots:
-                roots.append(r)
-    count = len(roots)
+    n_x = len(src.x_alphabet)
+    support = src.joint > 0
+    # letter k < n_x is sender letter k, letter n_x + j receiver letter j
+    neighbours = [np.flatnonzero(x) + n_x for x in support] + [np.flatnonzero(y) for y in support.T]
+    block = np.full(len(neighbours), -1)  # -1 until the traversal reaches the letter
+    count = 0
+    for start, first in enumerate(neighbours):
+        if block[start] >= 0 or not first.size:
+            continue
+        block[start] = count
+        stack = [start]
+        while stack:
+            near = neighbours[stack.pop()]
+            fresh = near[block[near] < 0]
+            block[fresh] = count
+            stack.extend(fresh.tolist())
+        count += 1
     if count < 2:
         return CrExtractability(False, count, None, None)
-    x_blocks = [[] for _ in roots]
-    y_blocks = [[] for _ in roots]
-    for i in range(n_x):
-        block = roots.index(dsu.find(i)) if keep_x[i] else 0
-        x_blocks[block].append(src.x_alphabet[i])
-    for j in range(n_y):
-        block = roots.index(dsu.find(n_x + j)) if keep_y[j] else 0
-        y_blocks[block].append(src.y_alphabet[j])
-    return CrExtractability(
-        True,
-        count,
-        tuple(tuple(b) for b in x_blocks),
-        tuple(tuple(b) for b in y_blocks),
-    )
+    letters = src.x_alphabet + src.y_alphabet
+    parts = [[[] for _ in range(count)] for _ in range(2)]  # sender side, receiver side
+    for k, label in enumerate(np.maximum(block, 0).tolist()):
+        parts[k >= n_x][label].append(letters[k])
+    x_partition, y_partition = (tuple(map(tuple, side)) for side in parts)
+    return CrExtractability(True, count, x_partition, y_partition)
 
 
 @dataclass(frozen=True)
@@ -305,6 +274,11 @@ def covers_words(mapping: Mapping, alphabet: tuple, n: int) -> bool:
     )
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class CrFunctionsPair:
     """Block functions f: X^l -> values and g: Y^l -> values over a shared range."""
@@ -321,8 +295,10 @@ class CrFunctionsPair:
         y_alphabet = tuple(self.y_alphabet)
         if self.l < 1:
             raise ValidationError("CrFunctionsPair: l must be >= 1")
-        if self.value_count < 1:
-            raise ValidationError("CrFunctionsPair: value_count must be >= 1")
+        if not (_is_integer(self.value_count) and self.value_count >= 1):
+            raise ValidationError(
+                f"CrFunctionsPair: value_count {self.value_count!r} is not a positive integer"
+            )
         # a one-letter domain passes every count, so the other domain's count
         # is tested before any length
         sides = (("sender", x_alphabet), ("receiver", y_alphabet))
@@ -340,9 +316,9 @@ class CrFunctionsPair:
                     f"{self.l} sequences"
                 )
             for seq, val in table.items():
-                if not 0 <= int(val) < self.value_count:
+                if not (_is_integer(val) and 0 <= val < self.value_count):
                     raise ValidationError(
-                        f"CrFunctionsPair: {name}[{seq!r}] = {val!r} out of range"
+                        f"CrFunctionsPair: {name}[{seq!r}] = {val!r} is not an integer in range"
                     )
         object.__setattr__(self, "x_alphabet", x_alphabet)
         object.__setattr__(self, "y_alphabet", y_alphabet)
@@ -368,17 +344,11 @@ def cr_pair_statistics(src: BipartiteSource, pair: CrFunctionsPair) -> CrPairSta
     joint enumeration costs (|X| |Y|)^l table entries, guarded by
     ``PAIR_ENUM_BUDGET``.
     """
-    if tuple(pair.x_alphabet) != tuple(src.x_alphabet) or tuple(
-        pair.y_alphabet
-    ) != tuple(src.y_alphabet):
+    if (pair.x_alphabet, pair.y_alphabet) != (src.x_alphabet, src.y_alphabet):
         raise ValidationError("cr_pair_statistics: pair and source alphabets differ")
     table = src.joint_power(pair.l)
-    f_ranks = np.array(
-        [pair.f_table[seq] for seq in src.x_sequences(pair.l)], dtype=int
-    )
-    g_ranks = np.array(
-        [pair.g_table[seq] for seq in src.y_sequences(pair.l)], dtype=int
-    )
+    f_ranks = np.array([pair.f_table[seq] for seq in src.x_sequences(pair.l)], dtype=int)
+    g_ranks = np.array([pair.g_table[seq] for seq in src.y_sequences(pair.l)], dtype=int)
     k = pair.value_count
     a = np.array([table[f_ranks == v].sum() for v in range(k)])
     b = np.array([table[:, g_ranks == v].sum() for v in range(k)])

@@ -143,36 +143,36 @@ def _min_violation_lp(
     groups: int,
     what: str,
 ) -> tuple[np.ndarray, float]:
-    """Solve min t over x >= 0 with |A_b @ x| <= t for every block b.
+    """Solve min t over x >= 0 with |a_r . x| <= t for every row r.
 
-    Row d of block A_b holds ``values[b, d]`` in the sorted columns
-    ``columns[b]`` of x (length n_x) and zeros elsewhere (the pairwise check
-    passes its working rows, one per block). With z = (x, t) the primal reads
-    G z <= 0, H z = 1: block b adds the rows [A_b, -1; -A_b, -1], and H sums
-    each of ``groups`` equal contiguous groups of x.
+    Row a_r holds ``values[r]`` in the sorted columns ``columns[r]`` of x
+    (length n_x) and zeros elsewhere; the pairwise check passes its working
+    rows. With z = (x, t) the primal reads G z <= 0, H z = 1: row r adds the
+    rows [a_r, -1; -a_r, -1], and H sums each of ``groups`` equal contiguous
+    groups of x.
 
     HiGHS solves the dual, min -1.v over u >= 0 and free v subject to
     [-G^T H^T] (u, v) <= (0, ..., 0, 1). The CSC arrays of -G^T are the CSR
-    arrays of -G, written here block by block. Returns the primal groups,
+    arrays of -G, written here row by row. Returns the primal groups,
     read as the negated marginals of the dual's rows, clipped and
-    renormalized, one per row; and the optimal t, the negated dual optimum
+    renormalized, one per group; and the optimal t, the negated dual optimum
     clamped at zero.
     """
     from scipy import sparse
 
-    n_blocks, dim, m = values.shape
+    rows, m = values.shape
     size = n_x // groups
-    n_u = 2 * n_blocks * dim  # one dual column per primal inequality row
+    n_u = 2 * rows  # one dual column per primal inequality row
     n_g = n_u * (m + 1)
     data = np.empty(n_g + n_x)
     index = np.empty(n_g + n_x, dtype=np.int32)
-    # -G row by row: [-A_b, 1] and then [A_b, 1], each with m + 1 entries
-    g_data = data[:n_g].reshape(n_blocks, 2, dim, m + 1)
-    g_index = index[:n_g].reshape(n_blocks, 2, dim, m + 1)
-    np.negative(values, out=g_data[:, 0, :, :m])
-    g_data[:, 1, :, :m] = values
+    # -G row by row: [-a_r, 1] and then [a_r, 1], each with m + 1 entries
+    g_data = data[:n_g].reshape(rows, 2, m + 1)
+    g_index = index[:n_g].reshape(rows, 2, m + 1)
+    np.negative(values, out=g_data[:, 0, :m])
+    g_data[:, 1, :m] = values
     g_data[..., m] = 1.0
-    g_index[..., :m] = columns[:, None, None, :]
+    g_index[..., :m] = columns[:, None, :]
     g_index[..., m] = n_x
     data[n_g:] = 1.0  # H^T: group g's ones in rows g * size ... (g + 1) * size
     index[n_g:] = np.arange(n_x)
@@ -239,7 +239,7 @@ def _pairwise_mixture_feasibility(
         i, j, d = first[pair, None], second[pair, None], d[:, None]
         values = np.concatenate([-images[j, span, d], images[i, span, d]], axis=1)
         columns = np.concatenate([i * n_states + span, j * n_states + span], axis=1)
-        dist, optimum = _min_violation_lp(values[:, None], columns, k * n_states, k, what)
+        dist, optimum = _min_violation_lp(values, columns, k * n_states, k, what)
     residual = _pairwise_residual(images, dist)
     if residual <= tol:
         return True, dist, residual
@@ -370,26 +370,14 @@ def extend_family(
     Each new point must be the stated convex combination of the base points,
     to 1e-9 in every entry; its distribution is the same combination of the base distributions,
     which preserves every pairwise equality. ``mixing`` is row-stochastic,
-    either one row of base-point coefficients per new point, or the full
-    square matrix whose leading block is the identity.
+    one row of base-point coefficients per new point.
     """
     base = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in base_points]
     new = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in new_points]
     k = len(base)
-    n = k + len(new)
     if base_family.index_count != k:
         raise DimensionMismatch("extend_family: family size does not match base points")
     r = np.asarray(mixing, dtype=float)
-    if r.shape == (n, n):
-        if not float(np.max(np.abs(r[:k] - np.eye(k, n)))) <= 1e-12:
-            raise ValidationError(
-                "extend_family: leading mixing rows must be the identity"
-            )
-        if not np.all(np.abs(r[k:, k:]) <= 1e-12):
-            raise ValidationError(
-                "extend_family: new points must mix base points only"
-            )
-        r = r[k:, :k]
     if r.shape != (len(new), k):
         raise DimensionMismatch(
             f"extend_family: mixing shape {r.shape}, expected ({len(new)}, {k})"

@@ -17,6 +17,7 @@ from avqclab import (
     CorrelatedCode,
     CqChannel,
     CorrelatedEntanglementCode,
+    CrExtractability,
     DensityMatrix,
     DeterministicCode,
     Povm,
@@ -550,3 +551,49 @@ def mixture(avcqc: AvCqc, weights) -> CqChannel:
 def chi_of_mixture(avcqc: AvCqc, probs, weights) -> float:
     """Holevo value of input distribution ``probs`` against the q-mixture."""
     return holevo_chi(probs, mixture(avcqc, weights))
+
+
+def cr_extractability_oracle(src) -> CrExtractability:
+    """Oracle: the support's components by merging letter sets until no edge joins two.
+
+    Letters with mass start as singletons in scan order (sender letters, then
+    receiver letters). Any two sets joined by a positive entry merge into
+    the earlier one, so the sets end in the order of their first letters.
+    Each partition lists a side's letters in alphabet order by block, and
+    letters without mass in the first block.
+    """
+    joint = np.asarray(src.joint)
+    n_x, n_y = joint.shape
+    sets = [{("x", i)} for i in range(n_x) if joint[i].sum() > 0]
+    sets += [{("y", j)} for j in range(n_y) if joint[:, j].sum() > 0]
+
+    def joined(a, b) -> bool:
+        return any(
+            joint[(i, j) if side == "x" else (j, i)] > 0
+            for side, i in a
+            for other, j in b
+            if side != other
+        )
+
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(sets)), 2):
+            if joined(sets[a], sets[b]):
+                sets[a] |= sets.pop(b)
+                merged = True
+                break
+    if len(sets) < 2:
+        return CrExtractability(False, len(sets), None, None)
+
+    def partition(side: str, alphabet) -> tuple:
+        block = [
+            next((k for k, s in enumerate(sets) if (side, i) in s), 0) for i in range(len(alphabet))
+        ]
+        return tuple(
+            tuple(letter for letter, b in zip(alphabet, block) if b == k) for k in range(len(sets))
+        )
+
+    return CrExtractability(
+        True, len(sets), partition("x", src.x_alphabet), partition("y", src.y_alphabet)
+    )

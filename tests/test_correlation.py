@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from avqclab import (
     BipartiteSource,
@@ -18,7 +20,7 @@ from avqclab import (
     witsenhausen_binarize,
 )
 
-from helpers import rng_for
+from helpers import cr_extractability_oracle, rng_for
 
 
 def brute_force_extractable(joint: np.ndarray) -> bool:
@@ -167,6 +169,30 @@ class TestCrExtractable:
         assert all(verdicts)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n_x=st.integers(1, 6),
+    n_y=st.integers(1, 6),
+    density=st.floats(0.05, 0.9),
+    zero_rows=st.sets(st.integers(0, 5)),
+    zero_columns=st.sets(st.integers(0, 5)),
+    seed=st.integers(0, 2**16),
+)
+def test_the_whole_verdict_matches_the_merging_oracle(
+    n_x, n_y, density, zero_rows, zero_columns, seed
+):
+    # count, both partitions and their order, and massless letters in the first block
+    rng = rng_for(seed)
+    joint = np.where(rng.random((n_x, n_y)) < density, rng.random((n_x, n_y)) + 0.05, 0.0)
+    joint[[i for i in zero_rows if i < n_x]] = 0.0
+    joint[:, [j for j in zero_columns if j < n_y]] = 0.0
+    assume(joint.sum() > 0)
+    src = BipartiteSource(
+        tuple(f"x{i}" for i in range(n_x)), tuple(range(10, 10 + n_y)), joint / joint.sum()
+    )
+    assert cr_extractable(src) == cr_extractability_oracle(src)
+
+
 class TestWitsenhausenBinarize:
     def test_worked_example(self):
         a = b = [0.2] * 5
@@ -245,6 +271,32 @@ class TestCrPairStatistics:
         pair = CrFunctionsPair((0, 1), (0, 1), 11, 1, f, dict(f))
         with pytest.raises(BudgetExceeded, match=r"4\^11 entries"):
             cr_pair_statistics(src, pair)
+
+    @pytest.mark.parametrize(
+        "f_table, entry",
+        [
+            # int() would truncate these to the classes 0 and 1
+            ({(0,): 0.9, (1,): 1.7}, r"f_table\[\(0,\)\] = 0\.9"),
+            ({(0,): 0, (1,): "1"}, r"f_table\[\(1,\)\] = '1'"),
+            ({(0,): float("nan"), (1,): 1}, r"f_table\[\(0,\)\] = nan"),
+            ({(0,): 0, (1,): True}, r"f_table\[\(1,\)\] = True"),
+        ],
+        ids=["float", "string", "nan", "bool"],
+    )
+    def test_function_values_must_be_integers(self, f_table, entry):
+        with pytest.raises(ValidationError, match=entry):
+            CrFunctionsPair((0, 1), (0, 1), 1, 2, f_table, {(0,): 0, (1,): 1})
+
+    def test_numpy_integer_values_and_count_are_accepted(self):
+        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        table = {(0,): np.int64(0), (1,): np.uint8(1)}
+        pair = CrFunctionsPair((0, 1), (0, 1), 1, np.int32(2), table, dict(table))
+        assert cr_pair_statistics(src, pair).agreement == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("count", [2.0, "2", True])
+    def test_value_count_must_be_an_integer(self, count):
+        with pytest.raises(ValidationError, match="value_count"):
+            CrFunctionsPair((0, 1), (0, 1), 1, count, {(0,): 0, (1,): 0}, {(0,): 0, (1,): 0})
 
     @pytest.mark.parametrize(
         "sides, reason",

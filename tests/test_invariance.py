@@ -13,6 +13,11 @@ case. Nor does a change of basis on each side of every channel use: with
 each Kraus operator K replaced by V K U†, the codewords by U^{⊗l} ρ U^{†⊗l}
 and the decoder elements by V^{⊗l} D V^{†⊗l}, every trace
 tr(D N_seq(ρ)) is unchanged.
+
+The same holds for the random capacity of a cq family: an added branch
+that mixes the others, or V W V† in place of every output W, leaves the
+max-min Holevo value where it was, so the certified intervals of the two
+families must overlap.
 """
 
 import functools
@@ -22,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avqclab import (
+    AvCqc,
     Avqc,
+    CqChannel,
     DensityMatrix,
     DeterministicCode,
     Povm,
@@ -30,11 +37,12 @@ from avqclab import (
     RandomCode,
     check_symmetrizable,
     constant_channel,
+    cq_random_capacity,
     evaluate_code,
     hermitian_probe_frame,
 )
 
-from helpers import random_channel, random_density, random_povm, rng_for
+from helpers import mixture, random_channel, random_density, random_povm, rng_for
 
 FAMILIES = dict(
     seed=st.integers(0, 2**32 - 1),
@@ -174,3 +182,56 @@ def test_local_unitaries_change_no_exhaustive_worst_case(**draw):
         ),
     )
     assert_same_worst_case(family, code, rotated, rotated_code)
+
+
+CQ_FAMILIES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 3),
+    letters=st.integers(2, 3),
+    members=st.integers(2, 3),
+)
+
+
+def cq_family(seed, dim, letters, members):
+    rng = rng_for(seed)
+    alphabet = tuple(range(letters))
+    branches = {
+        s: CqChannel(alphabet, {z: random_density(rng, dim) for z in alphabet})
+        for s in range(members)
+    }
+    return rng, AvCqc(tuple(branches), branches)
+
+
+def assert_intervals_overlap(avcqc, other):
+    # both intervals are certified to hold the same max-min value
+    first, second = cq_random_capacity(avcqc), cq_random_capacity(other)
+    assert max(first.lower_bound, second.lower_bound) <= min(
+        first.upper_bound, second.upper_bound
+    ) + 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(**CQ_FAMILIES)
+def test_a_mixture_branch_keeps_the_capacity_intervals_overlapping(**draw):
+    rng, family = cq_family(**draw)
+    mixed = mixture(family, rng.dirichlet(np.ones(len(family.states))))
+    extended = AvCqc(family.states + ("mix",), {**family.branches, "mix": mixed})
+    assert_intervals_overlap(family, extended)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(**CQ_FAMILIES)
+def test_local_unitaries_keep_the_capacity_intervals_overlapping(**draw):
+    rng, family = cq_family(**draw)
+    v = random_unitary(rng, draw["dim"])
+    rotated = {
+        s: CqChannel(
+            family.alphabet,
+            {
+                z: DensityMatrix(v @ rho.matrix @ v.conj().T)
+                for z, rho in family.branches[s].outputs.items()
+            },
+        )
+        for s in family.states
+    }
+    assert_intervals_overlap(family, AvCqc(family.states, rotated))

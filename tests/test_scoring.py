@@ -119,7 +119,7 @@ def test_split_scoring_matches_slot_by_slot_oracle(
 ):
     avqc, code = build(seed, kind, l, n_states, dim_out, messages)
     seqs, expect = oracle_table(avqc, code, l)
-    table = codes._exhaustive_table(avqc, l, code)
+    table = codes._exhaustive_table(avqc, l, codes._scoring_terms(code))
     assert table.shape == expect.shape
     assert np.max(np.abs(table - expect)) <= 1e-12
     for seq, row in codes._greedy_search(avqc, l, code).items():
@@ -135,7 +135,7 @@ def scored(avqc, code, l, method):
     if method == "greedy":
         return codes._greedy_search(avqc, l, code)
     seqs = itertools.product(avqc.states, repeat=l)
-    return dict(zip(seqs, codes._exhaustive_table(avqc, l, code)))
+    return dict(zip(seqs, codes._exhaustive_table(avqc, l, codes._scoring_terms(code))))
 
 
 @pytest.mark.parametrize(

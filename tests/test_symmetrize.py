@@ -324,15 +324,6 @@ class TestExtendFamily:
         res = symmetrization_residual(avqc, 1, probes + [mid], fam)
         assert res <= 1e-6
 
-    def test_square_mixing_matrix_form(self):
-        rng, avqc, probes, verdict = self._feasible_instance(63)
-        mid = DensityMatrix((probes[0].matrix + probes[2].matrix) / 2)
-        mixing = np.zeros((4, 4))
-        mixing[:3, :3] = np.eye(3)
-        mixing[3, 0] = mixing[3, 2] = 0.5
-        fam = extend_family(probes, verdict.witness, [mid], mixing)
-        assert np.allclose(fam.distributions[:3], verdict.witness.distributions)
-
     def test_random_convex_extension_keeps_equalities(self):
         rng, avqc, probes, verdict = self._feasible_instance(64)
         weights = rng.dirichlet(np.ones(3), size=3)
@@ -580,9 +571,9 @@ class TestVerdictConsistency:
             return res
 
         monkeypatch.setattr(symmetrize, "linprog", shifted)
-        # one zero block over two groups of two: the optimum is t = 0
+        # one zero row over two groups of two: the optimum is t = 0
         _, optimum = symmetrize._min_violation_lp(
-            np.zeros((1, 1, 4)), np.array([[0, 1, 2, 3]]), 4, 2, "test"
+            np.zeros((1, 4)), np.array([[0, 1, 2, 3]]), 4, 2, "test"
         )
         assert optimum == 0.0 and str(optimum) == "0.0"
 
