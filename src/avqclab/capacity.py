@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .avqc import AvCqc
+from .measures import _ZERO, _chi, _entropies, _log_on_support
 from .quantum import hermitize
 
 __all__ = ["MinimaxResult", "cq_random_capacity"]
@@ -76,24 +77,12 @@ class MinimaxResult:
     upper_bound: float
 
 
-def _log_on_support(vals: np.ndarray) -> np.ndarray:
-    """log2 of eigenvalues above 1e-12, and 0 at or below it."""
-    kept = vals > 1e-12
-    return np.where(kept, np.log2(np.where(kept, vals, 1.0)), 0.0)
-
-
-def _entropies(mats: np.ndarray) -> np.ndarray:
-    """Entropies in bits of a stack (..., d, d); eigenvalues <= 1e-12 count 0."""
-    vals = np.linalg.eigvalsh(hermitize(mats))
-    return -(vals * _log_on_support(vals)).sum(axis=-1)
-
-
 def _off_support(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Whether ``weights`` exceed 1e-12 on an eigenvalue at or below 1e-12.
+    """Whether ``weights`` exceed ``_ZERO`` on an eigenvalue at or below it.
 
     ``vals`` (..., d) broadcasts against ``weights``; the last axis is reduced.
     """
-    return ((weights > 1e-12) & (vals <= 1e-12)).any(axis=-1)
+    return ((weights > _ZERO) & (vals <= _ZERO)).any(axis=-1)
 
 
 def _divergences(out: np.ndarray, ents: np.ndarray, p: np.ndarray):
@@ -110,8 +99,8 @@ def _hessian(vals: np.ndarray, rotated: np.ndarray) -> np.ndarray:
 
     In rho's eigenbasis Dlog(rho) multiplies entrywise by the divided differences
     (ln a - ln b) / (a - b), and by 1/a where a = b (Daleckii-Krein); eigenvalues
-    at or below 1e-12 count as 0."""
-    kept = vals > 1e-12
+    at or below ``_ZERO`` count as 0."""
+    kept = vals > _ZERO
     safe = np.where(kept, vals, 1.0)
     rel = safe[:, None] / safe - 1.0
     slope = np.divide(np.log1p(rel), rel, out=np.ones_like(rel), where=rel != 0.0) / safe
@@ -184,7 +173,7 @@ def _gradient(branch: np.ndarray, p: np.ndarray, q: np.ndarray):
         grad_s = -tr(sum_z p_z W_s(z) log2 rho) + sum_z p_z tr(W_s(z) log2 W_q(z)).
     A W_s(z) (p_z > 0) or a p-average of W_s with weight on the kernel of
     W_q(z) or rho makes grad_s infinite. Eigenvalues at or below 1e-12 count
-    as 0 (``_log_on_support``).
+    as 0, by the zero rule that ``measures`` applies to every entropy.
     """
     out = np.einsum("s,szij->zij", q, branch)
     vals, vecs = np.linalg.eigh(hermitize(out))
@@ -297,8 +286,7 @@ def cq_random_capacity(avcqc: AvCqc) -> MinimaxResult:
             break
         q = (1.0 - _INTERIOR) * q_next + _INTERIOR / n_s
 
-    out = np.einsum("s,szij->zij", q_best, branch)
-    chi = _entropies(np.einsum("z,zij->ij", p_bar, out)) - p_bar @ _entropies(out)
+    chi = _chi(p_bar, np.einsum("s,szij->zij", q_best, branch))
     # chi is nonnegative; tidy away float noise and negative zeros at the floor
     value = max(0.0, float(chi))
     lower, upper = min(lower, value), max(upper, value)

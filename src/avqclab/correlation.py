@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .measures import mutual_information
+from .measures import _mutual_informations, mutual_information
 from .util import check_distributions, check_words, power_exceeds, words
 
 __all__ = [
@@ -102,11 +102,10 @@ class BinaryReduction:
 def binary_reduction(src: BipartiteSource) -> BinaryReduction:
     """Exhaustively maximize I(f(X); g(Y)) over binary partitions of each side.
 
-    Tables are reported as 0/1 tuples aligned with the alphabets. Candidates
-    are enumerated as bitmasks with letter i contributing bit i, and the
-    first maximizer in increasing (sender mask, receiver mask) order wins,
-    which resolves ties deterministically. Errors on product sources, where
-    every pair scores zero.
+    Tables are reported as 0/1 tuples aligned with the alphabets; letter i is
+    bit i of a mask. All pairs' 2x2 tables come from two mask-matrix products.
+    In increasing (sender mask, receiver mask) order, a pair replaces the best
+    only if it beats it by more than 1e-12. Errors on product sources.
     """
     joint = src.joint
     n_x, n_y = joint.shape
@@ -117,28 +116,23 @@ def binary_reduction(src: BipartiteSource) -> BinaryReduction:
             "binary_reduction: source is a product distribution, no informative "
             "binary pair exists"
         )
-    best_val = -1.0
-    best = None
-    for mask_f in range(2**n_x):
-        f_bits = np.array([(mask_f >> i) & 1 for i in range(n_x)], dtype=bool)
-        row0 = joint[~f_bits].sum(axis=0)
-        row1 = joint[f_bits].sum(axis=0)
-        for mask_g in range(2**n_y):
-            g_bits = np.array([(mask_g >> i) & 1 for i in range(n_y)], dtype=bool)
-            table = np.array(
-                [
-                    [row0[~g_bits].sum(), row0[g_bits].sum()],
-                    [row1[~g_bits].sum(), row1[g_bits].sum()],
-                ]
-            )
-            val = mutual_information(table)
-            if val > best_val + 1e-12:
-                best_val = val
-                best = (mask_f, mask_g)
-    mask_f, mask_g = best
+    # tables[f, g, a, b]: the mass where sender mask f gives a and receiver mask g gives b
+    tables = np.einsum("fai,ij,gbj->fgab", _masks(n_x), joint, _masks(n_y), optimize=True)
+    values = _mutual_informations(tables).ravel().tolist()
+    best = 0
+    for pair, value in enumerate(values):
+        if value > values[best] + 1e-12:
+            best = pair
+    mask_f, mask_g = divmod(best, 2**n_y)
     f_table = tuple((mask_f >> i) & 1 for i in range(n_x))
     g_table = tuple((mask_g >> i) & 1 for i in range(n_y))
-    return BinaryReduction(f_table, g_table, best_val)
+    return BinaryReduction(f_table, g_table, values[best])
+
+
+def _masks(n: int) -> np.ndarray:
+    """(2^n, 2, n): entry [m, v, i] is 1 where mask m puts letter i in class v."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return np.stack([1 - bits, bits], axis=1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -293,8 +287,8 @@ class CrFunctionsPair:
     def __post_init__(self):
         x_alphabet = tuple(self.x_alphabet)
         y_alphabet = tuple(self.y_alphabet)
-        if self.l < 1:
-            raise ValidationError("CrFunctionsPair: l must be >= 1")
+        if not (_is_integer(self.l) and self.l >= 1):
+            raise ValidationError(f"CrFunctionsPair: l {self.l!r} is not a positive integer")
         if not (_is_integer(self.value_count) and self.value_count >= 1):
             raise ValidationError(
                 f"CrFunctionsPair: value_count {self.value_count!r} is not a positive integer"

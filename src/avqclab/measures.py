@@ -1,8 +1,8 @@
-"""Entropic quantities, all in bits (base-2 logarithms).
+"""Entropic quantities, all in bits (base-2 logarithms), evaluated on stacks.
 
-Eigenvalues and probabilities below ``TOL_PSD`` contribute zero to every
-entropy here, which keeps the functions total on validated inputs whose
-spectra may dip a hair below zero.
+One zero rule holds for every entropy in the package, ``capacity``'s too: an
+eigenvalue or a probability at or below ``_ZERO`` = 1e-12 counts as 0.
+``TOL_PSD`` only checks inputs: an entry below -``TOL_PSD`` is rejected.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from .config import TOL_PSD
 from .errors import DimensionMismatch, ValidationError
 from .quantum import DensityMatrix, QuantumChannel, hermitize
+from .util import check_distributions
 
 if TYPE_CHECKING:
     from .avqc import CqChannel
@@ -27,32 +28,62 @@ __all__ = [
     "entanglement_fidelity",
 ]
 
+_ZERO = 1e-12
+
+
+def _log_on_support(vals: np.ndarray) -> np.ndarray:
+    """log2 of values above ``_ZERO``, and 0 at or below it."""
+    kept = vals > _ZERO
+    return np.where(kept, np.log2(np.where(kept, vals, 1.0)), 0.0)
+
+
+def _shannon(probs: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a stack (..., k) of probability vectors."""
+    return -(probs * _log_on_support(probs)).sum(axis=-1)
+
+
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a stack (..., d, d) of states."""
+    return _shannon(np.linalg.eigvalsh(hermitize(mats)))
+
+
+def _chi(p: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """chi = S(sum_z p_z W(z)) - sum_z p_z S(W(z)) for outputs W of shape (Z, d, d)."""
+    return _entropies(np.einsum("z,zij->ij", p, outputs)) - p @ _entropies(outputs)
+
+
+def _mutual_informations(tables: np.ndarray) -> np.ndarray:
+    """I(X; Y) = H(X) + H(Y) - H(X, Y) in bits of a stack (..., n_x, n_y) of joint tables."""
+    joint = _shannon(tables.reshape(*tables.shape[:-2], -1))
+    return _shannon(tables.sum(axis=-1)) + _shannon(tables.sum(axis=-2)) - joint
+
+
+def _checked(measure, values, what: str) -> float:
+    """``measure(values)``; entries must be finite and at least -TOL_PSD, the result finite."""
+    arr = np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(arr)) and np.all(arr >= -TOL_PSD)):
+        raise ValidationError(f"{what}: entries must be finite and at least -{TOL_PSD:g}")
+    value = float(measure(arr))
+    if not np.isfinite(value):
+        raise ValidationError(f"{what}: non-finite result")
+    return value
+
 
 def shannon_entropy(probs) -> float:
-    """Entropy of a nonnegative vector; entries below tolerance contribute 0."""
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    if np.any(p < -TOL_PSD):
-        raise ValidationError(f"shannon_entropy: negative entry {p.min():.3e}")
-    kept = p[p > TOL_PSD]
-    if kept.size == 0:
-        return 0.0
-    value = float(-(kept * np.log2(kept)).sum())
-    if not np.isfinite(value):
-        raise ValidationError("shannon_entropy: non-finite result")
-    return value
+    """Entropy of a nonnegative vector; entries at or below 1e-12 contribute 0."""
+    return _checked(lambda p: _shannon(p.reshape(-1)), probs, "shannon_entropy")
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho)."""
-    vals = np.linalg.eigvalsh(hermitize(np.asarray(rho.matrix)))
-    return shannon_entropy(vals)
+    return float(_entropies(np.asarray(rho.matrix)))
 
 
 def holevo_chi(probs, w: "CqChannel") -> float:
     """Holevo quantity of the ensemble {p(z), W(z)} in bits.
 
     chi = S(sum_z p(z) W(z)) - sum_z p(z) S(W(z)); ``probs`` is aligned with
-    ``w.alphabet``.
+    ``w.alphabet``, and entries down to -TOL_PSD count as 0.
     """
     p = np.asarray(probs, dtype=float).reshape(-1)
     outputs = w.output_list()
@@ -60,23 +91,8 @@ def holevo_chi(probs, w: "CqChannel") -> float:
         raise DimensionMismatch(
             f"holevo_chi: {p.size} probabilities for {len(outputs)} letters"
         )
-    if np.any(p < -TOL_PSD) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValidationError("holevo_chi: probs must form a probability vector")
-    avg = np.zeros((w.dim, w.dim), dtype=complex)
-    conditional = 0.0
-    for weight, out in zip(p, outputs):
-        if weight <= 0.0:
-            continue
-        avg += weight * out.matrix
-        conditional += weight * von_neumann_entropy(out)
-    return von_neumann_entropy(DensityMatrix(avg)) - conditional
-
-
-def _joint_table(src) -> np.ndarray:
-    joint = np.asarray(getattr(src, "joint", src), dtype=float)
-    if joint.ndim != 2:
-        raise ValidationError("mutual_information: expected a 2-d joint table")
-    return joint
+    check_distributions(p, TOL_PSD, "holevo_chi: probs")
+    return float(_chi(np.maximum(p, 0.0), np.array([out.matrix for out in outputs])))
 
 
 def mutual_information(src: "BipartiteSource") -> float:
@@ -84,10 +100,10 @@ def mutual_information(src: "BipartiteSource") -> float:
 
     Accepts a bipartite source or a raw joint probability table.
     """
-    joint = _joint_table(src)
-    h_x = shannon_entropy(joint.sum(axis=1))
-    h_y = shannon_entropy(joint.sum(axis=0))
-    return h_x + h_y - shannon_entropy(joint)
+    joint = np.asarray(getattr(src, "joint", src), dtype=float)
+    if joint.ndim != 2:
+        raise ValidationError("mutual_information: expected a 2-d joint table")
+    return _checked(_mutual_informations, joint, "mutual_information")
 
 
 def entanglement_fidelity(rho: DensityMatrix, ch: QuantumChannel) -> float:

@@ -24,6 +24,7 @@ from avqclab import (
     PureState,
     QuantumChannel,
     RandomCode,
+    BinaryReduction,
     BudgetExceeded,
     DimensionMismatch,
     SchemaError,
@@ -32,8 +33,9 @@ from avqclab import (
     entanglement_fidelity,
     holevo_chi,
     maximally_mixed,
+    mutual_information,
 )
-from avqclab.config import TOL_PROB
+from avqclab.config import TOL_MI, TOL_PROB
 from avqclab.quantum import hermitize
 
 # Cap on total Kraus-operator entries of an explicitly built product or composition.
@@ -597,3 +599,38 @@ def cr_extractability_oracle(src) -> CrExtractability:
     return CrExtractability(
         True, len(sets), partition("x", src.x_alphabet), partition("y", src.y_alphabet)
     )
+
+
+def binary_reduction_oracle(src) -> BinaryReduction:
+    """Oracle: ``binary_reduction`` as one 2x2 table and one mutual information per pair.
+
+    Pairs are scanned in increasing (sender mask, receiver mask) order, letter
+    i contributing bit i, and a pair replaces the best only if it beats it by
+    more than 1e-12. Raises ``ValidationError`` on a product source.
+    """
+    joint = np.asarray(src.joint)
+    n_x, n_y = joint.shape
+    if mutual_information(joint) <= TOL_MI:
+        raise ValidationError("binary_reduction_oracle: product source")
+    best_val = -1.0
+    best = None
+    for mask_f in range(2**n_x):
+        f_bits = np.array([(mask_f >> i) & 1 for i in range(n_x)], dtype=bool)
+        row0 = joint[~f_bits].sum(axis=0)
+        row1 = joint[f_bits].sum(axis=0)
+        for mask_g in range(2**n_y):
+            g_bits = np.array([(mask_g >> i) & 1 for i in range(n_y)], dtype=bool)
+            table = np.array(
+                [
+                    [row0[~g_bits].sum(), row0[g_bits].sum()],
+                    [row1[~g_bits].sum(), row1[g_bits].sum()],
+                ]
+            )
+            val = mutual_information(table)
+            if val > best_val + 1e-12:
+                best_val = val
+                best = (mask_f, mask_g)
+    mask_f, mask_g = best
+    f_table = tuple((mask_f >> i) & 1 for i in range(n_x))
+    g_table = tuple((mask_g >> i) & 1 for i in range(n_y))
+    return BinaryReduction(f_table, g_table, best_val)

@@ -14,6 +14,7 @@ from avqclab.config import TOL_FEAS
 from avqclab import (
     AvCqc,
     CqChannel,
+    DensityMatrix,
     ValidationError,
     basis_state,
     cq_random_capacity,
@@ -281,6 +282,13 @@ def assert_brackets(branch, result, steps):
     assert result.certified_gap == result.upper_bound - result.lower_bound
 
 
+def assert_chi_at_the_reported_points_in_interval(avcqc, result):
+    # the public holevo_chi applies capacity's zero rule, so it cannot read
+    # above the certified upper bound (it did by 4.8e-7 at masses of 9e-9)
+    chi = chi_of_mixture(avcqc, result.argmax_p, result.argmin_q)
+    assert result.lower_bound - 1e-12 <= chi <= result.upper_bound + 1e-12
+
+
 def family_of_kind(kind, rng, dim, n_z, n_s) -> AvCqc:
     """A cq family with random, pure or orthogonal outputs, or a special shape.
 
@@ -345,12 +353,22 @@ def test_certificate_brackets_both_one_sided_problems(kind, seed, dim, n_z, n_s)
         out = np.einsum("s,szij->zij", q0, branch)
         div, finite = capacity._divergences(out, capacity._entropies(out), p0)[:2]
     assert_brackets(branch, result, 48)
+    assert_chi_at_the_reported_points_in_interval(avcqc, result)
     qs = np.array(list(simplex_grid(branch.shape[0], 48)))
     ps = np.array(list(simplex_grid(branch.shape[1], 48)))
     if grad is not None:
         assert (chi_table(branch, p0[None], qs)[0] >= qs @ grad - 1e-9).all()
     if finite:
         assert chi_table(branch, ps, q0[None]).max() <= div.max() + 1e-9
+
+
+@pytest.mark.parametrize("mass", [9e-9, 1e-10])
+def test_holevo_chi_at_the_reported_points_near_a_face(mass):
+    # one member; W(z) puts 1 - 2 mass on |z> and mass on the other two basis states
+    diagonals = np.where(np.eye(3, dtype=bool), 1.0 - 2.0 * mass, mass)
+    outputs = {z: DensityMatrix(np.diag(row)) for z, row in enumerate(diagonals)}
+    avcqc = AvCqc((0,), {0: CqChannel((0, 1, 2), outputs)})
+    assert_chi_at_the_reported_points_in_interval(avcqc, cq_random_capacity(avcqc))
 
 
 def tangent_hessian_by_differences(branch, q, p, step):

@@ -20,7 +20,7 @@ from avqclab import (
     witsenhausen_binarize,
 )
 
-from helpers import cr_extractability_oracle, rng_for
+from helpers import binary_reduction_oracle, cr_extractability_oracle, rng_for
 
 
 def brute_force_extractable(joint: np.ndarray) -> bool:
@@ -117,6 +117,44 @@ class TestBinaryReduction:
             src = BipartiteSource((0, 1, 2), (0, 1, 2), joint)
             if mutual_information(src) > 1e-9:
                 assert binary_reduction(src).bits > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(["dense", "zeroed", "symmetric", "tiny", "product"]),
+    seed=st.integers(0, 2**16),
+)
+def test_binary_reduction_matches_the_partition_pair_loop(shape, seed):
+    # tables exactly, bits to 1e-12, on 1-4 letters per side; exact ties come
+    # from symmetric sources (a pair and its transpose or complement), and
+    # masses in (1e-12, 1e-8] are where the zero rule decides
+    rng = rng_for(seed)
+    n_x, n_y = 1 + rng.choice(4, size=2, p=[0.1, 0.3, 0.3, 0.3])  # one letter: a product
+    joint = rng.random((n_x, n_y)) ** 3
+    if shape == "zeroed":
+        joint[rng.integers(n_x)] = 0.0
+        joint[:, rng.integers(n_y)] = 0.0
+    elif shape == "symmetric":
+        joint = joint[:, :n_x] if n_y >= n_x else joint[:n_y]
+        joint = joint + joint.T
+    elif shape == "tiny":
+        small = rng.random(joint.shape) < 0.4
+        joint[small] = 10.0 ** rng.uniform(-11.9, -8.0, size=small.sum())
+    elif shape == "product":
+        joint = np.outer(rng.random(n_x), rng.random(n_y))
+    assume(joint.sum() > 0)
+    n_x, n_y = joint.shape
+    src = BipartiteSource(tuple(range(n_x)), tuple(range(n_y)), joint / joint.sum())
+    try:
+        expected = binary_reduction_oracle(src)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="product distribution"):
+            binary_reduction(src)
+        return
+    assert shape != "product"
+    red = binary_reduction(src)
+    assert (red.f_table, red.g_table) == (expected.f_table, expected.g_table)
+    assert abs(red.bits - expected.bits) <= 1e-12
 
 
 class TestCrExtractable:
@@ -291,6 +329,19 @@ class TestCrPairStatistics:
         src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
         table = {(0,): np.int64(0), (1,): np.uint8(1)}
         pair = CrFunctionsPair((0, 1), (0, 1), 1, np.int32(2), table, dict(table))
+        assert cr_pair_statistics(src, pair).agreement == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("l", [True, 1.5, "1"])
+    def test_block_length_must_be_an_integer(self, l):
+        # True used to pass as l = 1, and 1.5 failed only at the cover check
+        table = {(0,): 0, (1,): 0}
+        with pytest.raises(ValidationError, match=f"CrFunctionsPair: l {l!r} is not"):
+            CrFunctionsPair((0, 1), (0, 1), l, 1, table, dict(table))
+
+    def test_a_numpy_integer_block_length_is_accepted(self):
+        src = BipartiteSource((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        table = {seq: seq[0] ^ seq[1] for seq in itertools.product((0, 1), repeat=2)}
+        pair = CrFunctionsPair((0, 1), (0, 1), np.int64(2), 2, table, dict(table))
         assert cr_pair_statistics(src, pair).agreement == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("count", [2.0, "2", True])

@@ -1,5 +1,7 @@
 """Entropies, Holevo information, mutual information, entanglement fidelity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from avqclab import (
     CqChannel,
     DimensionMismatch,
     PureState,
+    ValidationError,
     basis_state,
     completely_depolarizing_channel,
     entanglement_fidelity,
@@ -66,6 +69,17 @@ class TestEntropy:
             shannon_entropy([0.75, 0.25]), abs=1e-12
         )
 
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_shannon_entropy_rejects_non_finite_entries(self, probs):
+        # a NaN used to be dropped with the zero entries, giving -0.0
+        with pytest.raises(ValidationError, match="shannon_entropy"):
+            shannon_entropy(probs)
+
+    def test_the_zero_rule_is_1e_minus_12(self):
+        # masses above 1e-12 count, as in capacity's entropies; at or below, they do not
+        assert shannon_entropy([1e-9, 1.0]) == pytest.approx(-1e-9 * math.log2(1e-9), rel=1e-12)
+        assert shannon_entropy([1e-12, 1.0]) == 0.0
+
 
 class TestHolevoChi:
     def test_constant_channel_zero(self):
@@ -97,6 +111,14 @@ class TestHolevoChi:
         with pytest.raises(DimensionMismatch):
             holevo_chi([1.0], w)
 
+    def test_non_finite_probabilities_are_rejected(self):
+        # NaN used to pass the inline check and was caught only by the average
+        # state's DensityMatrix check ("negative eigenvalue -inf")
+        w = CqChannel((0, 1), {0: KET0, 1: KET1})
+        for probs in ([np.nan, 1.0], [0.5, np.nan]):
+            with pytest.raises(ValidationError, match="holevo_chi: probs"):
+                holevo_chi(probs, w)
+
 
 class TestMutualInformation:
     def test_product_source_zero(self):
@@ -110,6 +132,11 @@ class TestMutualInformation:
     def test_anchor_value(self):
         src = BipartiteSource((0, 1), (0, 1), np.array([[0.4, 0.1], [0.1, 0.4]]))
         assert mutual_information(src) == pytest.approx(0.27807, abs=1e-5)
+
+    def test_non_finite_entries_are_rejected(self):
+        # a NaN entry used to be dropped, giving -0.69 bits
+        with pytest.raises(ValidationError, match="mutual_information"):
+            mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
 
     def test_symmetry_under_transpose(self):
         rng = rng_for(34)

@@ -34,7 +34,7 @@ KEPT_BY = {
     "evaluate_entanglement_code": "ROADMAP items 2 and 7: the L=7 entanglement wall",
     "compose_two_phase_entanglement": "ROADMAP item 7: factored like compose_two_phase",
     "reduce_to_classical_weighted": (
-        "ROADMAP items 2 and 15: the transfer-matrix kernel stays for it; it returns the "
+        "ROADMAP item 2: the transfer-matrix kernel stays for it; it returns the "
         "diagonal AvCqc that capacity solves"
     ),
     "BinaryReduction": "result of binary_reduction (avqclab cr)",
