@@ -15,11 +15,12 @@ pairwise equality coordinates relaxed to |...| <= t, with every variable
 nonnegative. The optimum is the smallest achievable max-norm violation:
 zero (up to solver accuracy) exactly when a symmetrizing family exists.
 That primal has few columns and very many rows, so HiGHS sees only the
-rows that bind (row generation), each working LP handed over as its dual,
-which is short and wide and needs far fewer simplex pivots; the dual's
-matrix is the primal's, transposed, built sparse straight from the images.
-The witness family is read back from the dual as the negated marginals of
-its inequality rows (the primal variables), clipped at zero and
+rows that bind (row generation). One HiGHS model per check holds the dual of
+the working LP, which is short and wide and needs far fewer simplex pivots:
+its rows, the primal variables, are fixed; each working row of the primal
+appends two dual columns, built straight from the images; and each round
+re-solves the grown model from the last round's basis. The witness family is
+read back as the negated duals of the model's x rows, clipped at zero and
 renormalized, and the optimum as the negated dual objective. Feasible
 witnesses are re-verified by direct substitution before they are reported,
 and the optimal objective doubles as residual evidence in the infeasible
@@ -126,75 +127,23 @@ def _check_lp_budget(k: int, n_states: int, dim: int, what: str) -> None:
         )
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported at the first solve so that importing avqclab loads no scipy.
+def _min_violation(model, groups: int, what: str) -> tuple[np.ndarray, float]:
+    """Re-solve the working dual ``model`` from its last basis.
 
-    The LP solve goes through this module-level name, which ``bench/tracer.py`` times.
+    Returns the primal groups, read as the negated duals of the model's x
+    rows, clipped and renormalized, one per group; and the optimal t, the
+    negated dual optimum clamped at zero.
     """
-    from scipy.optimize import linprog as solve
+    from scipy.optimize._highspy._core import HighsModelStatus
 
-    return solve(*args, **kwargs)
-
-
-def _min_violation_lp(
-    values: np.ndarray,
-    columns: np.ndarray,
-    n_x: int,
-    groups: int,
-    what: str,
-) -> tuple[np.ndarray, float]:
-    """Solve min t over x >= 0 with |a_r . x| <= t for every row r.
-
-    Row a_r holds ``values[r]`` in the sorted columns ``columns[r]`` of x
-    (length n_x) and zeros elsewhere; the pairwise check passes its working
-    rows. With z = (x, t) the primal reads G z <= 0, H z = 1: row r adds the
-    rows [a_r, -1; -a_r, -1], and H sums each of ``groups`` equal contiguous
-    groups of x.
-
-    HiGHS solves the dual, min -1.v over u >= 0 and free v subject to
-    [-G^T H^T] (u, v) <= (0, ..., 0, 1). The CSC arrays of -G^T are the CSR
-    arrays of -G, written here row by row. Returns the primal groups,
-    read as the negated marginals of the dual's rows, clipped and
-    renormalized, one per group; and the optimal t, the negated dual optimum
-    clamped at zero.
-    """
-    from scipy import sparse
-
-    rows, m = values.shape
-    size = n_x // groups
-    n_u = 2 * rows  # one dual column per primal inequality row
-    n_g = n_u * (m + 1)
-    data = np.empty(n_g + n_x)
-    index = np.empty(n_g + n_x, dtype=np.int32)
-    # -G row by row: [-a_r, 1] and then [a_r, 1], each with m + 1 entries
-    g_data = data[:n_g].reshape(rows, 2, m + 1)
-    g_index = index[:n_g].reshape(rows, 2, m + 1)
-    np.negative(values, out=g_data[:, 0, :m])
-    g_data[:, 1, :m] = values
-    g_data[..., m] = 1.0
-    g_index[..., :m] = columns[:, None, :]
-    g_index[..., m] = n_x
-    data[n_g:] = 1.0  # H^T: group g's ones in rows g * size ... (g + 1) * size
-    index[n_g:] = np.arange(n_x)
-    indptr = np.concatenate(
-        [np.arange(0, n_g + 1, m + 1), n_g + size * np.arange(1, groups + 1)]
-    ).astype(np.int32)
-    matrix = sparse.csc_array((data, index, indptr), shape=(n_x + 1, n_u + groups))
-    matrix.eliminate_zeros()
-
-    cost = np.concatenate([np.zeros(n_u), -np.ones(groups)])
-    rhs = np.zeros(n_x + 1)
-    rhs[-1] = 1.0
-    bounds = np.zeros((n_u + groups, 2))
-    bounds[:, 1] = np.inf
-    bounds[n_u:, 0] = -np.inf
-    res = linprog(cost, A_ub=matrix, b_ub=rhs, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise AvqclabError(f"{what}: LP solver failed ({res.message})")
-    # 0.0 - m rather than -m, so that a zero marginal gives +0.0
-    x = np.clip(0.0 - res.ineqlin.marginals[:n_x].reshape(groups, size), 0.0, None)
+    model.run()
+    status = model.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise AvqclabError(f"{what}: LP solver failed ({model.modelStatusToString(status)})")
+    # 0.0 - y rather than -y, so that a zero dual gives +0.0
+    x = np.clip(0.0 - np.array(model.getSolution().row_dual[:-1]).reshape(groups, -1), 0.0, None)
     x /= x.sum(axis=1, keepdims=True)
-    return x, max(0.0, -float(res.fun))
+    return x, max(0.0, -model.getObjectiveValue())
 
 
 def _pairwise_mixture_feasibility(
@@ -221,6 +170,17 @@ def _pairwise_mixture_feasibility(
         raise ValidationError(f"{what}: needs at least two indices")
     _check_lp_budget(k, n_states, dim, what)
 
+    from scipy.optimize._highspy._core import _Highs, kHighsInf
+
+    # the working LP's dual: rows x (at most 0) and t (at most 1), and free
+    # columns v_g of cost -1, the ones of group g's x; each working row r of
+    # the primal appends the columns [-a_r, 1] and [a_r, 1] of cost 0, u >= 0
+    n_x = k * n_states
+    model = _Highs()
+    model.setOptionValue("output_flag", False)
+    model.addRows(n_x + 1, np.full(n_x + 1, -kHighsInf), np.r_[np.zeros(n_x), 1.0], 0, [], [], [])
+    model.addCols(k, np.full(k, -1.0), np.full(k, -kHighsInf), np.full(k, kHighsInf), n_x,
+                  np.arange(0, n_x, n_states), np.arange(n_x), np.ones(n_x))
     # row p * dim + d: coordinate d of pair p = (i, j), i < j, as in _pairwise_excess
     first, second = np.triu_indices(k, 1)
     span = np.arange(n_states)
@@ -234,12 +194,21 @@ def _pairwise_mixture_feasibility(
             break
         count = min(4 * violated, max(working.size, k * n_states + 1))
         new = np.argsort(-excess, kind="stable")[:count]
-        working = np.concatenate([working, new[excess[new] > -np.inf]])
-        pair, d = np.divmod(working, dim)
+        new = new[excess[new] > -np.inf]
+        working = np.concatenate([working, new])
+        pair, d = np.divmod(new, dim)
         i, j, d = first[pair, None], second[pair, None], d[:, None]
-        values = np.concatenate([-images[j, span, d], images[i, span, d]], axis=1)
-        columns = np.concatenate([i * n_states + span, j * n_states + span], axis=1)
-        dist, optimum = _min_violation_lp(values, columns, k * n_states, k, what)
+        # a_r holds -images[j, :, d] at x_i and images[i, :, d] at x_j
+        values = np.ones((new.size, 2, 2 * n_states + 1))
+        values[:, 1, :-1] = np.concatenate([-images[j, span, d], images[i, span, d]], axis=1)
+        values[:, 0, :-1] = -values[:, 1, :-1]
+        rows = np.concatenate([i * n_states + span, j * n_states + span, np.full_like(i, n_x)], 1)
+        kept = values != 0.0  # zeros are left out of the model
+        counts = kept.sum(axis=2).ravel()
+        model.addCols(counts.size, np.zeros(counts.size), np.zeros(counts.size),
+                      np.full(counts.size, kHighsInf), counts.sum(), np.cumsum(counts) - counts,
+                      np.broadcast_to(rows[:, None], values.shape)[kept], values[kept])
+        dist, optimum = _min_violation(model, k, what)
     residual = _pairwise_residual(images, dist)
     if residual <= tol:
         return True, dist, residual

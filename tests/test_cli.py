@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -107,6 +106,19 @@ def non_finite_sites():
             "$.weights[0]",
         ),
     }
+
+
+def stall_highs(monkeypatch) -> None:
+    """Stop every HiGHS solve at an iteration limit of 0, before it reaches an optimum."""
+    from scipy.optimize._highspy import _core
+
+    class Stalled(_core._Highs):
+        def run(self):
+            self.setOptionValue("presolve", "off")
+            self.setOptionValue("simplex_iteration_limit", 0)
+            return super().run()
+
+    monkeypatch.setattr(_core, "_Highs", Stalled)
 
 
 def identity_avqc_doc():
@@ -318,16 +330,13 @@ class TestSymcheck:
         assert called == []
 
     def test_a_failed_lp_solve_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch):
-        # HiGHS status 4: numerical difficulties; the library raises a bare AvqclabError
-        def failed(*args, **kwargs):
-            return types.SimpleNamespace(status=4, message="numerical difficulties")
-
-        monkeypatch.setattr(symmetrize, "linprog", failed)
+        # HiGHS stops at its iteration limit; the library raises a bare AvqclabError
+        stall_highs(monkeypatch)
         path = write(tmp_path, "avqc.json", identity_avqc_doc())
         code, captured = run_json(capsys, ["symcheck", "--input", path])
         assert code == 1
         assert captured.err == (
-            "error: symmetrizability check: LP solver failed (numerical difficulties)\n"
+            "error: symmetrizability check: LP solver failed (Iteration limit reached)\n"
         )
         assert captured.out == ""
 
@@ -756,7 +765,6 @@ def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(
         avqclab.cli, "_emit", lambda *args: emitted.append(gc.isenabled()) or real(*args)
     )
-    failed = types.SimpleNamespace(status=4, message="numerical difficulties")
     if not enabled:
         gc.disable()
     try:
@@ -765,7 +773,7 @@ def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, 
             assert run(argv) == want
             assert gc.isenabled() is enabled
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(symmetrize, "linprog", lambda *args, **kwargs: failed)
+            stall_highs(mp)
             assert run(["symcheck", "--input", path]) == 1
         assert gc.isenabled() is enabled
     finally:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
+from scipy.optimize._highspy._core import MatrixFormat
 
 from avqclab import (
     Avqc,
@@ -378,20 +380,38 @@ class TestProbeFrame:
         assert res.status == 0 and res.fun > 1e-8
 
 
+def capture_rounds(monkeypatch) -> list:
+    """Spy on each round's solve: (simplex iterations, optimum, the model's LP after run())."""
+    rounds = []
+    real = symmetrize._min_violation
+
+    def spy(model, *args):
+        out = real(model, *args)
+        rounds.append((model.getInfo().simplex_iteration_count, out[1], model.getLp()))
+        return out
+
+    monkeypatch.setattr(symmetrize, "_min_violation", spy)
+    return rounds
+
+
+def model_dual(lp) -> dict:
+    """The ``linprog`` arguments of a HiGHS model whose rows are all at most their upper bounds."""
+    assert np.all(np.asarray(lp.row_lower_) == -np.inf)
+    matrix = lp.a_matrix_
+    assert matrix.format_ == MatrixFormat.kColwise
+    return {
+        "c": np.asarray(lp.col_cost_),
+        "A_ub": sparse.csc_array(
+            (np.asarray(matrix.value_), np.asarray(matrix.index_), np.asarray(matrix.start_)),
+            shape=(lp.num_row_, lp.num_col_),
+        ),
+        "b_ub": np.asarray(lp.row_upper_),
+        "bounds": np.stack([lp.col_lower_, lp.col_upper_], axis=1),
+    }
+
+
 class TestLpLayout:
-    """The pairwise check hands HiGHS duals of the reference layout, bit for bit."""
-
-    @staticmethod
-    def capture(monkeypatch) -> list:
-        calls = []
-        real = symmetrize.linprog
-
-        def spy(c, **kwargs):
-            calls.append(dict(kwargs, c=c))
-            return real(c, **kwargs)
-
-        monkeypatch.setattr(symmetrize, "linprog", spy)
-        return calls
+    """Each round's HiGHS model is the dual of the reference layout, bit for bit."""
 
     @staticmethod
     def reference_dual(primal: dict) -> dict:
@@ -409,11 +429,10 @@ class TestLpLayout:
 
     @staticmethod
     def assert_bits_equal(got: dict, want: dict) -> None:
-        assert got.pop("method") == "highs"
         assert sorted(got) == sorted(want)
-        # HiGHS reads the column starts, row indices and values of the CSC
+        # HiGHS holds the column starts, row indices and values of the CSC
         matrix, expect = got.pop("A_ub"), want.pop("A_ub")
-        assert isinstance(matrix, sparse.csc_array) and matrix.shape == expect.shape
+        assert matrix.shape == expect.shape
         assert np.array_equal(matrix.indptr, expect.indptr)
         assert np.array_equal(matrix.indices, expect.indices)
         assert matrix.data.dtype == expect.data.dtype
@@ -424,23 +443,28 @@ class TestLpLayout:
             assert arr.tobytes() == expect.tobytes(), key
 
     def test_pairwise_check(self, monkeypatch):
-        # each LP is the reference restricted to that call's working rows,
-        # which are read back from the dual's columns and only ever grow
+        # after each run() the model is the reference dual restricted to that
+        # round's working rows, which are read back from its columns and only
+        # ever grow; the model holds the free columns v first, then the u
         avqc = random_avqc(rng_for(131), 2, 2)
         frame = hermitian_probe_frame(4)
-        calls = self.capture(monkeypatch)
+        rounds = capture_rounds(monkeypatch)
         check_symmetrizable(avqc, 2, frame)
         full = reference_pairwise_lp(avqc, 2, frame)
         where = {tuple(row): r for r, row in enumerate(full["A_ub"])}
-        assert len(calls) >= 2
+        assert len(rounds) >= 2
         previous = []
-        for call in calls:
-            n_u = call["A_ub"].shape[1] - len(full["b_eq"])
-            rows = [where[tuple(-col)] for col in call["A_ub"].toarray().T[:n_u]]
+        n_v = len(full["b_eq"])
+        for _, _, lp in rounds:
+            got = model_dual(lp)
+            order = np.r_[n_v : lp.num_col_, :n_v]
+            got["c"], got["bounds"] = got["c"][order], got["bounds"][order]
+            got["A_ub"] = got["A_ub"][:, order]
+            rows = [where[tuple(-col)] for col in got["A_ub"].toarray().T[: lp.num_col_ - n_v]]
             assert rows[: len(previous)] == previous and len(rows) > len(previous)
             previous = rows
             working = dict(full, A_ub=full["A_ub"][rows], b_ub=full["b_ub"][rows])
-            self.assert_bits_equal(call, self.reference_dual(working))
+            self.assert_bits_equal(got, self.reference_dual(working))
 
 
 def family_case(seed: int, dim: int, l: int, n_states: int, kind: str, probes: str):
@@ -471,17 +495,10 @@ def family_case(seed: int, dim: int, l: int, n_states: int, kind: str, probes: s
 def test_dual_optimum_matches_reference_primal(seed, case, n_states, kind):
     dim, l, probes = case
     avqc, mats = family_case(seed, dim, l, n_states, kind, probes)
-    optima = []
-    real = symmetrize._min_violation_lp
-
-    def spy(*args):
-        out = real(*args)
-        optima.append(out[1])
-        return out
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(symmetrize, "_min_violation_lp", spy)
+        rounds = capture_rounds(mp)
         verdict = check_symmetrizable(avqc, l, mats, tol=1e-7)
+    optima = [optimum for _, optimum, _ in rounds]
     primal = linprog(method="highs", **reference_pairwise_lp(avqc, l, mats))
     assert primal.status == 0
     assert abs(optima[-1] - primal.fun) <= 1e-9 * max(1.0, abs(primal.fun))
@@ -498,9 +515,9 @@ def test_row_generation_reaches_the_full_optimum(monkeypatch):
     avqc = random_avqc(rng_for(154), 2, 3)
     frame = hermitian_probe_frame(4)
     solved = []
-    real = symmetrize._min_violation_lp
+    real = symmetrize._min_violation
     monkeypatch.setattr(
-        symmetrize, "_min_violation_lp", lambda *args: solved.append(real(*args)) or solved[-1]
+        symmetrize, "_min_violation", lambda *args: solved.append(real(*args)) or solved[-1]
     )
     verdict = check_symmetrizable(avqc, 2, frame)
     dist, optimum = solved[-1]
@@ -511,6 +528,21 @@ def test_row_generation_reaches_the_full_optimum(monkeypatch):
     assert symmetrize._pairwise_residual(images, dist) <= optimum + 1e-9 * max(1.0, optimum)
     assert not verdict.feasible and verdict.residual == optimum
     assert len(solved) >= 2
+
+
+def test_rounds_after_the_first_start_from_the_last_basis(monkeypatch):
+    # the same family: each later round re-solves the grown model from the
+    # last basis, in fewer simplex iterations than a cold solve of its LP
+    avqc = random_avqc(rng_for(154), 2, 3)
+    frame = hermitian_probe_frame(4)
+    rounds = capture_rounds(monkeypatch)
+    check_symmetrizable(avqc, 2, frame)
+    assert len(rounds) >= 3
+    for iterations, _, lp in rounds[1:]:
+        cold = linprog(method="highs", **model_dual(lp))
+        assert cold.status == 0 and iterations < cold.nit
+    primal = linprog(method="highs", **reference_pairwise_lp(avqc, 2, frame))
+    assert abs(rounds[-1][1] - primal.fun) <= 1e-9 * max(1.0, abs(primal.fun))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -553,9 +585,7 @@ class TestVerdictConsistency:
         # a solver whose optimum passes while its witness does not
         avqc = Avqc((0,), {0: identity_channel(2)})
         probes = [basis_state(2, 0).to_density(), basis_state(2, 1).to_density()]
-        monkeypatch.setattr(
-            symmetrize, "_min_violation_lp", lambda *args: (np.ones((2, 1)), 0.0)
-        )
+        monkeypatch.setattr(symmetrize, "_min_violation", lambda *args: (np.ones((2, 1)), 0.0))
         verdict = check_symmetrizable(avqc, 1, probes, tol=1e-7)
         assert not verdict.feasible and verdict.witness is None
         # the witness's re-verified violation, not the optimum, is reported
@@ -563,18 +593,15 @@ class TestVerdictConsistency:
         assert verdict.residual > 1e-7
 
     def test_negative_optimum_clamped(self, monkeypatch):
-        real = symmetrize.linprog
+        class Shifted(highs._Highs):
+            def getObjectiveValue(self):
+                return 5.3e-14  # a dual optimum just above zero: t = -5.3e-14
 
-        def shifted(c, **kwargs):
-            res = real(c, **kwargs)
-            res.fun = 5.3e-14  # a dual optimum just above zero: t = -5.3e-14
-            return res
-
-        monkeypatch.setattr(symmetrize, "linprog", shifted)
+        monkeypatch.setattr(highs, "_Highs", Shifted)
+        rounds = capture_rounds(monkeypatch)
         # one zero row over two groups of two: the optimum is t = 0
-        _, optimum = symmetrize._min_violation_lp(
-            np.zeros((1, 4)), np.array([[0, 1, 2, 3]]), 4, 2, "test"
-        )
+        symmetrize._pairwise_mixture_feasibility(np.zeros((2, 2, 1)), 1e-7)
+        [(_, optimum, _)] = rounds
         assert optimum == 0.0 and str(optimum) == "0.0"
 
 
