@@ -20,7 +20,7 @@ import numpy as np
 from .config import ENUM_BUDGET, TOL_PROB
 from .errors import DimensionMismatch, ValidationError
 from .quantum import DensityMatrix, apply_channel_to_slot_batch
-from .util import check_distributions, words
+from .util import check_distributions, check_int, check_labels, words
 
 __all__ = [
     "Avqc",
@@ -38,18 +38,8 @@ class Avqc:
     channels: Mapping
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise ValidationError("Avqc: empty state set")
-        if len(set(states)) != len(states):
-            raise ValidationError("Avqc: duplicate state labels")
         channels = dict(self.channels)
-        missing = [s for s in states if s not in channels]
-        if missing:
-            raise ValidationError(f"Avqc: no channel for states {missing}")
-        extra = [s for s in channels if s not in states]
-        if extra:
-            raise ValidationError(f"Avqc: channels for unknown states {extra}")
+        states = check_labels(self.states, "Avqc: states", channels)
         dims = {(channels[s].dim_in, channels[s].dim_out) for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"Avqc: mixed channel dimensions {sorted(dims)}")
@@ -66,8 +56,7 @@ class Avqc:
 
     def state_sequences(self, l: int) -> list:
         """All length-l label tuples in lexicographic order, within ``ENUM_BUDGET``."""
-        if l < 1:
-            raise ValidationError("state_sequences: l must be >= 1")
+        l = check_int(l, 1, "state_sequences: l")
         return words(self.states, l, ENUM_BUDGET, "state_sequences")
 
 
@@ -79,15 +68,8 @@ class CqChannel:
     outputs: Mapping
 
     def __post_init__(self):
-        alphabet = tuple(self.alphabet)
-        if not alphabet:
-            raise ValidationError("CqChannel: empty alphabet")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValidationError("CqChannel: duplicate letters")
         outputs = dict(self.outputs)
-        missing = [z for z in alphabet if z not in outputs]
-        if missing:
-            raise ValidationError(f"CqChannel: no output for letters {missing}")
+        alphabet = check_labels(self.alphabet, "CqChannel: alphabet", outputs)
         dims = {outputs[z].dim for z in alphabet}
         if len(dims) != 1:
             raise DimensionMismatch("CqChannel: outputs have mixed dimensions")
@@ -110,15 +92,8 @@ class AvCqc:
     branches: Mapping
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise ValidationError("AvCqc: empty state set")
-        if len(set(states)) != len(states):
-            raise ValidationError("AvCqc: duplicate state labels")
         branches = dict(self.branches)
-        missing = [s for s in states if s not in branches]
-        if missing:
-            raise ValidationError(f"AvCqc: no branch for states {missing}")
+        states = check_labels(self.states, "AvCqc: states", branches)
         alphabets = {branches[s].alphabet for s in states}
         if len(alphabets) != 1:
             raise ValidationError("AvCqc: branches disagree on the alphabet")

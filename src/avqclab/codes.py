@@ -32,10 +32,10 @@ from .quantum import (
     QuantumChannel,
     _hermitian_basis,
     _ImageTree,
+    check_psd,
     hermitize,
-    min_eigenvalue,
 )
-from .util import check_distributions, check_words, content_key, power_exceeds, words
+from .util import check_distributions, check_int, check_words, content_key, power_exceeds, words
 
 __all__ = [
     "DeterministicCode",
@@ -63,8 +63,7 @@ class DeterministicCode:
     decoder: Povm
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValidationError("DeterministicCode: l must be >= 1")
+        object.__setattr__(self, "l", check_int(self.l, 1, "DeterministicCode: l"))
         encoder = tuple(self.encoder)
         if not encoder:
             raise ValidationError("DeterministicCode: needs at least one message")
@@ -121,9 +120,9 @@ class RandomCode:
 
 
 def _set_observation_maps(code, what: str) -> None:
-    """Check a correlated code's l, r and observation keys; store copies of its maps."""
-    if code.l < 1 or code.r < 1:
-        raise ValidationError(f"{what}: l and r must be >= 1")
+    """Check a correlated code's l, r and observation keys; store them, and copies of its maps."""
+    for size in ("l", "r"):
+        object.__setattr__(code, size, check_int(getattr(code, size), 1, f"{what}: {size}"))
     n = code.l // code.r
     if n < 1:
         raise ValidationError(f"{what}: block too short for one sample")
@@ -196,6 +195,9 @@ class CorrelatedEntanglementCode:
 
     def __post_init__(self):
         _set_observation_maps(self, "CorrelatedEntanglementCode")
+        object.__setattr__(
+            self, "code_dim", check_int(self.code_dim, 1, "CorrelatedEntanglementCode: code_dim")
+        )
         for enc in self.encoders.values():
             if enc.dim_in != self.code_dim:
                 raise DimensionMismatch(
@@ -248,8 +250,7 @@ def projective_decoder(codewords: Sequence[PureState]) -> Povm:
     dim = codewords[0].dim
     elements = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in codewords]
     rest = np.eye(dim, dtype=complex) - sum(elements)
-    if min_eigenvalue(rest) < -1e-9:
-        raise ValidationError("projective_decoder: codeword projectors exceed identity")
+    check_psd(rest, "projective_decoder: the identity minus the codeword projectors")
     elements[0] = hermitize(elements[0] + rest)
     return Povm(tuple(elements))
 
@@ -520,7 +521,7 @@ def evaluate_entanglement_code(avqc: Avqc, code: CorrelatedEntanglementCode) -> 
     transfer matrix of n²·d² entries but often only a few Kraus operators,
     and through it L=6 ran 1.7 times slower.
     """
-    what = "evaluate_entanglement_code: state sequences, capped at the enumeration budget"
+    what = "evaluate_entanglement_code: state sequences, capped at EXHAUSTIVE_BUDGET"
     seqs = words(avqc.states, code.l, EXHAUSTIVE_BUDGET, what)
     # the code's own dimensions, so that dim ** l is formed only once it is known to be small
     d_in = next(iter(code.encoders.values())).dim_out
@@ -592,8 +593,7 @@ def permutation_symmetrize(
                 weights.append(w / math.factorial(m))
         return RandomCode(tuple(support), np.array(weights))
     if mode == "sample":
-        if not sample_count or sample_count < 1:
-            raise ValidationError("permutation_symmetrize: sample_count required")
+        sample_count = check_int(sample_count, 1, "permutation_symmetrize: sample_count")
         rng = np.random.Generator(np.random.Philox(0 if seed is None else seed))
         support, weights = [], []
         for w, det in zip(code.weights, code.support):
@@ -621,17 +621,16 @@ def random_code_reduction(
     eps > 2 * eps_l, where eps_l is the input code's worst-case per-message
     error; below that margin the sampled-mixture guarantee has no content.
     """
+    l = check_int(l, 1, "random_code_reduction: l")
     if code.l != l:
         raise DimensionMismatch(f"random_code_reduction: code has l={code.l}, not {l}")
     if not 0.0 < eps < 1.0:
         raise ValidationError("random_code_reduction: eps must lie in (0, 1)")
-    if sample_count < 1:
-        raise ValidationError("random_code_reduction: sample_count must be >= 1")
-    if seed < 0:
-        raise ValidationError(f"random_code_reduction: seed must be non-negative, not {seed}")
+    sample_count = check_int(sample_count, 1, "random_code_reduction: sample_count")
+    seed = check_int(seed, 0, "random_code_reduction: seed")
     l_, d_in, d_out = _code_shape(code)
     _check_code_dims(avqc, l_, d_in, d_out)
-    what = "random_code_reduction: state sequences, capped at the enumeration budget"
+    what = "random_code_reduction: state sequences, capped at EXHAUSTIVE_BUDGET"
     check_words(len(avqc.states), l, EXHAUSTIVE_BUDGET, what)
     # success[j, seq_index, i] for each support code j
     success = np.stack([_exhaustive_table(avqc, l, _scoring_terms(det)) for det in code.support])

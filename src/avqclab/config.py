@@ -1,4 +1,4 @@
-"""Numeric tolerances and enumeration budgets shared across the package.
+"""Numeric tolerances and size caps shared across the package.
 
 All tolerances are absolute. Operations accept an explicit ``tol`` where
 overriding makes sense, with these constants as defaults; the budgets are
@@ -35,4 +35,7 @@ EXHAUSTIVE_BUDGET = 4096
 
 # Cap on enumerated sequence pairs in exact common-randomness statistics.
 PAIR_ENUM_BUDGET = 2**20
+
+# Cap on the nonzeros of the constraint matrix handed to the LP solver.
+LP_NNZ_BUDGET = 2**24
 

@@ -23,7 +23,7 @@ import numpy as np
 from .config import ENUM_BUDGET, PAIR_ENUM_BUDGET, TOL_MI
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measures import _mutual_informations, mutual_information
-from .util import check_distributions, check_words, power_exceeds, words
+from .util import check_distributions, check_int, check_labels, check_words, power_exceeds, words
 
 __all__ = [
     "BipartiteSource",
@@ -48,12 +48,8 @@ class BipartiteSource:
     joint: np.ndarray
 
     def __post_init__(self):
-        x_alphabet = tuple(self.x_alphabet)
-        y_alphabet = tuple(self.y_alphabet)
-        if not x_alphabet or not y_alphabet:
-            raise ValidationError("BipartiteSource: empty alphabet")
-        if any(len(set(alphabet)) != len(alphabet) for alphabet in (x_alphabet, y_alphabet)):
-            raise ValidationError("BipartiteSource: duplicate letters")
+        x_alphabet = check_labels(self.x_alphabet, "BipartiteSource: x_alphabet")
+        y_alphabet = check_labels(self.y_alphabet, "BipartiteSource: y_alphabet")
         joint = np.array(self.joint, dtype=float)
         if joint.shape != (len(x_alphabet), len(y_alphabet)):
             raise DimensionMismatch(
@@ -67,8 +63,7 @@ class BipartiteSource:
 
     def joint_power(self, n: int) -> np.ndarray:
         """The i.i.d. block table p^(x)n over lexicographically ranked sequences."""
-        if n < 1:
-            raise ValidationError("joint_power: n must be >= 1")
+        n = check_int(n, 1, "joint_power: n")
         pairs = len(self.x_alphabet) * len(self.y_alphabet)
         if power_exceeds(pairs, n, PAIR_ENUM_BUDGET):
             raise BudgetExceeded(
@@ -268,11 +263,6 @@ def covers_words(mapping: Mapping, alphabet: tuple, n: int) -> bool:
     )
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class CrFunctionsPair:
     """Block functions f: X^l -> values and g: Y^l -> values over a shared range."""
@@ -287,35 +277,33 @@ class CrFunctionsPair:
     def __post_init__(self):
         x_alphabet = tuple(self.x_alphabet)
         y_alphabet = tuple(self.y_alphabet)
-        if not (_is_integer(self.l) and self.l >= 1):
-            raise ValidationError(f"CrFunctionsPair: l {self.l!r} is not a positive integer")
-        if not (_is_integer(self.value_count) and self.value_count >= 1):
-            raise ValidationError(
-                f"CrFunctionsPair: value_count {self.value_count!r} is not a positive integer"
-            )
+        l = check_int(self.l, 1, "CrFunctionsPair: l")
+        value_count = check_int(self.value_count, 1, "CrFunctionsPair: value_count")
         # a one-letter domain passes every count, so the other domain's count
         # is tested before any length
         sides = (("sender", x_alphabet), ("receiver", y_alphabet))
         for side, alphabet in sorted(sides, key=lambda side: len(side[1]) == 1):
-            check_words(len(alphabet), self.l, PAIR_ENUM_BUDGET, f"CrFunctionsPair: {side} domain")
+            check_words(len(alphabet), l, PAIR_ENUM_BUDGET, f"CrFunctionsPair: {side} domain")
         f_table = dict(self.f_table)
         g_table = dict(self.g_table)
         for name, table, alphabet in (
             ("f_table", f_table, x_alphabet),
             ("g_table", g_table, y_alphabet),
         ):
-            if not covers_words(table, alphabet, self.l):
+            if not covers_words(table, alphabet, l):
                 raise ValidationError(
-                    f"CrFunctionsPair: {name} must cover exactly the length-"
-                    f"{self.l} sequences"
+                    f"CrFunctionsPair: {name} must cover exactly the length-{l} sequences"
                 )
             for seq, val in table.items():
-                if not (_is_integer(val) and 0 <= val < self.value_count):
+                table[seq] = check_int(val, 0, f"CrFunctionsPair: {name}[{seq!r}] =")
+                if table[seq] >= value_count:
                     raise ValidationError(
-                        f"CrFunctionsPair: {name}[{seq!r}] = {val!r} is not an integer in range"
+                        f"CrFunctionsPair: {name}[{seq!r}] = {val!r} is not below {value_count}"
                     )
         object.__setattr__(self, "x_alphabet", x_alphabet)
         object.__setattr__(self, "y_alphabet", y_alphabet)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "value_count", value_count)
         object.__setattr__(self, "f_table", f_table)
         object.__setattr__(self, "g_table", g_table)
 

@@ -34,6 +34,7 @@ from .config import (
     TOL_TRACE,
 )
 from .errors import DimensionMismatch, ValidationError
+from .util import check_int
 
 __all__ = [
     "DensityMatrix",
@@ -61,14 +62,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _max_abs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
 def _check_dim(dim: int, what: str) -> None:
-    if dim < 1:
-        raise ValidationError(f"{what}: dimension must be positive, got {dim}")
-    if dim > DIM_CAP:
+    if check_int(dim, 1, f"{what}: dimension") > DIM_CAP:
         raise ValidationError(f"{what}: dimension {dim} exceeds the cap {DIM_CAP}")
 
 
@@ -84,16 +79,37 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``mat``; -inf if ``mat`` is not finite.
+def check_hermitian(mat: np.ndarray, what: str) -> None:
+    """Raise ``ValidationError`` unless ``mat`` is Hermitian to within ``TOL_HERM``.
 
-    The halves of M and M† are summed, which is exact and, unlike M + M†,
-    cannot overflow on entries near the float range.
+    A deviation beyond the float range reads inf; a NaN one passes, so that
+    ``check_psd`` names the non-finite entry.
     """
-    if not np.isfinite(mat).all():
-        return -math.inf
-    half = 0.5 * mat
-    return float(np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > TOL_HERM:
+        raise ValidationError(f"{what} is not Hermitian (max deviation {defect:.3e})")
+
+
+def check_psd(mat: np.ndarray, what: str) -> None:
+    """Raise ``ValidationError`` unless the Hermitian part of ``mat`` is PSD to within ``TOL_PSD``.
+
+    A non-finite ``mat`` reads as eigenvalue -inf. The halves of M and M† are
+    summed, which is exact and, unlike M + M†, cannot overflow.
+    """
+    lo = -math.inf
+    if np.isfinite(mat).all():
+        half = 0.5 * mat
+        lo = float(np.linalg.eigvalsh(half + half.conj().T)[0])
+    if lo < -TOL_PSD:
+        raise ValidationError(f"{what} has negative eigenvalue {lo:.3e} below -{TOL_PSD}")
+
+
+def check_identity(total: np.ndarray, tol: float, what: str) -> None:
+    """Raise ``ValidationError`` unless ``total`` is the identity to within ``tol``; NaN fails."""
+    defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    if not defect <= tol:
+        raise ValidationError(f"{what} deviates from a resolution of identity by {defect:.3e}")
 
 
 def _hermitian_basis(dim: int):
@@ -122,22 +138,14 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _as_square(self.matrix, "DensityMatrix")
         _check_dim(mat.shape[0], "DensityMatrix")
-        with np.errstate(over="ignore"):  # a defect beyond the float range reads inf
-            herm_defect = _max_abs(mat - mat.conj().T)
+        check_hermitian(mat, "DensityMatrix: the matrix")
+        with np.errstate(over="ignore"):  # a trace beyond the float range reads inf
             trace_defect = abs(complex(np.trace(mat)) - 1.0)
-        if herm_defect > TOL_HERM:
-            raise ValidationError(
-                f"DensityMatrix: not Hermitian (max deviation {herm_defect:.3e})"
-            )
         if trace_defect > TOL_TRACE:
             raise ValidationError(
                 f"DensityMatrix: trace deviates from 1 by {trace_defect:.3e}"
             )
-        lo = min_eigenvalue(mat)
-        if lo < -TOL_PSD:
-            raise ValidationError(
-                f"DensityMatrix: negative eigenvalue {lo:.3e} below -{TOL_PSD}"
-            )
+        check_psd(mat, "DensityMatrix: the matrix")
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @property
@@ -175,11 +183,9 @@ class PureState:
 class QuantumChannel:
     """A CPTP map given by Kraus operators of common shape (dim_out, dim_in).
 
-    Complete positivity is automatic for any Kraus family; as a defensive
-    check on the data we verify the Kraus Gram matrix is PSD, which has the
-    same nonzero spectrum as the Choi matrix and stays cheap at large
-    dimension. Trace preservation (sum of K†K equal to the identity) is the
-    binding numerical check.
+    Every Kraus family is completely positive, so the one check is trace
+    preservation: the sum of K†K is the identity to within ``TOL_CPTP``. An
+    entry whose products overflow gives an infinite sum and fails it.
     """
 
     kraus: tuple
@@ -201,18 +207,8 @@ class QuantumChannel:
         _check_dim(dim_in, "QuantumChannel input")
         _check_dim(dim_out, "QuantumChannel output")
         stacked = np.stack(ops)
-        gram = np.einsum("aij,bij->ab", stacked.conj(), stacked)
-        lo = min_eigenvalue(gram)
-        if lo < -TOL_PSD:
-            raise ValidationError(
-                f"QuantumChannel: Kraus Gram matrix has eigenvalue {lo:.3e}"
-            )
         total = np.einsum("kij,kil->jl", stacked.conj(), stacked)
-        defect = _max_abs(total - np.eye(dim_in))
-        if defect > TOL_CPTP:
-            raise ValidationError(
-                f"QuantumChannel: sum of K†K deviates from identity by {defect:.3e}"
-            )
+        check_identity(total, TOL_CPTP, "QuantumChannel: the sum of K†K")
         object.__setattr__(self, "kraus", tuple(_freeze(op) for op in ops))
         object.__setattr__(self, "stacked", _freeze(stacked))
 
@@ -248,21 +244,11 @@ class Povm:
                 _check_dim(dim, "Povm")
             elif op.shape[0] != dim:
                 raise ValidationError("Povm: elements have mixed dimensions")
-            with np.errstate(over="ignore"):  # a defect beyond the float range reads inf
-                herm_defect = _max_abs(op - op.conj().T)
-            if herm_defect > TOL_HERM:
-                raise ValidationError(f"Povm: element {idx} is not Hermitian")
-            lo = min_eigenvalue(op)
-            if lo < -TOL_PSD:
-                raise ValidationError(
-                    f"Povm: element {idx} has eigenvalue {lo:.3e} below -{TOL_PSD}"
-                )
-        with np.errstate(over="ignore"):
-            defect = _max_abs(sum(ops) - np.eye(dim))
-        if defect > TOL_POVM:
-            raise ValidationError(
-                f"Povm: elements deviate from a resolution of identity by {defect:.3e}"
-            )
+            check_hermitian(op, f"Povm: element {idx}")
+            check_psd(op, f"Povm: element {idx}")
+        with np.errstate(over="ignore"):  # a sum beyond the float range reads inf
+            total = sum(ops)
+        check_identity(total, TOL_POVM, "Povm: the sum of the elements")
         object.__setattr__(self, "elements", tuple(_freeze(op) for op in ops))
 
     @property

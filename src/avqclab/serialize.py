@@ -55,6 +55,7 @@ from .codes import CorrelatedCode, DeterministicCode, RandomCode
 from .correlation import BipartiteSource
 from .errors import SchemaError, ValidationError
 from .quantum import DensityMatrix, Povm, PureState, QuantumChannel
+from .util import check_int, check_labels
 
 __all__ = [
     "to_document",
@@ -151,11 +152,12 @@ def _finite(value: Any, path: str) -> float:
 
 
 def positive_int(doc: Any, key: str, path: str) -> int:
-    """The field ``key`` of ``doc``, which must be an integer >= 1 and not a bool."""
+    """The field ``key`` of ``doc``, which must be an integer >= 1 (``util.check_int``)."""
     value, at = _at(doc, key, path)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SchemaError("expected a positive integer", path=at)
-    return value
+    try:
+        return check_int(value, 1, key)
+    except ValidationError:
+        raise SchemaError("expected a positive integer", path=at) from None
 
 
 def finite_real(doc: Any, key: str, path: str) -> int | float:
@@ -400,12 +402,16 @@ def _labels(doc: Any, key: str, path: str) -> tuple:
 
 
 def _label_table(doc: Any, key: str, path: str, decode) -> tuple[tuple, dict]:
-    """The family's state labels as strings, and ``decode`` of each one's ``doc[key]`` entry."""
+    """The state labels as strings, exactly the keys of ``doc[key]``, and each entry decoded."""
     states = tuple(map(str, _labels(doc, "states", path)))
     table, at = _at(doc, key, path)
     if not isinstance(table, dict):
         raise SchemaError("expected an object", path=at)
-    return states, {s: decode(*_at(table, s, at)) for s in states}
+    try:
+        check_labels(states, "states", table)
+    except ValidationError as exc:
+        raise SchemaError(str(exc), path=at) from None
+    return states, {s: decode(table[s], f"{at}.{s}") for s in states}
 
 
 def _decode_avqc(doc: Any, path: str) -> Avqc:

@@ -36,10 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from .avqc import Avqc
-from .config import ENUM_BUDGET, TOL_FEAS, TOL_PROB
+from .config import ENUM_BUDGET, LP_NNZ_BUDGET, TOL_FEAS, TOL_PROB
 from .errors import AvqclabError, BudgetExceeded, DimensionMismatch, ValidationError
-from .quantum import DensityMatrix, PureState, _hermitian_basis, _ImageTree
-from .util import check_distributions, check_words, power_exceeds
+from .quantum import DensityMatrix, PureState, _hermitian_basis, _ImageTree, check_hermitian
+from .util import check_distributions, check_int, check_words, power_exceeds
 
 __all__ = [
     "SymmetrizingFamily",
@@ -51,9 +51,6 @@ __all__ = [
     "hermitian_probe_frame",
     "symmetrization_residual",
 ]
-
-# Cap on the nonzeros of the constraint matrix handed to the LP solver.
-LP_NNZ_BUDGET = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +225,9 @@ def _probe_matrix(probe, dim: int, what: str) -> np.ndarray:
     mat = probe.matrix if isinstance(probe, DensityMatrix) else np.asarray(probe, dtype=complex)
     if mat.ndim != 2 or mat.shape != (dim, dim):
         raise DimensionMismatch(f"{what}: probe shape {mat.shape}, expected ({dim}, {dim})")
-    if not (np.isfinite(mat).all() and float(np.max(np.abs(mat - mat.conj().T))) <= 1e-9):
-        raise ValidationError(f"{what}: probes must be finite and Hermitian")
+    if not np.isfinite(mat).all():
+        raise ValidationError(f"{what}: probes must be finite")
+    check_hermitian(mat, f"{what}: a probe")
     return mat
 
 
@@ -258,8 +256,7 @@ def check_lp_size(avqc: Avqc, l: int, probe_count: int | None = None) -> int:
     built, and no power above a budget is formed.
     """
     what = "check_symmetrizable"
-    if l < 1:
-        raise ValidationError(f"{what}: l must be >= 1")
+    l = check_int(l, 1, f"{what}: l")
     n = len(avqc.states)
     check_words(n, l, ENUM_BUDGET, f"{what}: state sequences")
     if power_exceeds(avqc.dim_in, l, LP_NNZ_BUDGET) or power_exceeds(
@@ -376,8 +373,7 @@ def hermitian_probe_frame(dim: int) -> list:
     unit ball lies in the simplex spanned by the displaced vertices. States
     are therefore always convex combinations of this frame.
     """
-    if dim < 2:
-        raise ValidationError("hermitian_probe_frame: dim must be >= 2")
+    dim = check_int(dim, 2, "hermitian_probe_frame: dim")
     basis = list(_hermitian_basis(dim))[1:]
     center = np.eye(dim, dtype=complex) / dim
     scale = float(dim * (dim + 1))

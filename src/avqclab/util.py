@@ -66,6 +66,36 @@ def words(alphabet, n: int, budget: int, what: str) -> list:
     return list(itertools.product(alphabet, repeat=n))
 
 
+def check_int(value, low: int, what: str) -> int:
+    """``value`` as a Python int: the one rule for every integer size.
+
+    A Python or numpy integer >= ``low``, never a bool; else ``ValidationError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValidationError(f"{what} {value!r} is not an integer >= {low}")
+    return int(value)
+
+
+def check_labels(labels, what: str, table=None) -> tuple:
+    """``labels`` as a tuple: the one rule for every label table.
+
+    Labels are non-empty, hashable and distinct, and the keys of ``table``, if
+    given, are exactly the labels; else ``ValidationError``, naming the keys.
+    """
+    labels = tuple(labels)
+    try:
+        distinct = set(labels)
+    except TypeError:
+        raise ValidationError(f"{what}: labels must be hashable") from None
+    if not labels or len(distinct) != len(labels):
+        raise ValidationError(f"{what}: labels must be non-empty and distinct")
+    missing = [s for s in labels if table is not None and s not in table]
+    unknown = [s for s in table or () if s not in distinct]
+    if missing or unknown:
+        raise ValidationError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+    return labels
+
+
 def check_distributions(rows, floor: float, what: str) -> None:
     """Raise ``ValidationError`` unless each row (last axis) of ``rows`` is a probability vector.
 

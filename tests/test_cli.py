@@ -220,7 +220,7 @@ class TestValidate:
             ),
             (
                 {"kind": "channel", "kraus": [[[1e200, 0], [0, 1]]]},
-                "Gram matrix has eigenvalue -inf",
+                "sum of K†K deviates from a resolution of identity by inf",
             ),
         ],
     )
@@ -232,6 +232,15 @@ class TestValidate:
         assert captured.err.startswith("validation error:")
         assert message in captured.err
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_an_unknown_channels_key_is_a_schema_error(self, tmp_path, capsys):
+        channels = {"a": {"kind": "channel", "kraus": [[[1]]]}, "b": {"kind": "nonsense"}}
+        doc = {"kind": "avqc", "states": ["a"], "channels": channels}
+        path = write(tmp_path, "doc.json", doc)
+        code, captured = run_json(capsys, ["validate", "--input", path])
+        assert code == 2
+        assert captured.err.startswith(f"schema error: {path}:$.channels:")
         assert captured.out == ""
 
     def test_missing_file(self, tmp_path, capsys):

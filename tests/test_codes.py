@@ -82,6 +82,13 @@ class TestProjectiveDecoder:
         assert np.allclose(povm.elements[0], np.diag([1.0, 0.0, 1.0]))
         assert np.allclose(povm.elements[1], np.diag([0.0, 1.0, 0.0]))
 
+    def test_a_leftover_within_the_psd_tolerance_is_accepted(self):
+        # the codewords overlap by 5e-9, so I - P_0 - P_1 has eigenvalue -5e-9,
+        # inside TOL_PSD = 1e-8
+        tilted = PureState(np.array([5e-9, 1.0]))
+        povm = projective_decoder((basis_state(2, 0), tilted))
+        assert np.allclose(sum(povm.elements), np.eye(2), rtol=0.0, atol=1e-12)
+
     def test_overcomplete_rejected(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
         with pytest.raises(ValidationError):

@@ -253,6 +253,20 @@ class TestSchemaErrors:
             from_document(doc)
         assert "$.channels.a.kraus[0]" in err.value.path
 
+    @pytest.mark.parametrize("table", ["channels", "branches", "kernels"])
+    def test_an_unknown_table_key_is_a_schema_error_at_the_table(self, table):
+        family = Avqc(("a",), {"a": identity_channel(2)})
+        branch = CqChannel(("x",), {"x": DensityMatrix(np.eye(2) / 2)})
+        doc = {
+            "channels": to_document(family),
+            "branches": to_document(AvCqc(("a",), {"a": branch})),
+            "kernels": {"kind": "classical_avc", "states": ["a"], "kernels": {"a": [[1.0]]}},
+        }[table]
+        doc[table]["b"] = {"kind": "nonsense"}
+        with pytest.raises(SchemaError, match=r"unknown keys \['b'\]") as err:
+            from_document(doc)
+        assert err.value.path == f"$.{table}"
+
     def test_ragged_matrix(self):
         doc = {"kind": "density_matrix", "matrix": [[1.0, 0.0], [0.0]]}
         with pytest.raises(SchemaError):
